@@ -46,7 +46,6 @@ from .plant import AcArea, DcLine, MtdcNetwork, ac_swing_matrices, mtdc_resistiv
 from .sim import (
     DisturbanceEvent,
     IntegrationError,
-    Method,
     Scenario,
     Trajectory,
     compare_variants,

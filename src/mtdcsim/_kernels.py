@@ -1,171 +1,76 @@
 """Fixed-step integration loops: the hot path of every simulation.
 
-Each kernel advances the state over piecewise-constant input segments and
-writes decimated samples into a preallocated output array. The same
-function bodies are compiled with numba when it is importable and run as
-plain numpy otherwise; set ``MTDCSIM_NUMBA=0`` to force the numpy path.
-Both instantiations are kept importable so they can be benchmarked against
-each other (see benchmarks/bench_integrate.py).
+Each kernel advances the state over piecewise-constant input segments with
+the exact zero-order-hold propagator and writes decimated samples into a
+preallocated output array.
 
 Kernels return -1 on success or the failing step index when the state
-stops being finite (or, for the nonlinear kernels, when a DC voltage
-drops below 0.5 p.u.).
+stops being finite (or, for the nonlinear kernel, when a DC voltage drops
+below 0.5 p.u.).
 """
-
-import os
 
 import numpy as np
 
 
-def _env_wants_numba() -> bool:
-    return os.environ.get("MTDCSIM_NUMBA", "1").strip().lower() not in ("0", "false", "no", "off")
+def exact_linear(phi, c_seg, seg_bounds, x0, rec_steps, out):
+    # x_{k+1} = phi x_k + c, with c per input segment
+    x = x0.copy()
+    ri = 0
+    if rec_steps[0] == 0:
+        out[0] = x
+        ri = 1
+    for s in range(c_seg.shape[0]):
+        c = c_seg[s]
+        for step in range(seg_bounds[s], seg_bounds[s + 1]):
+            x = np.dot(phi, x) + c
+            if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
+                out[ri] = x
+                ri += 1
+                if not np.all(np.isfinite(x)):
+                    return step + 1
+    return -1
 
 
-def _build(decorate):
-    """Instantiate the kernel set with ``decorate`` (njit or identity)."""
+def etd2_nonlinear(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
+                   v_ref, v_nom, vdc, rec_steps, out):
+    """Exact linear propagation, Heun treatment of the voltage correction.
 
-    @decorate
-    def exact_linear(phi, c_seg, seg_bounds, x0, rec_steps, out):
-        # x_{k+1} = phi x_k + c, with c per input segment
-        x = x0.copy()
-        ri = 0
-        if rec_steps[0] == 0:
-            out[0] = x
-            ri = 1
-        for s in range(c_seg.shape[0]):
-            c = c_seg[s]
-            for step in range(seg_bounds[s], seg_bounds[s + 1]):
-                x = np.dot(phi, x) + c
-                if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
-                    out[ri] = x
-                    ri += 1
-                    if not np.all(np.isfinite(x)):
-                        return step + 1
-        return -1
+    The correction (true minus nominal-voltage current injection) only
+    enters the DC-voltage rows, so it is applied through ``gam_v``, the
+    columns of gamma selected by the ``vdc`` slice.
+    """
 
-    @decorate
-    def rk4_linear(a, bu_seg, seg_bounds, x0, dt, rec_steps, out):
-        x = x0.copy()
-        ri = 0
-        if rec_steps[0] == 0:
-            out[0] = x
-            ri = 1
-        for s in range(bu_seg.shape[0]):
-            bu = bu_seg[s]
-            for step in range(seg_bounds[s], seg_bounds[s + 1]):
-                k1 = np.dot(a, x) + bu
-                k2 = np.dot(a, x + 0.5 * dt * k1) + bu
-                k3 = np.dot(a, x + 0.5 * dt * k2) + bu
-                k4 = np.dot(a, x + dt * k3) + bu
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
-                    out[ri] = x
-                    ri += 1
-                    if not np.all(np.isfinite(x)):
-                        return step + 1
-        return -1
+    def correction(x):
+        v = x[vdc] + v_ref
+        if np.any(v < 0.5):
+            return None
+        return cap_inv * np.dot(pinj_sel, x) * (1.0 / v - 1.0 / v_nom)
 
-    @decorate
-    def injection_correction(x, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
-        # difference between true and nominal-voltage current injection
-        g[:] = 0.0
-        p = np.dot(pinj_sel, x)
-        for i in range(p.shape[0]):
-            v = x[vhat_off + i] + v_ref[i]
-            if v < 0.5:
-                return False
-            g[vhat_off + i] = cap_inv[i] * p[i] * (1.0 / v - 1.0 / v_nom)
-        return True
-
-    @decorate
-    def etd2_nonlinear(phi, gam, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
-                       v_ref, v_nom, vhat_off, rec_steps, out):
-        # exact linear propagation, Heun treatment of the voltage correction
-        x = x0.copy()
-        g1 = np.zeros(x.shape[0])
-        g2 = np.zeros(x.shape[0])
-        ri = 0
-        if rec_steps[0] == 0:
-            out[0] = x
-            ri = 1
-        for s in range(c_seg.shape[0]):
-            c = c_seg[s]
-            for step in range(seg_bounds[s], seg_bounds[s + 1]):
-                if not injection_correction(x, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g1):
-                    return step
-                xs = np.dot(phi, x) + c + np.dot(gam, g1)
-                if not injection_correction(xs, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g2):
-                    return step
-                x = np.dot(phi, x) + c + np.dot(gam, 0.5 * (g1 + g2))
-                if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
-                    out[ri] = x
-                    ri += 1
-                    if not np.all(np.isfinite(x)):
-                        return step + 1
-        return -1
-
-    @decorate
-    def rk4_nonlinear(a, bu_seg, seg_bounds, x0, dt, pinj_sel, cap_inv,
-                      v_ref, v_nom, vhat_off, rec_steps, out):
-        x = x0.copy()
-        dim = x.shape[0]
-        g = np.zeros(dim)
-        ri = 0
-        if rec_steps[0] == 0:
-            out[0] = x
-            ri = 1
-        for s in range(bu_seg.shape[0]):
-            bu = bu_seg[s]
-            for step in range(seg_bounds[s], seg_bounds[s + 1]):
-                if not injection_correction(x, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
-                    return step
-                k1 = np.dot(a, x) + bu + g
-                x2 = x + 0.5 * dt * k1
-                if not injection_correction(x2, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
-                    return step
-                k2 = np.dot(a, x2) + bu + g
-                x3 = x + 0.5 * dt * k2
-                if not injection_correction(x3, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
-                    return step
-                k3 = np.dot(a, x3) + bu + g
-                x4 = x + dt * k3
-                if not injection_correction(x4, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
-                    return step
-                k4 = np.dot(a, x4) + bu + g
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
-                    out[ri] = x
-                    ri += 1
-                    if not np.all(np.isfinite(x)):
-                        return step + 1
-        return -1
-
-    return {
-        "exact_linear": exact_linear,
-        "rk4_linear": rk4_linear,
-        "etd2_nonlinear": etd2_nonlinear,
-        "rk4_nonlinear": rk4_nonlinear,
-    }
+    x = x0.copy()
+    ri = 0
+    if rec_steps[0] == 0:
+        out[0] = x
+        ri = 1
+    for s in range(c_seg.shape[0]):
+        c = c_seg[s]
+        for step in range(seg_bounds[s], seg_bounds[s + 1]):
+            h1 = correction(x)
+            if h1 is None:
+                return step
+            lin = np.dot(phi, x) + c
+            h2 = correction(lin + np.dot(gam_v, h1))
+            if h2 is None:
+                return step
+            x = lin + np.dot(gam_v, 0.5 * (h1 + h2))
+            if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
+                out[ri] = x
+                ri += 1
+                if not np.all(np.isfinite(x)):
+                    return step + 1
+    return -1
 
 
-NUMPY_KERNELS = _build(lambda f: f)
-
-NUMBA_ENABLED = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        NUMBA_KERNELS = _build(lambda f: njit(cache=True)(f))
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    KERNELS = NUMBA_KERNELS
-else:
-    NUMBA_KERNELS = None
-    KERNELS = NUMPY_KERNELS
-
-
-def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+KERNELS = {
+    "exact_linear": exact_linear,
+    "etd2_nonlinear": etd2_nonlinear,
+}

@@ -110,13 +110,6 @@ class ClosedLoopModel:
     def total_buses(self) -> int:
         return sum(area.n_buses for area in self.areas)
 
-    def freq_block(self, area: int) -> slice:
-        return self.layout.sl(f"freq{area}")
-
-    def conv_freq_indices(self) -> np.ndarray:
-        """State indices of the converter-bus frequency deviations."""
-        return np.array([self.layout.offset(f"freq{a}") for a in range(self.n_areas)])
-
     def bus_offsets(self) -> list:
         out, off = [], 0
         for area in self.areas:

@@ -51,10 +51,6 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def scaled(self, factor: float) -> "WeightedGraph":
-        """Same topology with every weight multiplied by ``factor`` (> 0)."""
-        return WeightedGraph(self.n_nodes, tuple((i, j, w * factor) for i, j, w in self.edges))
-
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted Laplacian: L[i,j] = -w_ij off-diagonal, row sums exactly zero.

@@ -142,8 +142,7 @@ class PiLinkChain:
 
     Each line contributes ``n_segments`` series R-L segments with
     ``n_segments - 1`` internal capacitive nodes. Values are the line
-    totals split evenly across segments. Nominal segment currents and
-    internal voltages are display offsets only; the states are incremental.
+    totals split evenly across segments; the states are incremental.
     """
 
     n_segments: int
@@ -152,8 +151,6 @@ class PiLinkChain:
     c_seg: np.ndarray
     d_in: np.ndarray
     d_out: np.ndarray
-    i_nom: np.ndarray = None
-    v_nom_seg: np.ndarray = None
 
     @property
     def n_lines(self) -> int:
@@ -206,6 +203,4 @@ def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:
         c_seg=c_seg,
         d_in=d_in,
         d_out=d_out,
-        i_nom=np.zeros(len(net.lines)),
-        v_nom_seg=np.zeros(len(net.lines)),
     )

@@ -1,13 +1,11 @@
 """Deterministic fixed-step time-domain simulation of assembled models.
 
-The default stepper for the linear mode is the exact zero-order-hold
-discretization of the closed loop (matrix exponential once per run, one
-matrix-vector product per step). It is exact for piecewise-constant
+The linear mode steps with the exact zero-order-hold discretization of
+the closed loop (matrix exponential once per run, one matrix-vector
+product per step). It is exact for piecewise-constant
 disturbances regardless of stiffness, which matters here: with realistic
 converter gains the DC subsystem carries eigenvalues around 1e5 1/s while
-the interesting dynamics play out over tens of seconds. Classical
-fourth-order Runge-Kutta stepping is available as an alternative method
-and warns when the step size violates its stability region.
+the interesting dynamics play out over tens of seconds.
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
@@ -16,8 +14,6 @@ second-order Heun treatment of the voltage correction term.
 
 from __future__ import annotations
 
-import enum
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,16 +31,10 @@ from .analysis import equilibrium, lyapunov_matrix
 from .control import ControllerConfig, CouplingMode, Variant
 
 DT_CAP = 0.01
-RK4_STABILITY_LIMIT = 2.5
 
 
 class IntegrationError(RuntimeError):
     """Integration aborted: non-finite state or DC voltage collapse."""
-
-
-class Method(enum.Enum):
-    EXACT = "exact"
-    RK4 = "rk4"
 
 
 @dataclass(frozen=True)
@@ -164,17 +154,7 @@ def discretize(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(big[:dim, :dim]), np.ascontiguousarray(big[:dim, dim:])
 
 
-def _rk4_stability_check(model: ClosedLoopModel, dt: float):
-    lam_max = float(np.abs(np.linalg.eigvals(model.a)).max())
-    if dt * lam_max >= RK4_STABILITY_LIMIT:
-        warnings.warn(
-            f"rk4 step size unstable: dt*|lambda|_max = {dt * lam_max:.3g} >= "
-            f"{RK4_STABILITY_LIMIT}; use the exact method or a smaller dt",
-            stacklevel=3,
-        )
-
-
-def integrate(model: ClosedLoopModel, scenario: Scenario, method: Method = None,
+def integrate(model: ClosedLoopModel, scenario: Scenario,
               x0: np.ndarray = None) -> Trajectory:
     """Run one deterministic simulation and return the recorded trajectory.
 
@@ -182,8 +162,6 @@ def integrate(model: ClosedLoopModel, scenario: Scenario, method: Method = None,
     after their event time. The nonlinear mode needs the full-coordinate
     model so the absolute DC voltages can be reconstructed per node.
     """
-    if method is None:
-        method = Method.EXACT
     if scenario.mode is CouplingMode.NONLINEAR and model.reduced:
         raise ValueError("nonlinear mode needs the full-coordinate model")
     n_steps = int(round(scenario.t_end / scenario.dt))
@@ -199,35 +177,16 @@ def integrate(model: ClosedLoopModel, scenario: Scenario, method: Method = None,
     if x0.shape[0] != dim:
         raise ValueError("x0 length does not match the model")
 
-    kern = _kernels.KERNELS
-    bu = inputs @ model.b_dist.T
+    phi, gam = discretize(model.a, scenario.dt)
+    c_seg = np.ascontiguousarray(inputs @ model.b_dist.T @ gam.T)
     if scenario.mode is CouplingMode.LINEAR:
-        if method is Method.EXACT:
-            phi, gam = discretize(model.a, scenario.dt)
-            c_seg = np.ascontiguousarray(bu @ gam.T)
-            status = kern["exact_linear"](phi, c_seg, bounds, x0, rec_steps, out)
-        else:
-            _rk4_stability_check(model, scenario.dt)
-            status = kern["rk4_linear"](
-                np.ascontiguousarray(model.a), np.ascontiguousarray(bu),
-                bounds, x0, scenario.dt, rec_steps, out)
+        status = _kernels.KERNELS["exact_linear"](phi, c_seg, bounds, x0, rec_steps, out)
     else:
-        pinj_sel = np.ascontiguousarray(model.p_inj_selector)
-        cap_inv = np.ascontiguousarray(1.0 / np.array(model.net.cap))
-        v_ref = np.ascontiguousarray(np.array(model.net.v_ref, dtype=float))
-        vhat_off = model.layout.offset("vdc")
-        if method is Method.EXACT:
-            phi, gam = discretize(model.a, scenario.dt)
-            c_seg = np.ascontiguousarray(bu @ gam.T)
-            status = kern["etd2_nonlinear"](
-                phi, gam, c_seg, bounds, x0, pinj_sel, cap_inv,
-                v_ref, model.net.v_nom, vhat_off, rec_steps, out)
-        else:
-            _rk4_stability_check(model, scenario.dt)
-            status = kern["rk4_nonlinear"](
-                np.ascontiguousarray(model.a), np.ascontiguousarray(bu),
-                bounds, x0, scenario.dt, pinj_sel, cap_inv,
-                v_ref, model.net.v_nom, vhat_off, rec_steps, out)
+        vdc = model.layout.sl("vdc")
+        status = _kernels.KERNELS["etd2_nonlinear"](
+            phi, np.ascontiguousarray(gam[:, vdc]), c_seg, bounds, x0,
+            model.p_inj_selector, 1.0 / np.array(model.net.cap),
+            np.array(model.net.v_ref, dtype=float), model.net.v_nom, vdc, rec_steps, out)
     if status >= 0:
         raise IntegrationError(
             f"integration aborted at t = {status * scenario.dt:.6g} s "
@@ -258,8 +217,7 @@ COMPARISON_VARIANTS = (
 )
 
 
-def compare_variants(net, areas, cfg: ControllerConfig, scenario: Scenario,
-                     method: Method = None) -> dict:
+def compare_variants(net, areas, cfg: ControllerConfig, scenario: Scenario) -> dict:
     """Run the same plant and scenario under the three controller pairings."""
     from .assembly import assemble_resistive
 
@@ -267,12 +225,12 @@ def compare_variants(net, areas, cfg: ControllerConfig, scenario: Scenario,
     for variant in COMPARISON_VARIANTS:
         cfg_v = replace(cfg, variant=variant)
         model = assemble_resistive(net, areas, cfg_v, reduced=False)
-        results[variant] = integrate(model, scenario, method=method)
+        results[variant] = integrate(model, scenario)
     return results
 
 
-def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario, form: str = "energy",
-                   method: Method = None) -> LyapunovTrace:
+def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario,
+                   form: str = "energy") -> LyapunovTrace:
     """Candidate-function values along a simulated trajectory.
 
     The state is measured relative to the equilibrium under the final
@@ -281,7 +239,7 @@ def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario, form: str = "ener
     With multiple events only the part after the last event carries that
     guarantee.
     """
-    traj = integrate(model, scenario, method=method)
+    traj = integrate(model, scenario)
     u_final = baseline_disturbance(model) + disturbance_map(
         model, [(ev.area, ev.bus, ev.magnitude) for ev in scenario.disturbances])
     if np.any(u_final != 0.0):

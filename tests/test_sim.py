@@ -8,46 +8,71 @@ from scipy.integrate import solve_ivp
 
 import mtdcsim as m
 from mtdcsim import _kernels
-from mtdcsim.sim import discretize
+from mtdcsim.sim import _record_steps, _segments, discretize
 
 from conftest import single_gen_system
 from direct_rhs import direct_rhs, flatten, unflatten
 
 
-def _run_kernel(kern_name, a, t_end, dt, x0, kernels=None):
-    kernels = kernels or _kernels.KERNELS
+def _run_kernel(a, t_end, dt, x0):
     n_steps = int(round(t_end / dt))
     bounds = np.array([0, n_steps], dtype=np.int64)
     rec = np.array([0, n_steps], dtype=np.int64)
     out = np.empty((2, a.shape[0]))
-    if kern_name == "exact_linear":
-        phi, gam = discretize(a, dt)
-        c = np.zeros((1, a.shape[0]))
-        status = kernels["exact_linear"](phi, c, bounds, x0, rec, out)
-    else:
-        status = kernels["rk4_linear"](a, np.zeros((1, a.shape[0])), bounds, x0, dt, rec, out)
+    phi, _ = discretize(a, dt)
+    status = _kernels.KERNELS["exact_linear"](phi, np.zeros((1, a.shape[0])), bounds, x0, rec, out)
     assert status == -1
     return out[-1]
 
 
+def _reference_correction(x, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
+    g[:] = 0.0
+    p = np.dot(pinj_sel, x)
+    for i in range(p.shape[0]):
+        v = x[vhat_off + i] + v_ref[i]
+        if v < 0.5:
+            return False
+        g[vhat_off + i] = cap_inv[i] * p[i] * (1.0 / v - 1.0 / v_nom)
+    return True
+
+
+def _reference_etd2(model, scenario):
+    """Nonlinear Heun stepper written out per converter, with two full
+    ``gamma @ g`` products per step; returns (status, recorded states)."""
+    n_steps = int(round(scenario.t_end / scenario.dt))
+    bounds, inputs = _segments(model, scenario, n_steps)
+    rec_steps = _record_steps(n_steps, scenario.record_every)
+    phi, gam = discretize(model.a, scenario.dt)
+    c_seg = inputs @ model.b_dist.T @ gam.T
+    args = (model.p_inj_selector, 1.0 / np.array(model.net.cap),
+            np.array(model.net.v_ref, dtype=float), model.net.v_nom, model.layout.offset("vdc"))
+    out = np.empty((rec_steps.shape[0], model.dim))
+    x = np.zeros(model.dim)
+    g1 = np.zeros(model.dim)
+    g2 = np.zeros(model.dim)
+    out[0] = x
+    ri = 1
+    for s in range(c_seg.shape[0]):
+        c = c_seg[s]
+        for step in range(bounds[s], bounds[s + 1]):
+            if not _reference_correction(x, *args, g1):
+                return step, out
+            xs = np.dot(phi, x) + c + np.dot(gam, g1)
+            if not _reference_correction(xs, *args, g2):
+                return step, out
+            x = np.dot(phi, x) + c + np.dot(gam, 0.5 * (g1 + g2))
+            if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
+                out[ri] = x
+                ri += 1
+                if not np.all(np.isfinite(x)):
+                    return step + 1, out
+    return -1, out
+
+
 class TestSteppers:
-    def test_rk4_matches_analytic_decay(self):
-        """x' = -x integrated over 1 s lands on exp(-1) to fourth order."""
-        final = _run_kernel("rk4_linear", np.array([[-1.0]]), 1.0, 0.01, np.array([1.0]))
-        assert abs(final[0] - np.exp(-1.0)) < 1e-9
-
     def test_exact_matches_analytic_decay(self):
-        final = _run_kernel("exact_linear", np.array([[-1.0]]), 1.0, 0.01, np.array([1.0]))
+        final = _run_kernel(np.array([[-1.0]]), 1.0, 0.01, np.array([1.0]))
         assert abs(final[0] - np.exp(-1.0)) < 1e-12
-
-    @pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba backend disabled")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(2)
-        a = -np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-        x0 = rng.standard_normal(4)
-        got = _run_kernel("exact_linear", a, 2.0, 0.01, x0, kernels=_kernels.NUMBA_KERNELS)
-        want = _run_kernel("exact_linear", a, 2.0, 0.01, x0, kernels=_kernels.NUMPY_KERNELS)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_discretize_singular_matrix(self):
         """Zero-order hold must not require an invertible state matrix."""
@@ -109,22 +134,6 @@ class TestIntegrate:
         t2 = m.integrate(model, m.Scenario(t_end=5.0, dt=5e-4, disturbances=ev))
         assert np.abs(t1.states[-1] - t2.states[-1]).max() < 1e-8
 
-    def test_rk4_method_agrees_on_nonstiff_system(self, two_area):
-        net, areas, cfg = two_area
-        model = m.assemble_resistive(net, areas, cfg, reduced=True)
-        ev = (m.DisturbanceEvent(0.1, 0, 0, -0.1),)
-        te = m.integrate(model, m.Scenario(t_end=2.0, dt=1e-3, disturbances=ev))
-        tr = m.integrate(model, m.Scenario(t_end=2.0, dt=1e-3, disturbances=ev),
-                         method=m.Method.RK4)
-        assert np.abs(te.states[-1] - tr.states[-1]).max() < 1e-9
-
-    def test_rk4_warns_on_stiff_step(self, paper_model_reduced):
-        scen = m.Scenario(t_end=0.05, dt=1e-3,
-                          disturbances=(m.DisturbanceEvent(0.0, 0, 1, -0.2),))
-        with pytest.warns(UserWarning, match="rk4 step size unstable"):
-            with pytest.raises(m.IntegrationError):
-                m.integrate(paper_model_reduced, scen, method=m.Method.RK4)
-
     def test_record_every_decimation(self, two_area):
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
@@ -180,14 +189,27 @@ class TestNonlinearMode:
                         t_eval=[4.0])
         np.testing.assert_allclose(traj.states[-1], ref.y[:, -1], atol=1e-7)
 
+    def test_matches_reference_heun_step(self, paper_sc, paper_model_full):
+        """The vectorised kernel reproduces the per-converter Heun step to
+        a few rounding errors on the reference nonlinear scenario."""
+        scen = replace(paper_sc.scenario, t_end=5.0, mode=m.CouplingMode.NONLINEAR)
+        status, want = _reference_etd2(paper_model_full, scen)
+        assert status == -1
+        got = m.integrate(paper_model_full, scen).states
+        tol = 64 * np.finfo(float).eps * np.abs(want).max()
+        assert np.abs(got - want).max() <= tol
+
     def test_voltage_collapse_aborts(self):
         net, areas, cfg = single_gen_system(1, variant=m.Variant.DEC_GEN_DEC_CONV,
                                             k_omega=1.0, k_v=1.0, k_droop=1.0, cap=1.0)
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         scen = m.Scenario(t_end=20.0, dt=1e-2, mode=m.CouplingMode.NONLINEAR,
                           disturbances=(m.DisturbanceEvent(0.0, 0, 0, -1.2),))
-        with pytest.raises(m.IntegrationError, match="0.5"):
+        with pytest.raises(m.IntegrationError, match="0.5") as err:
             m.integrate(model, scen)
+        status, _ = _reference_etd2(model, scen)
+        assert status > 0
+        assert f"t = {status * scen.dt:.6g} s" in str(err.value)
 
     def test_reference_scenario_five_percent_band(self, paper_sc, paper_trajs):
         """Reference voltages stay close to nominal, so the two couplings
