@@ -34,12 +34,7 @@ from .control import (
     CostWeights,
     CouplingMode,
     Variant,
-    conv_control_decentralized,
-    conv_control_distributed,
     gains_from_costs,
-    gen_control_decentralized,
-    gen_control_distributed,
-    power_to_current,
 )
 from .netgraph import WeightedGraph, connectivity, laplacian, line_incidence, ones_complement
 from .plant import AcArea, DcLine, MtdcNetwork, ac_swing_matrices, mtdc_resistive_matrices, pi_link_matrices

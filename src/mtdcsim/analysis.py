@@ -329,9 +329,9 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
     )
 
 
-def stability_report(net: MtdcNetwork, areas, cfg: ControllerConfig) -> StabilityReport:
-    """Assemble the reduced model and run both stability routes."""
-    model = assemble_resistive(net, areas, cfg, reduced=True)
+def stability_report(model: ClosedLoopModel) -> StabilityReport:
+    """Run both stability routes on a reduced model."""
+    net, areas, cfg = model.net, model.areas, model.cfg
     abscissa, stable = hurwitz(model)
     a1 = a2 = None
     cert_result = None
@@ -387,11 +387,11 @@ def gain_limit_sweep(net: MtdcNetwork, areas, cfg: ControllerConfig,
             k_droop_i=tuple(tuple(k * scale for k in area) for area in cfg.k_droop_i),
         )
         model = assemble_resistive(net, areas, scaled, reduced=True)
-        _, stable = hurwitz(model)
-        if not stable:
+        try:
+            rep = equilibrium(model, u)
+        except UnstableSystemError:
             rows.append(SweepRow(scale, False, np.nan, np.nan, np.nan))
             continue
-        rep = equilibrium(model, u)
         rows.append(SweepRow(
             scale=scale,
             is_hurwitz=True,

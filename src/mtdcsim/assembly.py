@@ -7,10 +7,17 @@ generation integral states (distributed generation only), the converter
 phase states (distributed converter control only), and finally the pi-link
 segment currents and internal voltages.
 
-Reduced coordinates drop the uniform component of each rotor-angle block
-and of the converter phase block; those directions are unobservable from
-the (frequency, DC voltage) output and, for the phase block, marginally
-stable, so removing them leaves the input/output behavior unchanged.
+The controller laws are stated once, as the selectors P_gen and P_inj
+with p_gen = P_gen x and p_inj = P_inj x; the frequency rows are derived
+from them as M^-1 (p_gen - p_inj at each converter bus) and the DC rows as
+E p_inj / v_nom.
+
+Only the full-coordinate model is assembled. A reduced model is its
+projection T A T^T (see ``reduce_model``): reduced coordinates drop the
+uniform component of each rotor-angle block and of the converter phase
+block; those directions are unobservable from the (frequency, DC voltage)
+output and, for the phase block, marginally stable, so removing them
+leaves the input/output behavior unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import numpy as np
 from .control import ControllerConfig, Variant
 from .netgraph import laplacian, ones_complement, require_finite
 from .plant import (
-    AcArea,
     MtdcNetwork,
     PiLinkChain,
     ac_swing_matrices,
@@ -157,10 +163,10 @@ def _build_layout(areas, cfg: ControllerConfig, reduced: bool, chain: PiLinkChai
     return StateLayout(tuple(blocks))
 
 
-def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig, reduced: bool,
+def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
               chain: PiLinkChain = None) -> ClosedLoopModel:
     n = net.n
-    layout = _build_layout(areas, cfg, reduced, chain)
+    layout = _build_layout(areas, cfg, False, chain)
     dim = layout.dim
     total_buses = sum(a.n_buses for a in areas)
     a_mat = np.zeros((dim, dim))
@@ -170,70 +176,44 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig, reduced: bool,
 
     e_mat, l_r = mtdc_resistive_matrices(net)
     e_diag = np.diag(e_mat)
-    v_nom = net.v_nom
-    k_omega = np.array(cfg.k_omega)
-    k_v = np.array(cfg.k_v)
-    l_phi = laplacian(cfg.comm_phi) if cfg.variant.distributed_conv else None
-    l_eta = laplacian(cfg.comm_eta) if cfg.variant.distributed_gen else None
-    s_conv = ones_complement(n)
     vdc = layout.sl("vdc")
-    conv_freq = [layout.offset(f"freq{i}") for i in range(n)]
+    l_phi = laplacian(cfg.comm_phi) if cfg.variant.distributed_conv else None
 
     bus_off = 0
     for i, area in enumerate(areas):
         nb = area.n_buses
-        m_inv = 1.0 / np.array(area.inertia)
+        buses = slice(bus_off, bus_off + nb)
         fq = layout.sl(f"freq{i}")
-        fo = fq.start
-        kd = np.array(cfg.k_droop[i])
-        kdi = np.array(cfg.k_droop_i[i])
-
-        # frequency rows: droop at every bus, converter gain at bus 0 only
-        for k in range(nb):
-            a_mat[fo + k, fo + k] -= m_inv[k] * kd[k]
-        a_mat[fo, fo] -= m_inv[0] * k_omega[i]
-        a_mat[fo, vdc.start + i] += m_inv[0] * k_v[i]
-
-        if nb >= 2:
-            _, l_ac, s_i = ac_swing_matrices(area)
-            ang = layout.sl(f"angle{i}")
-            cpl = l_ac @ s_i if reduced else l_ac
-            a_mat[fq, ang] -= m_inv[:, None] * cpl
-            a_mat[ang, fq] += s_i.T if reduced else np.eye(nb)
-
+        # the controller laws, stated once: p_gen = P_gen x and p_inj = P_inj x
+        p_gen[buses, fq] -= np.diag(cfg.k_droop[i])
+        p_inj[i, fq.start] += cfg.k_omega[i]
+        p_inj[i, vdc.start + i] -= cfg.k_v[i]
         if cfg.variant.distributed_gen:
             gi = layout.sl("gen_integral")
-            ratio = k_v[i] / k_omega[i]
-            a_mat[fq, gi.start + i] -= m_inv * ratio * kdi
+            kdi = np.array(cfg.k_droop_i[i])
+            p_gen[buses, gi.start + i] -= cfg.k_v[i] / cfg.k_omega[i] * kdi
             a_mat[gi.start + i, fq] += kdi
-            p_gen[bus_off:bus_off + nb, gi.start + i] -= ratio * kdi
-
         if cfg.variant.distributed_conv:
-            ph = layout.sl("conv_phase")
-            row = (l_phi @ s_conv)[i] if reduced else l_phi[i]
-            a_mat[fo, ph] -= m_inv[0] * row
-            p_inj[i, ph] += row
+            p_inj[i, layout.sl("conv_phase")] += l_phi[i]
 
-        for k in range(nb):
-            b_dist[fo + k, bus_off + k] = m_inv[k]
-            p_gen[bus_off + k, fo + k] -= kd[k]
-        p_inj[i, fo] += k_omega[i]
-        p_inj[i, vdc.start + i] -= k_v[i]
+        # swing equations: M dw/dt = p_gen + p_m - p_inj (converter bus only)
+        # - AC line flows
+        m_inv = 1.0 / np.array(area.inertia)
+        a_mat[fq] += m_inv[:, None] * p_gen[buses]
+        a_mat[fq.start] -= m_inv[0] * p_inj[i]
+        b_dist[fq, buses] = np.diag(m_inv)
+        if nb >= 2:
+            _, l_ac, _ = ac_swing_matrices(area)
+            ang = layout.sl(f"angle{i}")
+            a_mat[fq, ang] -= m_inv[:, None] * l_ac
+            a_mat[ang, fq] += np.eye(nb)
         bus_off += nb
 
-    # DC voltage rows: injections always, line coupling per plant model
-    for i in range(n):
-        a_mat[vdc.start + i, conv_freq[i]] += e_diag[i] * k_omega[i] / v_nom
-    a_mat[vdc, vdc] -= e_diag[:, None] * (np.eye(n) * (k_v / v_nom))
-    if cfg.variant.distributed_conv:
-        ph = layout.sl("conv_phase")
-        blk = l_phi @ s_conv if reduced else l_phi
-        a_mat[vdc, ph] += e_diag[:, None] * blk / v_nom
-
+    # DC nodes: injected current p_inj / v_nom, line coupling per plant model
+    a_mat[vdc] += e_diag[:, None] * p_inj / net.v_nom
     if chain is None:
         a_mat[vdc, vdc] -= e_diag[:, None] * l_r
     else:
-        m_lines = chain.n_lines
         ell = chain.n_segments
         cur = [layout.sl(f"line_current{q}") for q in range(1, ell + 1)]
         vol = [layout.sl(f"line_voltage{q}") for q in range(1, ell)]
@@ -257,15 +237,13 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig, reduced: bool,
 
     if cfg.variant.distributed_gen:
         gi = layout.sl("gen_integral")
-        a_mat[gi, gi] -= l_eta
+        a_mat[gi, gi] -= laplacian(cfg.comm_eta)
 
     if cfg.variant.distributed_conv:
         ph = layout.sl("conv_phase")
-        gains = np.diag(k_omega / k_v)
-        src = s_conv.T @ gains if reduced else gains
-        for i in range(n):
-            a_mat[ph, conv_freq[i]] += src[:, i]
-        a_mat[ph, ph] -= cfg.gamma * np.eye(layout.length("conv_phase"))
+        conv_freq = [layout.offset(f"freq{i}") for i in range(n)]
+        a_mat[ph.start + np.arange(n), conv_freq] += np.array(cfg.k_omega) / np.array(cfg.k_v)
+        a_mat[ph, ph] -= cfg.gamma * np.eye(n)
 
     out = np.zeros((total_buses + n, dim))
     row = 0
@@ -285,7 +263,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig, reduced: bool,
         output=out,
         layout=layout,
         variant=cfg.variant,
-        reduced=reduced,
+        reduced=False,
         plant=RESISTIVE if chain is None else PI_LINK,
         net=net,
         areas=tuple(areas),
@@ -300,7 +278,8 @@ def assemble_resistive(net: MtdcNetwork, areas, cfg: ControllerConfig,
                        reduced: bool = True) -> ClosedLoopModel:
     """Closed loop with the purely resistive DC line model."""
     areas = _check_structure(net, areas, cfg)
-    return _assemble(net, areas, cfg, reduced, chain=None)
+    full = _assemble(net, areas, cfg)
+    return reduce_model(full) if reduced else full
 
 
 def assemble_pi_link(net: MtdcNetwork, areas, cfg: ControllerConfig,
@@ -319,8 +298,23 @@ def assemble_pi_link(net: MtdcNetwork, areas, cfg: ControllerConfig,
                              "(allow_multi_gen=True overrides)")
         warnings.warn("pi-link model with multi-generator areas has no stability certificate",
                       stacklevel=2)
-    chain = pi_link_matrices(net)
-    return _assemble(net, areas, cfg, reduced, chain=chain)
+    full = _assemble(net, areas, cfg, chain=pi_link_matrices(net))
+    return reduce_model(full) if reduced else full
+
+
+def _reduction(model: ClosedLoopModel):
+    """Projection T onto the reduced coordinates and the reduced layout."""
+    if model.reduced:
+        raise ValueError("model is already reduced")
+    red_layout = _build_layout(model.areas, model.cfg, True, model.chain)
+    t_mat = np.zeros((red_layout.dim, model.dim))
+    for name, start, length in model.layout.blocks:
+        block = slice(start, start + length)
+        if name.startswith("angle") or name == "conv_phase":
+            t_mat[red_layout.sl(name), block] = ones_complement(length).T
+        else:
+            t_mat[red_layout.sl(name), block] = np.eye(length)
+    return t_mat, red_layout
 
 
 def reduction_matrix(model: ClosedLoopModel) -> np.ndarray:
@@ -330,20 +324,7 @@ def reduction_matrix(model: ClosedLoopModel) -> np.ndarray:
     basis on each rotor-angle block and on the converter phase block, which
     drops exactly the uniform direction of each.
     """
-    if model.reduced:
-        raise ValueError("model is already reduced")
-    red_layout = _build_layout(model.areas, model.cfg, True, model.chain)
-    t_mat = np.zeros((red_layout.dim, model.dim))
-    for name, start, length in model.layout.blocks:
-        if name.startswith("angle"):
-            s_i = ones_complement(length)
-            t_mat[red_layout.sl(name), start:start + length] = s_i.T
-        elif name == "conv_phase":
-            s = ones_complement(length)
-            t_mat[red_layout.sl(name), start:start + length] = s.T
-        else:
-            t_mat[red_layout.sl(name), start:start + length] = np.eye(length)
-    return t_mat
+    return _reduction(model)[0]
 
 
 def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
@@ -352,8 +333,7 @@ def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
     The kept directions evolve independently of the dropped ones, so the
     reduced model reproduces the output of the full model exactly.
     """
-    t_mat = reduction_matrix(model)
-    red_layout = _build_layout(model.areas, model.cfg, True, model.chain)
+    t_mat, red_layout = _reduction(model)
     return ClosedLoopModel(
         a=t_mat @ model.a @ t_mat.T,
         b_dist=t_mat @ model.b_dist,

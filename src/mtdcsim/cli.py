@@ -155,8 +155,8 @@ def _total_disturbance(sc: SystemConfig, model):
 
 
 def _analysis_pair(sc: SystemConfig):
-    stability = stability_report(sc.net, sc.areas, sc.cfg)
     model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+    stability = stability_report(model)
     try:
         equil = equilibrium(model, _total_disturbance(sc, model), costs=sc.costs)
     except UnstableSystemError:

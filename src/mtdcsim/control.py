@@ -1,17 +1,17 @@
-"""Controller laws for generation and converter injections.
+"""Controller configuration: law variants, gains, coupling mode and costs.
 
-Generation control is a droop term plus, in the distributed form, a
-consensus-filtered integral state per area. Converter control maps local
-frequency and DC-voltage deviations to injected power, optionally with a
-phase-emulation state exchanged over a communication graph.
+``Variant`` picks the generation/converter law pair, ``ControllerConfig``
+holds the gains and communication graphs and validates them,
+``CouplingMode`` picks the power/current conversion at the converters, and
+``gains_from_costs`` maps quadratic cost weights to matching gains. The
+laws themselves are stated once, as the selectors of the assembled model
+(``assembly._assemble``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from .netgraph import WeightedGraph, connectivity
 
@@ -106,13 +106,6 @@ class ControllerConfig:
     def bus_counts(self) -> tuple:
         return tuple(len(kd) for kd in self.k_droop)
 
-    def area_slices(self) -> list[slice]:
-        out, off = [], 0
-        for count in self.bus_counts:
-            out.append(slice(off, off + count))
-            off += count
-        return out
-
 
 @dataclass(frozen=True)
 class CostWeights:
@@ -187,94 +180,3 @@ def gains_from_costs(costs: CostWeights, k_omega=None, k_droop_i=None) -> GainSo
         implied_f_p=implied_f_p,
         implied_f_v=k_v,
     )
-
-
-def _split_by_area(vec: np.ndarray, cfg: ControllerConfig) -> list[np.ndarray]:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape[0] != sum(cfg.bus_counts):
-        raise ValueError("per-bus vector length mismatch")
-    return [vec[sl] for sl in cfg.area_slices()]
-
-
-def _consensus(graph: WeightedGraph, values: np.ndarray) -> np.ndarray:
-    """Edge-wise sum_j w_ij (x_i - x_j): exactly zero on uniform vectors."""
-    out = np.zeros_like(values)
-    if graph is not None:
-        for i, j, w in graph.edges:
-            diff = w * (values[i] - values[j])
-            out[i] += diff
-            out[j] -= diff
-    return out
-
-
-def gen_control_distributed(omega_hat, eta, cfg: ControllerConfig):
-    """Distributed generation law: droop plus consensus-filtered integral.
-
-    ``omega_hat`` concatenates the per-bus frequency deviations of all
-    areas in index order; ``eta`` holds one integral state per area.
-    Returns (per-bus generated power, per-area integral state derivative).
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape[0] != cfg.n_areas:
-        raise ValueError("eta length must equal the area count")
-    parts = _split_by_area(omega_hat, cfg)
-    p_gen = []
-    eta_dot = -_consensus(cfg.comm_eta, eta)
-    for a, w in enumerate(parts):
-        kd = np.array(cfg.k_droop[a])
-        kdi = np.array(cfg.k_droop_i[a])
-        ratio = cfg.k_v[a] / cfg.k_omega[a]
-        p_gen.append(-kd * w - ratio * kdi * eta[a])
-        eta_dot[a] += kdi @ w
-    return np.concatenate(p_gen), eta_dot
-
-
-def gen_control_decentralized(omega_hat, cfg: ControllerConfig) -> np.ndarray:
-    """Droop-only generation law: per-bus -k_droop * frequency deviation."""
-    parts = _split_by_area(omega_hat, cfg)
-    return np.concatenate([-np.array(cfg.k_droop[a]) * w for a, w in enumerate(parts)])
-
-
-def conv_control_distributed(omega_hat_conv, v_hat, phi, cfg: ControllerConfig):
-    """Distributed converter law with a phase-emulation consensus state.
-
-    All arguments are per-converter vectors; ``omega_hat_conv`` is the
-    frequency deviation at each converter bus. Returns (injected power,
-    phase state derivative).
-    """
-    w = np.asarray(omega_hat_conv, dtype=float)
-    v = np.asarray(v_hat, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    n = cfg.n_areas
-    if w.shape[0] != n or v.shape[0] != n or phi.shape[0] != n:
-        raise ValueError("per-converter vector length mismatch")
-    k_omega = np.array(cfg.k_omega)
-    k_v = np.array(cfg.k_v)
-    p_inj = k_omega * w - k_v * v + _consensus(cfg.comm_phi, phi)
-    phi_dot = (k_omega / k_v) * w - cfg.gamma * phi
-    return p_inj, phi_dot
-
-
-def conv_control_decentralized(omega_hat_conv, v_hat, cfg: ControllerConfig) -> np.ndarray:
-    """Communication-free converter law: frequency and voltage droop only."""
-    w = np.asarray(omega_hat_conv, dtype=float)
-    v = np.asarray(v_hat, dtype=float)
-    if w.shape[0] != cfg.n_areas or v.shape[0] != cfg.n_areas:
-        raise ValueError("per-converter vector length mismatch")
-    return np.array(cfg.k_omega) * w - np.array(cfg.k_v) * v
-
-
-def power_to_current(p_inj, v, v_nom: float, mode: CouplingMode = CouplingMode.LINEAR) -> np.ndarray:
-    """Convert injected power to injected current.
-
-    LINEAR divides by the nominal voltage ``v_nom``; NONLINEAR divides by
-    the instantaneous absolute voltage ``v`` and rejects voltages below
-    0.5 p.u. where the division becomes meaningless.
-    """
-    p_inj = np.asarray(p_inj, dtype=float)
-    if mode is CouplingMode.LINEAR:
-        return p_inj / v_nom
-    v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) < 0.5):
-        raise ValueError("nonlinear power/current conversion needs |V| >= 0.5 p.u.")
-    return p_inj / v

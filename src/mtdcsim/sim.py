@@ -22,6 +22,7 @@ from scipy.linalg import expm
 from . import _kernels
 from .assembly import (
     ClosedLoopModel,
+    assemble_resistive,
     baseline_disturbance,
     disturbance_map,
     reduce_model,
@@ -219,8 +220,6 @@ COMPARISON_VARIANTS = (
 
 def compare_variants(net, areas, cfg: ControllerConfig, scenario: Scenario) -> dict:
     """Run the same plant and scenario under the three controller pairings."""
-    from .assembly import assemble_resistive
-
     results = {}
     for variant in COMPARISON_VARIANTS:
         cfg_v = replace(cfg, variant=variant)

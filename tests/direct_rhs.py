@@ -18,6 +18,34 @@ def _neighbor_sum(edges, values, node):
     return total
 
 
+def direct_controls(areas, cfg, state):
+    """Controller outputs (p_gen per bus, area-major; p_inj per converter).
+
+    ``state`` maps block names to full-coordinate arrays as in ``direct_rhs``.
+    """
+    eta = state.get("gen_integral")
+    phi = state.get("conv_phase")
+    vdc = state["vdc"]
+
+    p_gen = []
+    for i, area in enumerate(areas):
+        freq = state[f"freq{i}"]
+        for k in range(area.n_buses):
+            val = -cfg.k_droop[i][k] * freq[k]
+            if cfg.variant.distributed_gen:
+                val -= (cfg.k_v[i] / cfg.k_omega[i]) * cfg.k_droop_i[i][k] * eta[i]
+            p_gen.append(val)
+
+    p_inj = []
+    for i in range(len(areas)):
+        w0 = state[f"freq{i}"][0]
+        val = cfg.k_omega[i] * w0 - cfg.k_v[i] * vdc[i]
+        if cfg.variant.distributed_conv:
+            val += _neighbor_sum(cfg.comm_phi.edges, phi, i)
+        p_inj.append(val)
+    return np.array(p_gen), np.array(p_inj)
+
+
 def direct_rhs(net, areas, cfg, state, p_m, mode="linear"):
     """Derivatives of the full-coordinate closed loop, block name -> array.
 
@@ -32,34 +60,16 @@ def direct_rhs(net, areas, cfg, state, p_m, mode="linear"):
     eta = state.get("gen_integral")
     phi = state.get("conv_phase")
     vdc = state["vdc"]
-
-    p_gen = []
-    for i, area in enumerate(areas):
-        nb = area.n_buses
-        freq = state[f"freq{i}"]
-        row = []
-        for k in range(nb):
-            val = -cfg.k_droop[i][k] * freq[k]
-            if dist_gen:
-                val -= (cfg.k_v[i] / cfg.k_omega[i]) * cfg.k_droop_i[i][k] * eta[i]
-            row.append(val)
-        p_gen.append(row)
-
-    p_inj = []
-    for i in range(n):
-        w0 = state[f"freq{i}"][0]
-        val = cfg.k_omega[i] * w0 - cfg.k_v[i] * vdc[i]
-        if dist_conv:
-            val += _neighbor_sum(cfg.comm_phi.edges, phi, i)
-        p_inj.append(val)
+    p_gen, p_inj = direct_controls(areas, cfg, state)
 
     out = {}
+    bus_off = 0
     for i, area in enumerate(areas):
         nb = area.n_buses
         freq = state[f"freq{i}"]
         freq_dot = np.zeros(nb)
         for k in range(nb):
-            acc = p_gen[i][k] + p_m[i][k]
+            acc = p_gen[bus_off + k] + p_m[i][k]
             if k == 0:
                 acc -= p_inj[i]
             if nb >= 2:
@@ -68,6 +78,7 @@ def direct_rhs(net, areas, cfg, state, p_m, mode="linear"):
         out[f"freq{i}"] = freq_dot
         if nb >= 2:
             out[f"angle{i}"] = np.array(freq, dtype=float)
+        bus_off += nb
 
     pi_model = "line_current1" in state
     i_inj = np.zeros(n)

@@ -119,7 +119,8 @@ class TestLyapunovCertificate:
 
 class TestStabilityReport:
     def test_reference_configuration(self, paper_sc):
-        rep = m.stability_report(paper_sc.net, paper_sc.areas, paper_sc.cfg)
+        rep = m.stability_report(
+            m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True))
         assert rep.certificate is m.CertificateClass.HURWITZ_ONLY
         assert rep.assumption1.holds
         assert abs(rep.assumption1.k_phi - 15.0) < 1e-9
@@ -128,13 +129,14 @@ class TestStabilityReport:
         assert rep.spectral_abscissa < 0
 
     def test_reference_with_damping_proven(self, paper_sc):
-        rep = m.stability_report(paper_sc.net, paper_sc.areas,
-                                 replace(paper_sc.cfg, gamma=4.0))
+        rep = m.stability_report(m.assemble_resistive(
+            paper_sc.net, paper_sc.areas, replace(paper_sc.cfg, gamma=4.0), reduced=True))
         assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
 
     def test_decentralized_conv_report(self, paper_sc):
-        rep = m.stability_report(paper_sc.net, paper_sc.areas,
-                                 replace(paper_sc.cfg, variant=m.Variant.DIST_GEN_DEC_CONV))
+        rep = m.stability_report(m.assemble_resistive(
+            paper_sc.net, paper_sc.areas,
+            replace(paper_sc.cfg, variant=m.Variant.DIST_GEN_DEC_CONV), reduced=True))
         assert rep.assumption1 is None
         assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
 

@@ -1,4 +1,4 @@
-"""Controller laws: evaluation, linearity, consensus behavior, cost mapping."""
+"""Controller laws as assembled (selectors and A rows), and the cost mapping."""
 
 import numpy as np
 import pytest
@@ -7,30 +7,46 @@ from hypothesis import strategies as st
 
 import mtdcsim as m
 from conftest import single_gen_system
+from direct_rhs import direct_controls, unflatten
 
 
-def two_area_cfg(**kw):
-    _, _, cfg = single_gen_system(2, **kw)
-    return cfg
+def two_area_model(net=None, cfg=None, **kw):
+    """Full-coordinate model of two single-generator areas on one DC line."""
+    net0, areas, cfg0 = single_gen_system(2, **kw)
+    return m.assemble_resistive(net or net0, areas, cfg or cfg0, reduced=False)
+
+
+def state_of(model, **blocks):
+    x = np.zeros(model.dim)
+    for name, value in blocks.items():
+        x[model.layout.sl(name)] = value
+    return x
+
+
+def block_rate(model, x, name):
+    return (model.a @ x)[model.layout.sl(name)]
 
 
 class TestGenControl:
+    """Generation law as assembled: P_gen and the gen_integral rows of A."""
+
     def test_origin_is_fixed_point(self):
-        cfg = two_area_cfg()
-        p_gen, eta_dot = m.gen_control_distributed(np.zeros(2), np.zeros(2), cfg)
-        np.testing.assert_array_equal(p_gen, np.zeros(2))
-        np.testing.assert_array_equal(eta_dot, np.zeros(2))
+        model = two_area_model()
+        x = np.zeros(model.dim)
+        np.testing.assert_array_equal(model.p_gen_selector @ x, np.zeros(2))
+        np.testing.assert_array_equal(block_rate(model, x, "gen_integral"), np.zeros(2))
 
     def test_uniform_integral_state(self):
         """Uniform eta: consensus term vanishes, output is the pure setpoint."""
-        cfg = two_area_cfg()
+        model = two_area_model()
+        cfg = model.cfg
         k = 0.7
-        p_gen, eta_dot = m.gen_control_distributed(np.zeros(2), np.full(2, k), cfg)
-        np.testing.assert_array_equal(eta_dot, np.zeros(2))
+        x = state_of(model, gen_integral=k)
+        np.testing.assert_array_equal(block_rate(model, x, "gen_integral"), np.zeros(2))
         expected = -k * (cfg.k_v[0] / cfg.k_omega[0]) * cfg.k_droop_i[0][0]
-        np.testing.assert_allclose(p_gen, np.full(2, expected))
+        np.testing.assert_allclose(model.p_gen_selector @ x, np.full(2, expected))
 
-    def test_consensus_term_hand_evaluated(self):
+    def test_eta_coupling_hand_evaluated(self):
         cfg = m.ControllerConfig(
             k_droop=((1.0,), (1.0,)),
             k_droop_i=((1.0,), (1.0,)),
@@ -39,82 +55,86 @@ class TestGenControl:
             comm_eta=m.WeightedGraph(2, ((0, 1, 1.0),)),
             comm_phi=m.WeightedGraph(2, ((0, 1, 1.0),)),
         )
-        _, eta_dot = m.gen_control_distributed(np.zeros(2), np.array([1.0, 0.0]), cfg)
-        np.testing.assert_allclose(eta_dot, [-1.0, 1.0])
+        model = two_area_model(cfg=cfg)
+        x = state_of(model, gen_integral=[1.0, 0.0])
+        np.testing.assert_allclose(block_rate(model, x, "gen_integral"), [-1.0, 1.0])
 
     def test_decentralized_reference_gain(self):
-        cfg = two_area_cfg(k_droop=9.0, variant=m.Variant.DEC_GEN_DEC_CONV)
-        p = m.gen_control_decentralized(np.array([0.001, 0.0]), cfg)
+        model = two_area_model(k_droop=9.0, variant=m.Variant.DEC_GEN_DEC_CONV)
+        x = state_of(model, freq0=0.001)
+        p = model.p_gen_selector @ x
         assert p[0] == pytest.approx(-0.009)
         assert p[1] == 0.0
+        # swing row: M dw/dt = p_gen - p_inj with p_inj = k_omega * w
+        inertia = model.areas[0].inertia[0]
+        k_omega = model.cfg.k_omega[0]
+        assert block_rate(model, x, "freq0")[0] == pytest.approx(
+            (-0.009 - k_omega * 0.001) / inertia)
 
     def test_decentralized_zero(self):
-        cfg = two_area_cfg(variant=m.Variant.DEC_GEN_DEC_CONV)
-        np.testing.assert_array_equal(m.gen_control_decentralized(np.zeros(2), cfg), np.zeros(2))
-
-    def test_dimension_mismatch(self):
-        cfg = two_area_cfg()
-        with pytest.raises(ValueError):
-            m.gen_control_distributed(np.zeros(3), np.zeros(2), cfg)
+        model = two_area_model(variant=m.Variant.DEC_GEN_DEC_CONV)
+        np.testing.assert_array_equal(model.p_gen_selector @ np.zeros(model.dim), np.zeros(2))
 
 
 class TestConvControl:
+    """Converter law as assembled: P_inj and the conv_phase rows of A."""
+
     def test_zero_state(self):
-        cfg = two_area_cfg()
-        p_inj, phi_dot = m.conv_control_distributed(np.zeros(2), np.zeros(2), np.zeros(2), cfg)
-        np.testing.assert_array_equal(p_inj, np.zeros(2))
-        np.testing.assert_array_equal(phi_dot, np.zeros(2))
+        model = two_area_model()
+        x = np.zeros(model.dim)
+        np.testing.assert_array_equal(model.p_inj_selector @ x, np.zeros(2))
+        np.testing.assert_array_equal(block_rate(model, x, "conv_phase"), np.zeros(2))
 
     def test_uniform_phase_annihilated(self):
-        cfg = two_area_cfg()
-        p_inj, _ = m.conv_control_distributed(np.zeros(2), np.zeros(2), np.full(2, 3.3), cfg)
-        np.testing.assert_array_equal(p_inj, np.zeros(2))
+        """A uniform phase injects nothing and, undamped, is an equilibrium."""
+        model = two_area_model(gamma=0.0)
+        x = state_of(model, conv_phase=3.3)
+        np.testing.assert_array_equal(model.p_inj_selector @ x, np.zeros(2))
+        np.testing.assert_array_equal(model.a @ x, np.zeros(model.dim))
 
     def test_pure_integrator_with_zero_damping(self):
-        cfg = two_area_cfg(gamma=0.0)
+        model = two_area_model(gamma=0.0)
+        cfg = model.cfg
         c = 0.002
-        _, phi_dot = m.conv_control_distributed(np.full(2, c), np.zeros(2), np.zeros(2), cfg)
-        np.testing.assert_allclose(phi_dot, (cfg.k_omega[0] / cfg.k_v[0]) * c * np.ones(2))
+        x = state_of(model, freq0=c, freq1=c, conv_phase=[0.4, -1.3])
+        np.testing.assert_allclose(block_rate(model, x, "conv_phase"),
+                                   (cfg.k_omega[0] / cfg.k_v[0]) * c * np.ones(2))
 
     def test_decentralized_voltage_droop(self):
-        cfg = two_area_cfg(k_v=80.0, variant=m.Variant.DEC_GEN_DEC_CONV)
-        p = m.conv_control_decentralized(np.zeros(2), np.array([-0.01, 0.0]), cfg)
+        model = two_area_model(k_v=80.0, variant=m.Variant.DEC_GEN_DEC_CONV)
+        p = model.p_inj_selector @ state_of(model, vdc=[-0.01, 0.0])
         assert p[0] == pytest.approx(0.8)
 
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
     @settings(max_examples=40, deadline=None)
     def test_superposition(self, w1, v1, w2, v2):
-        cfg = two_area_cfg(variant=m.Variant.DEC_GEN_DEC_CONV)
-        a = m.conv_control_decentralized(np.array([w1, 0.0]), np.array([v1, 0.0]), cfg)
-        b = m.conv_control_decentralized(np.array([w2, 0.0]), np.array([v2, 0.0]), cfg)
-        ab = m.conv_control_decentralized(np.array([w1 + w2, 0.0]), np.array([v1 + v2, 0.0]), cfg)
-        np.testing.assert_allclose(ab, a + b, rtol=1e-12, atol=1e-12)
+        """The selector is the oracle's law, and that law is linear."""
+        model = two_area_model(variant=m.Variant.DEC_GEN_DEC_CONV)
+
+        def p_inj(w, v):
+            x = state_of(model, freq0=w, vdc=[v, 0.0])
+            _, want = direct_controls(model.areas, model.cfg, unflatten(model.layout, x))
+            got = model.p_inj_selector @ x
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            return got
+
+        np.testing.assert_allclose(p_inj(w1 + w2, v1 + v2), p_inj(w1, v1) + p_inj(w2, v2),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestPowerToCurrent:
-    def test_zero_power(self):
-        for mode in m.CouplingMode:
-            np.testing.assert_array_equal(
-                m.power_to_current(np.zeros(3), np.ones(3), 1.0, mode), np.zeros(3))
-
     def test_linear_divides_by_nominal(self):
-        out = m.power_to_current(np.array([0.8]), np.array([0.9]), 1.0, m.CouplingMode.LINEAR)
-        assert out[0] == pytest.approx(0.8)
-
-    def test_nonlinear_guard(self):
-        with pytest.raises(ValueError, match="0.5"):
-            m.power_to_current(np.array([1.0]), np.array([0.4]), 1.0, m.CouplingMode.NONLINEAR)
-
-    def test_five_percent_bound(self):
-        """Within a 5% voltage band the two conversions differ by at most 5%."""
-        rng = np.random.default_rng(7)
-        p = rng.uniform(-1.0, 1.0, size=200)
-        v = 1.0 + rng.uniform(-0.05, 0.05, size=200)
-        lin = m.power_to_current(p, v, 1.0, m.CouplingMode.LINEAR)
-        non = m.power_to_current(p, v, 1.0, m.CouplingMode.NONLINEAR)
-        mask = np.abs(lin) > 1e-12
-        rel = np.abs(non[mask] - lin[mask]) / np.abs(lin[mask])
-        assert rel.max() <= 0.05 / 0.95 + 1e-12
+        """Linear coupling: the DC rows inject p_inj / v_nom into each node."""
+        net0, _, _ = single_gen_system(2)
+        net = m.MtdcNetwork(cap=(0.5, 0.25), lines=net0.lines, v_nom=0.8)
+        model = two_area_model(net=net, k_omega=10.0, k_v=4.0)
+        vdc = model.layout.sl("vdc")
+        freq0 = model.layout.offset("freq0")
+        assert model.a[vdc.start, freq0] == pytest.approx(10.0 / (0.5 * 0.8))
+        assert model.a[vdc.start + 1, freq0] == 0.0
+        phase = model.layout.sl("conv_phase")
+        np.testing.assert_allclose(model.a[vdc, phase],
+                                   model.p_inj_selector[:, phase] / (np.array(net.cap)[:, None] * 0.8))
 
 
 class TestGainsFromCosts:

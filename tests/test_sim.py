@@ -11,7 +11,7 @@ from mtdcsim import _kernels
 from mtdcsim.sim import _record_steps, _segments, discretize
 
 from conftest import single_gen_system
-from direct_rhs import direct_rhs, flatten, unflatten
+from direct_rhs import direct_controls, direct_rhs, flatten, unflatten
 
 
 def _run_kernel(a, t_end, dt, x0):
@@ -141,7 +141,7 @@ class TestIntegrate:
         np.testing.assert_allclose(np.diff(traj.times), 0.1)
 
     def test_derived_series_match_control_laws(self, two_area):
-        """p_gen / p_inj columns reproduce the control-module evaluation."""
+        """p_gen / p_inj columns reproduce the scalar-loop oracle's laws."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         scen = m.Scenario(t_end=2.0, dt=1e-3,
@@ -149,11 +149,7 @@ class TestIntegrate:
         traj = m.integrate(model, scen)
         k = traj.states.shape[0] // 2
         x = traj.states[k]
-        lay = model.layout
-        omega = np.concatenate([x[lay.sl("freq0")], x[lay.sl("freq1")]])
-        p_gen, _ = m.gen_control_distributed(omega, x[lay.sl("gen_integral")], cfg)
-        p_inj, _ = m.conv_control_distributed(
-            omega, x[lay.sl("vdc")], x[lay.sl("conv_phase")], cfg)
+        p_gen, p_inj = direct_controls(areas, cfg, unflatten(model.layout, x))
         np.testing.assert_allclose(traj.p_gen[k], p_gen, atol=1e-13)
         np.testing.assert_allclose(traj.p_inj[k], p_inj, atol=1e-13)
 
