@@ -13,21 +13,41 @@ import numpy as np
 
 
 def exact_linear(phi, c_seg, seg_bounds, x0, rec_steps, out):
-    # x_{k+1} = phi x_k + c, with c per input segment
+    """Jump from knot to knot of ``union(rec_steps, seg_bounds)``.
+
+    Over k steps of segment s, x <- phi^k x + (phi^{k-1} + ... + I) c_s.
+    Both terms are blocks of the k-th power of the one-step augmented
+    propagator ``[[phi, c_seg.T], [0, I]]``, computed once per distinct k.
+    The state is checked for finiteness at the recorded samples only.
+    """
+    dim = phi.shape[0]
+    step = np.eye(dim + c_seg.shape[0])
+    step[:dim, :dim] = phi
+    step[:dim, dim:] = c_seg.T
+    powers = {}
     x = x0.copy()
     ri = 0
     if rec_steps[0] == 0:
         out[0] = x
         ri = 1
-    for s in range(c_seg.shape[0]):
-        c = c_seg[s]
-        for step in range(seg_bounds[s], seg_bounds[s + 1]):
-            x = np.dot(phi, x) + c
-            if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
-                out[ri] = x
-                ri += 1
-                if not np.all(np.isfinite(x)):
-                    return step + 1
+    s = 0
+    bounds = seg_bounds.tolist()
+    recs = rec_steps.tolist() + [-1]
+    knots = np.union1d(rec_steps, seg_bounds).tolist()
+    for k0, k1 in zip(knots[:-1], knots[1:]):
+        while bounds[s + 1] <= k0:
+            s += 1
+        k = k1 - k0
+        if k not in powers:
+            pk = np.linalg.matrix_power(step, k)
+            powers[k] = (np.ascontiguousarray(pk[:dim, :dim]), np.ascontiguousarray(pk[:dim, dim:].T))
+        phi_k, c_k = powers[k]
+        x = np.dot(phi_k, x) + c_k[s]
+        if recs[ri] == k1:
+            out[ri] = x
+            ri += 1
+            if not np.isfinite(x).all():
+                return k1
     return -1
 
 

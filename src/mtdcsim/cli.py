@@ -25,7 +25,7 @@ from .analysis import (
     equilibrium,
     stability_report,
 )
-from .assembly import assemble_resistive, baseline_disturbance, disturbance_map
+from .assembly import assemble_resistive, baseline_disturbance, disturbance_map, reduce_model
 from .config import ConfigError, SystemConfig, load_config
 from .control import Variant
 from .sim import IntegrationError, Trajectory, compare_variants, integrate
@@ -48,20 +48,19 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: Path, names, times, columns) -> None:
+    row = ",".join(["%.17g"] * (columns.shape[1] + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t," + ",".join(names) + "\n")
-        for row in range(times.shape[0]):
-            cells = [_fmt(times[row])] + [_fmt(columns[row, c]) for c in range(columns.shape[1])]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines([row % tuple(r) for r in np.column_stack([times, columns]).tolist()])
 
 
 def _write_series_json(path: Path, names, times, columns) -> None:
     doc = {
-        "times": [float(t) for t in times],
-        "series": {name: [float(v) for v in columns[:, c]] for c, name in enumerate(names)},
+        "times": times.tolist(),
+        "series": {name: columns[:, c].tolist() for c, name in enumerate(names)},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump would take the pure-Python encoder
         fh.write("\n")
 
 
@@ -154,8 +153,8 @@ def _total_disturbance(sc: SystemConfig, model):
     return baseline_disturbance(model) + disturbance_map(model, events)
 
 
-def _analysis_pair(sc: SystemConfig):
-    model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+def _analysis_pair(sc: SystemConfig, model):
+    """Stability and equilibrium reports of the reduced ``model``."""
     stability = stability_report(model)
     try:
         equil = equilibrium(model, _total_disturbance(sc, model), costs=sc.costs)
@@ -168,7 +167,8 @@ def cmd_analyze(config_path, out_dir) -> RunReport:
     sc = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stability, equil = _analysis_pair(sc)
+    stability, equil = _analysis_pair(
+        sc, assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True))
     report_path = out / "report.json"
     artifacts = ((REPORT_JSON, str(report_path)),)
     _write_report(report_path, stability, equil, artifacts)
@@ -187,7 +187,7 @@ def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") ->
     model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=False)
     traj = integrate(model, sc.scenario)
     artifacts = _emit_timeseries(traj, out, fmt)
-    stability, equil = _analysis_pair(sc)
+    stability, equil = _analysis_pair(sc, reduce_model(model))
     report_path = out / "report.json"
     artifacts.append((REPORT_JSON, str(report_path)))
     artifacts = tuple(artifacts)
@@ -243,7 +243,11 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
             fh.write(",".join(row["variant"] if c == "variant" else _fmt(row[c])
                               for c in cols) + "\n")
     artifacts.append((TIMESERIES_CSV, str(summary_path)))
-    stability, equil = _analysis_pair(sc)
+    if sc.cfg.variant in results:
+        model = reduce_model(results[sc.cfg.variant].model)
+    else:
+        model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+    stability, equil = _analysis_pair(sc, model)
     report_path = out / "report.json"
     artifacts.append((REPORT_JSON, str(report_path)))
     artifacts = tuple(artifacts)

@@ -1,11 +1,15 @@
 """Deterministic fixed-step time-domain simulation of assembled models.
 
-The linear mode steps with the exact zero-order-hold discretization of
-the closed loop (matrix exponential once per run, one matrix-vector
-product per step). It is exact for piecewise-constant
-disturbances regardless of stiffness, which matters here: with realistic
-converter gains the DC subsystem carries eigenvalues around 1e5 1/s while
-the interesting dynamics play out over tens of seconds.
+The linear mode propagates with the exact zero-order-hold discretization
+of the closed loop (matrix exponential once per run, one matrix-vector
+product per recorded sample: the state jumps from one recorded sample or
+input change to the next with a power of the one-step propagator). It is
+exact for piecewise-constant disturbances regardless of stiffness, which
+matters here: with realistic converter gains the DC subsystem carries
+eigenvalues around 1e5 1/s while the interesting dynamics play out over
+tens of seconds. Against stepping one step at a time it agrees to within
+1e-8 of the largest state (1.6e-9 on the reference scenario), the
+difference being rounding in the exponential and in its powers.
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
@@ -141,16 +145,19 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.array(steps, dtype=np.int64)
 
 
-def discretize(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order-hold pair (phi, gamma): x+ = phi x + gamma w for dx = a x + w.
+def discretize(a: np.ndarray, cols: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold step for dx = a x + cols w: x+ = phi x + gc w.
 
-    gamma is the integral of the propagator over one step, computed from
-    the augmented matrix exponential so singular ``a`` works too.
+    Returns ``(phi, gc)`` with ``gc = gamma @ cols``, gamma being the
+    integral of the propagator over one step. Both come from one exponential
+    of the augmented matrix ``[[a, cols], [0, 0]] dt`` (Van Loan 1978), so
+    singular ``a`` works too and only the forcing columns that are used are
+    integrated.
     """
     dim = a.shape[0]
-    aug = np.zeros((2 * dim, 2 * dim))
+    aug = np.zeros((dim + cols.shape[1], dim + cols.shape[1]))
     aug[:dim, :dim] = a * dt
-    aug[:dim, dim:] = np.eye(dim) * dt
+    aug[:dim, dim:] = cols * dt
     big = expm(aug)
     return np.ascontiguousarray(big[:dim, :dim]), np.ascontiguousarray(big[:dim, dim:])
 
@@ -178,15 +185,19 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     if x0.shape[0] != dim:
         raise ValueError("x0 length does not match the model")
 
-    phi, gam = discretize(model.a, scenario.dt)
-    c_seg = np.ascontiguousarray(inputs @ model.b_dist.T @ gam.T)
+    cols = model.b_dist @ inputs.T
     if scenario.mode is CouplingMode.LINEAR:
-        status = _kernels.KERNELS["exact_linear"](phi, c_seg, bounds, x0, rec_steps, out)
+        phi, gc = discretize(model.a, cols, scenario.dt)
+        status = _kernels.KERNELS["exact_linear"](
+            phi, np.ascontiguousarray(gc.T), bounds, x0, rec_steps, out)
     else:
+        # the unit columns of the DC-voltage block give gamma[:, vdc]
         vdc = model.layout.sl("vdc")
+        n_seg = inputs.shape[0]
+        phi, gc = discretize(model.a, np.hstack([cols, np.eye(dim)[:, vdc]]), scenario.dt)
         status = _kernels.KERNELS["etd2_nonlinear"](
-            phi, np.ascontiguousarray(gam[:, vdc]), c_seg, bounds, x0,
-            model.p_inj_selector, 1.0 / np.array(model.net.cap),
+            phi, np.ascontiguousarray(gc[:, n_seg:]), np.ascontiguousarray(gc[:, :n_seg].T),
+            bounds, x0, model.p_inj_selector, 1.0 / np.array(model.net.cap),
             np.array(model.net.v_ref, dtype=float), model.net.v_nom, vdc, rec_steps, out)
     if status >= 0:
         raise IntegrationError(

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import mtdcsim as m
-from mtdcsim.cli import cmd_analyze, cmd_compare, cmd_simulate, cmd_sweep, main
+from mtdcsim.cli import (_write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
+                         cmd_sweep, main)
 from mtdcsim.config import config_to_dict, parse_config
 
 
@@ -230,3 +231,34 @@ class TestSweepCommand:
         assert header[0] == "scale"
         assert data.shape[0] == 2
         assert data[0, 2] > data[1, 2]  # max_abs_freq_dev decreasing
+
+
+class TestWriters:
+    """The writers reproduce the per-value formatting they replaced."""
+
+    AWKWARD = [0.0, -0.0, 1e-300, -5e-324, 5e-324, np.inf, -np.inf, np.nan,
+               0.1, 1 / 3, 1.7976931348623157e308, -2.5e-17, 123456789.0]
+
+    def _data(self):
+        values = np.array(self.AWKWARD)
+        columns = np.column_stack([values, values[::-1]])
+        times = np.arange(values.shape[0]) * 1e-3
+        return ["a", "b"], times, columns
+
+    def test_csv_matches_per_value_format(self, tmp_path):
+        names, times, columns = self._data()
+        want = "t,a,b\n" + "".join(
+            ",".join([f"{times[r]:.17g}"] + [f"{columns[r, c]:.17g}" for c in range(2)]) + "\n"
+            for r in range(times.shape[0]))
+        _write_csv(tmp_path / "s.csv", names, times, columns)
+        assert (tmp_path / "s.csv").read_bytes() == want.encode("utf-8")
+
+    def test_json_matches_per_value_dump(self, tmp_path):
+        names, times, columns = self._data()
+        doc = {"times": [float(t) for t in times],
+               "series": {n: [float(v) for v in columns[:, c]] for c, n in enumerate(names)}}
+        with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        _write_series_json(tmp_path / "s.json", names, times, columns)
+        assert (tmp_path / "s.json").read_bytes() == (tmp_path / "want.json").read_bytes()

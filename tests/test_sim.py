@@ -4,13 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import mtdcsim as m
 from mtdcsim import _kernels
 from mtdcsim.sim import _record_steps, _segments, discretize
 
-from conftest import single_gen_system
+from conftest import random_stable_config, single_gen_system
 from direct_rhs import direct_controls, direct_rhs, flatten, unflatten
 
 
@@ -19,10 +22,41 @@ def _run_kernel(a, t_end, dt, x0):
     bounds = np.array([0, n_steps], dtype=np.int64)
     rec = np.array([0, n_steps], dtype=np.int64)
     out = np.empty((2, a.shape[0]))
-    phi, _ = discretize(a, dt)
-    status = _kernels.KERNELS["exact_linear"](phi, np.zeros((1, a.shape[0])), bounds, x0, rec, out)
+    phi, gc = discretize(a, np.zeros((a.shape[0], 1)), dt)
+    status = _kernels.KERNELS["exact_linear"](phi, np.ascontiguousarray(gc.T), bounds, x0, rec, out)
     assert status == -1
     return out[-1]
+
+
+def _reference_exact(model, scenario):
+    """Linear stepper from rest, one step at a time, with the full gamma of
+    the 2n-augmented exponential [[A, I], [0, 0]] dt; returns (status,
+    record times, recorded states), the states NaN past an abort."""
+    dt = scenario.dt
+    n_steps = int(round(scenario.t_end / dt))
+    bounds, inputs = _segments(model, scenario, n_steps)
+    rec_steps = _record_steps(n_steps, scenario.record_every)
+    dim = model.dim
+    aug = np.zeros((2 * dim, 2 * dim))
+    aug[:dim, :dim] = model.a * dt
+    aug[:dim, dim:] = np.eye(dim) * dt
+    big = expm(aug)
+    phi, gam = big[:dim, :dim], big[:dim, dim:]
+    c_seg = inputs @ model.b_dist.T @ gam.T
+    out = np.full((rec_steps.shape[0], dim), np.nan)
+    x = np.zeros(dim)
+    out[0] = x
+    ri = 1
+    for s in range(c_seg.shape[0]):
+        c = c_seg[s]
+        for step in range(bounds[s], bounds[s + 1]):
+            x = np.dot(phi, x) + c
+            if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
+                out[ri] = x
+                ri += 1
+                if not np.all(np.isfinite(x)):
+                    return step + 1, rec_steps * dt, out
+    return -1, rec_steps * dt, out
 
 
 def _reference_correction(x, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
@@ -42,8 +76,15 @@ def _reference_etd2(model, scenario):
     n_steps = int(round(scenario.t_end / scenario.dt))
     bounds, inputs = _segments(model, scenario, n_steps)
     rec_steps = _record_steps(n_steps, scenario.record_every)
-    phi, gam = discretize(model.a, scenario.dt)
-    c_seg = inputs @ model.b_dist.T @ gam.T
+    # phi, c_seg and gamma[:, vdc] from the same exponential integrate takes;
+    # gamma is zero-filled outside vdc, where g is zero anyway
+    vdc = model.layout.sl("vdc")
+    n_seg = inputs.shape[0]
+    cols = np.hstack([model.b_dist @ inputs.T, np.eye(model.dim)[:, vdc]])
+    phi, gc = discretize(model.a, cols, scenario.dt)
+    c_seg = gc[:, :n_seg].T
+    gam = np.zeros((model.dim, model.dim))
+    gam[:, vdc] = gc[:, n_seg:]
     args = (model.p_inj_selector, 1.0 / np.array(model.net.cap),
             np.array(model.net.v_ref, dtype=float), model.net.v_nom, model.layout.offset("vdc"))
     out = np.empty((rec_steps.shape[0], model.dim))
@@ -77,7 +118,7 @@ class TestSteppers:
     def test_discretize_singular_matrix(self):
         """Zero-order hold must not require an invertible state matrix."""
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        phi, gam = discretize(a, 0.5)
+        phi, gam = discretize(a, np.eye(2), 0.5)
         np.testing.assert_allclose(phi, [[1.0, 0.5], [0.0, 1.0]], atol=1e-14)
         np.testing.assert_allclose(gam, [[0.5, 0.125], [0.0, 0.5]], atol=1e-14)
 
@@ -158,6 +199,106 @@ class TestIntegrate:
             m.Scenario(t_end=1.0, dt=0.05)
         with pytest.raises(ValueError, match="event time"):
             m.Scenario(t_end=1.0, disturbances=(m.DisturbanceEvent(2.0, 0, 0, 1.0),))
+
+
+def _solve_ivp_records(model, scenario, times):
+    """Independent oracle: Radau on dx = a x + b_dist u, piecewise in time,
+    for a scenario whose events lie on the step grid."""
+    u = m.baseline_disturbance(model)
+    t0, x = 0.0, np.zeros(model.dim)
+    pieces = [(ev.time, m.disturbance_map(model, [(ev.area, ev.bus, ev.magnitude)]))
+              for ev in sorted(scenario.disturbances, key=lambda ev: ev.time)]
+    out = np.empty((times.shape[0], model.dim))
+    for t1, delta in pieces + [(scenario.t_end, None)]:
+        w = model.b_dist @ u
+        keep = (times >= t0) & (times <= t1)
+        if t1 > t0:
+            sol = solve_ivp(lambda _, y: model.a @ y + w, (t0, t1), x, method="Radau",
+                            jac=model.a, rtol=1e-11, atol=1e-14,
+                            t_eval=times[keep], dense_output=True)
+            out[keep] = sol.y.T
+            x = sol.sol(t1)
+        else:
+            out[keep] = x
+        t0 = t1
+        if delta is not None:
+            u = u + delta
+    return out
+
+
+class TestStridedPropagation:
+    """Linear integrate jumps from one recorded sample to the next; the
+    per-step stepper it replaced is kept above as ``_reference_exact``."""
+
+    def test_matches_reference_stepper_on_reference_scenario(self, paper_sc, paper_model_full):
+        got = m.integrate(paper_model_full, paper_sc.scenario)
+        status, times, want = _reference_exact(paper_model_full, paper_sc.scenario)
+        assert status == -1
+        np.testing.assert_array_equal(got.times, times)
+        assert np.abs(got.states - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_event_off_the_record_grid(self, two_area):
+        """An event at step 502 splits a stride of 7 that does not divide 2000."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        scen = m.Scenario(t_end=2.0, dt=1e-3, record_every=7,
+                          disturbances=(m.DisturbanceEvent(0.5013, 0, 0, -0.1),))
+        got = m.integrate(model, scen)
+        status, times, want = _reference_exact(model, scen)
+        assert status == -1
+        np.testing.assert_array_equal(got.times, times)
+        assert np.abs(got.states - want).max() <= 1e-8 * np.abs(want).max()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_strided_stepwise_and_solve_ivp_agree(self, seed):
+        rng = np.random.default_rng(seed)
+        net, areas, cfg = random_stable_config(rng)
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        events = tuple(m.DisturbanceEvent(1e-3 * int(rng.integers(0, 500)), int(rng.integers(net.n)),
+                                          0, float(rng.uniform(-0.5, 0.5)))
+                       for _ in range(int(rng.integers(1, 3))))
+        scen = m.Scenario(t_end=0.5, dt=1e-3, record_every=int(rng.integers(1, 14)),
+                          disturbances=events)
+        got = m.integrate(model, scen)
+        status, times, want = _reference_exact(model, scen)
+        assert status == -1
+        np.testing.assert_array_equal(got.times, times)
+        scale = np.abs(want).max()
+        assert np.abs(got.states - want).max() <= 1e-8 * scale
+        ivp = _solve_ivp_records(model, scen, times)
+        assert np.abs(got.states - ivp).max() <= 1e-9 * scale
+
+    def test_non_hurwitz_aborts_at_reference_record_time(self, two_area):
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        unstable = replace(model, a=model.a + 800.0 * np.eye(model.dim))
+        scen = m.Scenario(t_end=2.0, dt=1e-3, record_every=7,
+                          disturbances=(m.DisturbanceEvent(0.1, 0, 0, -0.1),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, _, _ = _reference_exact(unstable, scen)
+            with pytest.raises(m.IntegrationError, match="non-finite") as err:
+                m.integrate(unstable, scen)
+        assert status > 0
+        assert f"t = {status * scen.dt:.6g} s" in str(err.value)
+
+    def test_exponentiates_forcing_columns_only(self, two_area, monkeypatch):
+        """One expm of size n + #segments (linear) or n + #segments + #converters
+        (nonlinear), and one matrix power per distinct interval length."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        shapes, powers = [], []
+        real_expm, real_power = m.sim.expm, np.linalg.matrix_power
+        monkeypatch.setattr(m.sim, "expm", lambda a: shapes.append(a.shape) or real_expm(a))
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda a, k: powers.append(k) or real_power(a, k))
+        ev = (m.DisturbanceEvent(0.2, 0, 0, -0.1),)
+        m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=ev))
+        assert shapes == [(model.dim + 2,) * 2]
+        assert powers == [10]
+        m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=ev,
+                                      mode=m.CouplingMode.NONLINEAR))
+        assert shapes[1] == (model.dim + 2 + net.n,) * 2
 
 
 class TestNonlinearMode:
