@@ -146,10 +146,17 @@ def spectral_abscissa(a: np.ndarray) -> tuple[float, bool]:
 
 
 def hurwitz(model: ClosedLoopModel) -> tuple[float, bool]:
-    """Spectral abscissa of the reduced model and the strict stability verdict."""
+    """Spectral abscissa of the reduced model and the strict stability verdict.
+
+    The eigenvalues are computed once per model instance and the result is
+    kept on the model, so a stability report and an equilibrium of the same
+    model share one decomposition.
+    """
     if not model.reduced:
         raise ValueError("hurwitz test expects the reduced model")
-    return spectral_abscissa(model.a)
+    if model.hurwitz_memo is None:
+        object.__setattr__(model, "hurwitz_memo", spectral_abscissa(model.a))
+    return model.hurwitz_memo
 
 
 def _min_eig(mat: np.ndarray) -> float:

@@ -23,7 +23,7 @@ leaves the input/output behavior unchanged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,6 +103,9 @@ class ClosedLoopModel:
     p_gen_selector: np.ndarray
     p_inj_selector: np.ndarray
     chain: PiLinkChain = None
+    # (spectral abscissa, verdict), filled by the first ``analysis.hurwitz``
+    # call; ``a`` is never modified in place, and ``replace`` starts afresh
+    hurwitz_memo: tuple = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:

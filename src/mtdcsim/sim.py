@@ -13,7 +13,8 @@ difference being rounding in the exponential and in its powers.
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
-second-order Heun treatment of the voltage correction term.
+second-order Heun treatment of the voltage correction term, one step at a
+time (one n x n product per step plus a per-converter correction).
 """
 
 from __future__ import annotations
@@ -188,17 +189,21 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     cols = model.b_dist @ inputs.T
     if scenario.mode is CouplingMode.LINEAR:
         phi, gc = discretize(model.a, cols, scenario.dt)
-        status = _kernels.KERNELS["exact_linear"](
-            phi, np.ascontiguousarray(gc.T), bounds, x0, rec_steps, out)
+        kernel = "exact_linear"
+        args = (phi, np.ascontiguousarray(gc.T), bounds, x0, rec_steps, out)
     else:
         # the unit columns of the DC-voltage block give gamma[:, vdc]
         vdc = model.layout.sl("vdc")
         n_seg = inputs.shape[0]
         phi, gc = discretize(model.a, np.hstack([cols, np.eye(dim)[:, vdc]]), scenario.dt)
-        status = _kernels.KERNELS["etd2_nonlinear"](
-            phi, np.ascontiguousarray(gc[:, n_seg:]), np.ascontiguousarray(gc[:, :n_seg].T),
-            bounds, x0, model.p_inj_selector, 1.0 / np.array(model.net.cap),
-            np.array(model.net.v_ref, dtype=float), model.net.v_nom, vdc, rec_steps, out)
+        kernel = "etd2_nonlinear"
+        args = (phi, np.ascontiguousarray(gc[:, n_seg:]), np.ascontiguousarray(gc[:, :n_seg].T),
+                bounds, x0, model.p_inj_selector, 1.0 / np.array(model.net.cap),
+                np.array(model.net.v_ref, dtype=float), model.net.v_nom, vdc, rec_steps, out)
+    # a diverging run overflows before the finiteness check sees it; the
+    # abort is reported once, as IntegrationError, not also as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = _kernels.KERNELS[kernel](*args)
     if status >= 0:
         raise IntegrationError(
             f"integration aborted at t = {status * scenario.dt:.6g} s "

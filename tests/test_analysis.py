@@ -70,6 +70,19 @@ class TestHurwitz:
         with pytest.raises(ValueError, match="reduced"):
             m.hurwitz(paper_model_full)
 
+    def test_verdict_computed_once_per_model(self, two_area, monkeypatch):
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=True)
+        calls = []
+        real_eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or real_eigvals(a))
+        first = m.hurwitz(model)
+        assert m.hurwitz(model) == first and first[1]
+        assert len(calls) == 1
+        flipped = replace(model, a=-model.a)
+        assert not m.hurwitz(flipped)[1]
+        assert len(calls) == 2
+
 
 class TestLyapunovCertificate:
     def test_reference_gains_with_damping(self, paper_sc):

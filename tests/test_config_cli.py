@@ -2,13 +2,16 @@
 
 import csv
 import json
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mtdcsim as m
-from mtdcsim.cli import (_write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
+from mtdcsim import cli
+from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
                          cmd_sweep, main)
 from mtdcsim.config import config_to_dict, parse_config
 
@@ -111,6 +114,16 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", str(short_cfg_path),
                      "--out", str(tmp_path / "o")]) == 0
 
+    def test_one_eigen_decomposition_per_analysis(self, paper_sc, monkeypatch):
+        """The stability report and the equilibrium share one Hurwitz verdict."""
+        shapes = []
+        real_eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or real_eigvals(a))
+        model = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True)
+        stability, equil = _analysis_pair(paper_sc, model)
+        assert shapes == [(model.dim, model.dim)]
+        assert stability.spectral_abscissa < 0.0 and equil is not None
+
 
 class TestSimulateCommand:
     def test_emits_all_families(self, short_cfg_path, tmp_path):
@@ -184,6 +197,24 @@ class TestSimulateCommand:
         path = tmp_path / "collapse.cfg"
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    def test_diverging_run_reports_only_the_abort(self, short_cfg_path, tmp_path, monkeypatch,
+                                                  capsys):
+        """A loop shifted by 800 I overflows; stderr carries the abort line and
+        no numpy warning."""
+        real_assemble = cli.assemble_resistive
+
+        def unstable(*args, **kwargs):
+            model = real_assemble(*args, **kwargs)
+            return replace(model, a=model.a + 800.0 * np.eye(model.dim))
+
+        monkeypatch.setattr(cli, "assemble_resistive", unstable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(short_cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical abort: integration aborted at t = ")
 
 
 class TestCompareCommand:

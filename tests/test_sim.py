@@ -1,6 +1,8 @@
 """Integration: steppers, event handling, determinism, mode equivalences."""
 
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +112,72 @@ def _reference_etd2(model, scenario):
     return -1, out
 
 
+def _array_etd2(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
+                v_ref, v_nom, vdc, rec_steps, out):
+    """The nonlinear kernel with numpy arrays throughout, as it was before
+    the per-converter correction moved to Python floats; the shipped kernel
+    must reproduce it bit for bit."""
+
+    def correction(x):
+        v = x[vdc] + v_ref
+        if np.any(v < 0.5):
+            return None
+        return cap_inv * np.dot(pinj_sel, x) * (1.0 / v - 1.0 / v_nom)
+
+    x = x0.copy()
+    ri = 0
+    if rec_steps[0] == 0:
+        out[0] = x
+        ri = 1
+    for s in range(c_seg.shape[0]):
+        c = c_seg[s]
+        for step in range(seg_bounds[s], seg_bounds[s + 1]):
+            h1 = correction(x)
+            if h1 is None:
+                return step
+            lin = np.dot(phi, x) + c
+            h2 = correction(lin + np.dot(gam_v, h1))
+            if h2 is None:
+                return step
+            x = lin + np.dot(gam_v, 0.5 * (h1 + h2))
+            if ri < rec_steps.shape[0] and rec_steps[ri] == step + 1:
+                out[ri] = x
+                ri += 1
+                if not np.all(np.isfinite(x)):
+                    return step + 1
+    return -1
+
+
+def _nonlinear_run(model, scenario, kernel, x0=None):
+    """``integrate`` with ``kernel`` as the nonlinear kernel; returns the
+    kernel's status and the rows it recorded (all of them, or those up to
+    the abort)."""
+    seen = []
+
+    def spy(*args):
+        seen.append((kernel(*args), args[-1]))
+        return seen[-1][0]
+
+    with mock.patch.dict(_kernels.KERNELS, etd2_nonlinear=spy):
+        try:
+            m.integrate(model, scenario, x0)
+        except m.IntegrationError:
+            pass
+    (status, out), = seen
+    if status < 0:
+        return status, out
+    rec_steps = _record_steps(int(round(scenario.t_end / scenario.dt)), scenario.record_every)
+    return status, out[:np.searchsorted(rec_steps, status, side="right")]
+
+
+def _assert_matches_array_form(model, scenario, x0=None):
+    want_status, want = _nonlinear_run(model, scenario, _array_etd2, x0)
+    got_status, got = _nonlinear_run(model, scenario, _kernels.etd2_nonlinear, x0)
+    assert got_status == want_status
+    np.testing.assert_array_equal(got, want)
+    return got_status
+
+
 class TestSteppers:
     def test_exact_matches_analytic_decay(self):
         final = _run_kernel(np.array([[-1.0]]), 1.0, 0.01, np.array([1.0]))
@@ -216,7 +284,8 @@ def _solve_ivp_records(model, scenario, times):
             sol = solve_ivp(lambda _, y: model.a @ y + w, (t0, t1), x, method="Radau",
                             jac=model.a, rtol=1e-11, atol=1e-14,
                             t_eval=times[keep], dense_output=True)
-            out[keep] = sol.y.T
+            if keep.any():  # with no sample in the piece, sol.y is an empty list
+                out[keep] = sol.y.T
             x = sol.sol(t1)
         else:
             out[keep] = x
@@ -277,6 +346,8 @@ class TestStridedPropagation:
                           disturbances=(m.DisturbanceEvent(0.1, 0, 0, -0.1),))
         with np.errstate(over="ignore", invalid="ignore"):
             status, _, _ = _reference_exact(unstable, scen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the abort is the only report
             with pytest.raises(m.IntegrationError, match="non-finite") as err:
                 m.integrate(unstable, scen)
         assert status > 0
@@ -327,7 +398,7 @@ class TestNonlinearMode:
         np.testing.assert_allclose(traj.states[-1], ref.y[:, -1], atol=1e-7)
 
     def test_matches_reference_heun_step(self, paper_sc, paper_model_full):
-        """The vectorised kernel reproduces the per-converter Heun step to
+        """The kernel reproduces the per-converter Heun step to
         a few rounding errors on the reference nonlinear scenario."""
         scen = replace(paper_sc.scenario, t_end=5.0, mode=m.CouplingMode.NONLINEAR)
         status, want = _reference_etd2(paper_model_full, scen)
@@ -347,6 +418,45 @@ class TestNonlinearMode:
         status, _ = _reference_etd2(model, scen)
         assert status > 0
         assert f"t = {status * scen.dt:.6g} s" in str(err.value)
+
+    @pytest.mark.parametrize("t_end", [5.0, 45.0])
+    def test_bit_identical_to_array_form(self, paper_sc, paper_model_full, t_end):
+        scen = replace(paper_sc.scenario, t_end=t_end, mode=m.CouplingMode.NONLINEAR)
+        assert _assert_matches_array_form(paper_model_full, scen) == -1
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_bit_identical_to_array_form_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        net, areas, cfg = random_stable_config(rng)
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        events = tuple(m.DisturbanceEvent(1e-3 * int(rng.integers(0, 500)), int(rng.integers(net.n)),
+                                          0, float(rng.uniform(-0.5, 0.5)))
+                       for _ in range(int(rng.integers(1, 3))))
+        scen = m.Scenario(t_end=0.5, dt=1e-3, record_every=int(rng.integers(1, 14)),
+                          disturbances=events, mode=m.CouplingMode.NONLINEAR)
+        _assert_matches_array_form(model, scen)
+
+    def test_same_abort_step_as_array_form(self, two_area):
+        net, areas, cfg = single_gen_system(1, variant=m.Variant.DEC_GEN_DEC_CONV,
+                                            k_omega=1.0, k_v=1.0, k_droop=1.0, cap=1.0)
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        scen = m.Scenario(t_end=20.0, dt=1e-2, mode=m.CouplingMode.NONLINEAR,
+                          disturbances=(m.DisturbanceEvent(0.0, 0, 0, -1.2),))
+        assert _assert_matches_array_form(model, scen) > 0
+
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        unstable = replace(model, a=model.a + 800.0 * np.eye(model.dim))
+        scen = m.Scenario(t_end=2.0, dt=1e-3, record_every=7, mode=m.CouplingMode.NONLINEAR,
+                          disturbances=(m.DisturbanceEvent(0.1, 0, 0, -0.1),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _assert_matches_array_form(unstable, scen) > 0
+            # a NaN voltage passes the floor test; the finiteness check at
+            # the first recorded sample reports it
+            x0 = np.zeros(model.dim)
+            x0[model.layout.offset("gen_integral")] = np.nan
+            assert _assert_matches_array_form(model, scen, x0) == 7
 
     def test_reference_scenario_five_percent_band(self, paper_sc, paper_trajs):
         """Reference voltages stay close to nominal, so the two couplings
