@@ -16,19 +16,17 @@ from .analysis import (
     equilibrium,
     hurwitz,
     lyapunov_certificate,
-    lyapunov_value,
     stability_report,
 )
 from .assembly import (
     ClosedLoopModel,
-    StateLayout,
     assemble_pi_link,
     assemble_resistive,
     baseline_disturbance,
     disturbance_map,
     reduce_model,
 )
-from .config import ConfigError, SystemConfig, load_config, parse_config, save_config
+from .config import ConfigError, SystemConfig, load_config, parse_config
 from .control import (
     ControllerConfig,
     CostWeights,

@@ -216,23 +216,25 @@ def lyapunov_certificate(net: MtdcNetwork, areas, cfg: ControllerConfig) -> Cert
 def lyapunov_matrix(model: ClosedLoopModel, form: str = "energy") -> np.ndarray:
     """Quadratic form P with W(x) = x^T P x for the model's layout.
 
+    P is built once, on the assembled coordinates; for a reduced model it
+    is T P T^T with the model's projection T.
+
     ``form`` selects the line-current weighting of the pi-link terms:
     "energy" uses the segment inductances (the form that decreases along
     trajectories), "printed" their inverses (reported for comparison only).
     """
     if form not in ("energy", "printed"):
         raise ValueError("form must be 'energy' or 'printed'")
-    layout = model.layout
-    p = np.zeros((model.dim, model.dim))
+    layout = model.assembled_layout
+    p = np.zeros((layout.dim, layout.dim))
     for i, area in enumerate(model.areas):
         weight = model.cfg.k_omega[i] / (2.0 * model.cfg.k_v[i])
         fq = layout.sl(f"freq{i}")
         p[fq, fq] += weight * np.diag(area.inertia)
         if layout.has(f"angle{i}"):
             ang = layout.sl(f"angle{i}")
-            _, l_ac, s_i = ac_swing_matrices(area)
-            stiff = s_i.T @ l_ac @ s_i if model.reduced else l_ac
-            p[ang, ang] += weight * stiff
+            _, l_ac, _ = ac_swing_matrices(area)
+            p[ang, ang] += weight * l_ac
     vdc = layout.sl("vdc")
     p[vdc, vdc] += 0.5 * model.net.v_nom * np.diag(model.net.cap)
     if layout.has("gen_integral"):
@@ -240,11 +242,7 @@ def lyapunov_matrix(model: ClosedLoopModel, form: str = "energy") -> np.ndarray:
         p[gi, gi] += 0.5 * np.eye(model.n_areas)
     if layout.has("conv_phase"):
         ph = layout.sl("conv_phase")
-        l_phi = laplacian(model.cfg.comm_phi)
-        if model.reduced:
-            s = ones_complement(model.n_areas)
-            l_phi = s.T @ l_phi @ s
-        p[ph, ph] += 0.5 * l_phi
+        p[ph, ph] += 0.5 * laplacian(model.cfg.comm_phi)
     if model.plant == PI_LINK:
         chain = model.chain
         cur_weight = chain.l_seg if form == "energy" else 1.0 / chain.l_seg
@@ -254,16 +252,8 @@ def lyapunov_matrix(model: ClosedLoopModel, form: str = "energy") -> np.ndarray:
         for q in range(1, chain.n_segments):
             sl = layout.sl(f"line_voltage{q}")
             p[sl, sl] += 0.5 * model.net.v_nom * np.diag(chain.c_seg)
-    return p
-
-
-def lyapunov_value(state: np.ndarray, model: ClosedLoopModel, form: str = "energy") -> float:
-    """Evaluate the candidate quadratic function at one state (>= 0)."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[0] != model.dim:
-        raise ValueError("state length does not match the model layout")
-    p = lyapunov_matrix(model, form)
-    return float(state @ p @ state)
+    t_mat = model.projection
+    return p if t_mat is None else t_mat @ p @ t_mat.T
 
 
 def _cost_weights_per_bus(model: ClosedLoopModel, costs=None):
@@ -299,18 +289,14 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
     u = np.asarray(u, dtype=float)
     x_star = np.linalg.solve(model.a, -model.b_dist @ u)
     layout = model.layout
-    omega_hat = np.concatenate([x_star[layout.sl(f"freq{i}")] for i in range(model.n_areas)])
-    v_hat = x_star[layout.sl("vdc")]
+    y = model.output @ x_star
+    omega_hat, v_hat = y[:model.total_buses], y[model.total_buses:]
     eta = x_star[layout.sl("gen_integral")] if layout.has("gen_integral") else None
     phi = None
     if layout.has("conv_phase"):
         phi = ones_complement(model.n_areas) @ x_star[layout.sl("conv_phase")]
     p_gen = model.p_gen_selector @ x_star
     p_inj = model.p_inj_selector @ x_star
-    offsets = model.bus_offsets()
-    totals = np.array([
-        p_gen[offsets[i]:offsets[i] + model.areas[i].n_buses].sum()
-        for i in range(model.n_areas)])
     f_p, f_v = _cost_weights_per_bus(model, costs)
     weighted = f_p * p_gen
     kkt_gen = float(np.abs(weighted - weighted.mean()).max())
@@ -326,7 +312,7 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
         phi_star=phi,
         p_gen_star=p_gen,
         p_inj_star=p_inj,
-        area_gen_totals=totals,
+        area_gen_totals=model.series_map[model.series_block("generation")] @ x_star,
         kkt_gen_residual=kkt_gen,
         kkt_volt_residual=kkt_volt,
         avg_freq_residual=avg_freq,

@@ -10,20 +10,26 @@ segment currents and internal voltages.
 The controller laws are stated once, as the selectors P_gen and P_inj
 with p_gen = P_gen x and p_inj = P_inj x; the frequency rows are derived
 from them as M^-1 (p_gen - p_inj at each converter bus) and the DC rows as
-E p_inj / v_nom.
+E p_inj / v_nom. The derived series written by the command line (area-mean
+frequencies, absolute DC voltages, per-area generation totals, converter
+injections) are one affine map of the state, ``series_map`` x +
+``series_offset``, whose generation and injection rows are the area sums
+of P_gen and P_inj themselves.
 
 Only the full-coordinate model is assembled. A reduced model is its
 projection T A T^T (see ``reduce_model``): reduced coordinates drop the
 uniform component of each rotor-angle block and of the converter phase
 block; those directions are unobservable from the (frequency, DC voltage)
 output and, for the phase block, marginally stable, so removing them
-leaves the input/output behavior unchanged.
+leaves the input/output behavior unchanged. A reduced model carries T, and
+its state matrix, input map, selectors and series map are the full ones
+projected by it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,24 +45,20 @@ from .plant import (
 
 RESISTIVE = "resistive"
 PI_LINK = "pi_link"
+# row blocks of ``series_map``, one row per converter/area each, in this order
+SERIES_FAMILIES = ("frequencies", "dc_voltages", "generation", "injections")
 
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Named, contiguous state blocks: tuple of (name, offset, length)."""
+    """Named, contiguous state blocks: tuple of (name, offset, length).
+
+    Built only by ``_build_layout``, which lays the blocks end to end.
+    """
 
     blocks: tuple
 
     def __post_init__(self):
-        off = 0
-        names = set()
-        for name, start, length in self.blocks:
-            if start != off or length < 0:
-                raise ValueError("layout blocks must be contiguous and cover the state")
-            if name in names:
-                raise ValueError(f"duplicate block name {name}")
-            names.add(name)
-            off += length
         object.__setattr__(self, "_index", {b[0]: (b[1], b[2]) for b in self.blocks})
 
     @property
@@ -87,7 +89,10 @@ class ClosedLoopModel:
     ``u`` carries one uncontrolled power deviation per generator bus
     (area-major order). ``output`` selects y = [frequency deviations;
     DC voltage deviations]. ``p_gen_selector`` / ``p_inj_selector``
-    reconstruct the controller outputs from the state.
+    reconstruct the controller outputs from the state, and
+    ``series_map`` x + ``series_offset`` gives the derived series, one
+    row block per entry of ``SERIES_FAMILIES``. ``projection`` is the
+    map T from the assembled coordinates, None on the assembled model.
     """
 
     a: np.ndarray
@@ -95,14 +100,16 @@ class ClosedLoopModel:
     output: np.ndarray
     layout: StateLayout
     variant: Variant
-    reduced: bool
     plant: str
     net: MtdcNetwork
     areas: tuple
     cfg: ControllerConfig
     p_gen_selector: np.ndarray
     p_inj_selector: np.ndarray
+    series_map: np.ndarray
+    series_offset: np.ndarray
     chain: PiLinkChain = None
+    projection: np.ndarray = None
     # (spectral abscissa, verdict), filled by the first ``analysis.hurwitz``
     # call; ``a`` is never modified in place, and ``replace`` starts afresh
     hurwitz_memo: tuple = field(default=None, init=False, repr=False)
@@ -110,6 +117,20 @@ class ClosedLoopModel:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def reduced(self) -> bool:
+        return self.projection is not None
+
+    @property
+    def assembled_layout(self) -> StateLayout:
+        """Layout of the coordinates ``projection`` maps from."""
+        return _build_layout(self.areas, self.cfg, False, self.chain)
+
+    def series_block(self, family: str) -> slice:
+        """Rows of ``series_map`` (columns of ``Trajectory.series``) of one family."""
+        k = SERIES_FAMILIES.index(family)
+        return slice(k * self.n_areas, (k + 1) * self.n_areas)
 
     @property
     def n_areas(self) -> int:
@@ -176,6 +197,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     b_dist = np.zeros((dim, total_buses))
     p_gen = np.zeros((total_buses, dim))
     p_inj = np.zeros((n, dim))
+    area_sum = np.zeros((n, total_buses))
 
     e_mat, l_r = mtdc_resistive_matrices(net)
     e_diag = np.diag(e_mat)
@@ -186,6 +208,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     for i, area in enumerate(areas):
         nb = area.n_buses
         buses = slice(bus_off, bus_off + nb)
+        area_sum[i, buses] = 1.0
         fq = layout.sl(f"freq{i}")
         # the controller laws, stated once: p_gen = P_gen x and p_inj = P_inj x
         p_gen[buses, fq] -= np.diag(cfg.k_droop[i])
@@ -259,6 +282,14 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
         out[row, vdc.start + i] = 1.0
         row += 1
 
+    # derived series: area-mean frequency, absolute DC voltage, per-area
+    # generation total, converter injection
+    area_mean = area_sum / area_sum.sum(axis=1, keepdims=True)
+    series_map = np.vstack([area_mean @ out[:total_buses], out[total_buses:],
+                            area_sum @ p_gen, p_inj])
+    series_offset = np.concatenate([np.full(n, cfg.omega_ref), np.array(net.v_ref, dtype=float),
+                                    np.zeros(2 * n)])
+
     require_finite(a_mat, "state matrix")
     return ClosedLoopModel(
         a=a_mat,
@@ -266,13 +297,14 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
         output=out,
         layout=layout,
         variant=cfg.variant,
-        reduced=False,
         plant=RESISTIVE if chain is None else PI_LINK,
         net=net,
         areas=tuple(areas),
         cfg=cfg,
         p_gen_selector=p_gen,
         p_inj_selector=p_inj,
+        series_map=series_map,
+        series_offset=series_offset,
         chain=chain,
     )
 
@@ -305,8 +337,15 @@ def assemble_pi_link(net: MtdcNetwork, areas, cfg: ControllerConfig,
     return reduce_model(full) if reduced else full
 
 
-def _reduction(model: ClosedLoopModel):
-    """Projection T onto the reduced coordinates and the reduced layout."""
+def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
+    """Drop the unobservable uniform angle/phase directions.
+
+    The projection T is the identity on non-reducible blocks and the
+    transpose of the ones-complement basis on each rotor-angle block and on
+    the converter phase block, so its rows are orthonormal. The kept
+    directions evolve independently of the dropped ones, so the reduced
+    model reproduces the output of the full model exactly.
+    """
     if model.reduced:
         raise ValueError("model is already reduced")
     red_layout = _build_layout(model.areas, model.cfg, True, model.chain)
@@ -317,40 +356,16 @@ def _reduction(model: ClosedLoopModel):
             t_mat[red_layout.sl(name), block] = ones_complement(length).T
         else:
             t_mat[red_layout.sl(name), block] = np.eye(length)
-    return t_mat, red_layout
-
-
-def reduction_matrix(model: ClosedLoopModel) -> np.ndarray:
-    """Projection T from full to reduced coordinates (orthonormal rows).
-
-    Identity on non-reducible blocks; the transpose of the ones-complement
-    basis on each rotor-angle block and on the converter phase block, which
-    drops exactly the uniform direction of each.
-    """
-    return _reduction(model)[0]
-
-
-def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
-    """Drop the unobservable uniform angle/phase directions.
-
-    The kept directions evolve independently of the dropped ones, so the
-    reduced model reproduces the output of the full model exactly.
-    """
-    t_mat, red_layout = _reduction(model)
-    return ClosedLoopModel(
+    return replace(
+        model,
         a=t_mat @ model.a @ t_mat.T,
         b_dist=t_mat @ model.b_dist,
         output=model.output @ t_mat.T,
         layout=red_layout,
-        variant=model.variant,
-        reduced=True,
-        plant=model.plant,
-        net=model.net,
-        areas=model.areas,
-        cfg=model.cfg,
         p_gen_selector=model.p_gen_selector @ t_mat.T,
         p_inj_selector=model.p_inj_selector @ t_mat.T,
-        chain=model.chain,
+        series_map=model.series_map @ t_mat.T,
+        projection=t_mat,
     )
 
 

@@ -25,7 +25,8 @@ from .analysis import (
     equilibrium,
     stability_report,
 )
-from .assembly import assemble_resistive, baseline_disturbance, disturbance_map, reduce_model
+from .assembly import (SERIES_FAMILIES, assemble_resistive, baseline_disturbance, disturbance_map,
+                       reduce_model)
 from .config import ConfigError, SystemConfig, load_config
 from .control import Variant
 from .sim import IntegrationError, Trajectory, compare_variants, integrate
@@ -64,19 +65,18 @@ def _write_series_json(path: Path, names, times, columns) -> None:
         fh.write("\n")
 
 
+# column-name prefix of each series family
+SERIES_COLUMNS = {"frequencies": "freq_area_", "dc_voltages": "v_dc_",
+                  "generation": "p_gen_area_", "injections": "p_inj_"}
+
+
 def _series_families(traj: Trajectory):
+    """(column names, columns) per family: the row blocks of the series map."""
     n = traj.model.n_areas
-    vdc = traj.dc_voltages()
-    gen_totals = np.empty((traj.states.shape[0], n))
-    offsets = traj.model.bus_offsets()
-    for i in range(n):
-        nb = traj.model.areas[i].n_buses
-        gen_totals[:, i] = traj.p_gen[:, offsets[i]:offsets[i] + nb].sum(axis=1)
     return {
-        "frequencies": ([f"freq_area_{i + 1}" for i in range(n)], traj.area_freq_mean),
-        "dc_voltages": ([f"v_dc_{i + 1}" for i in range(n)], vdc),
-        "generation": ([f"p_gen_area_{i + 1}" for i in range(n)], gen_totals),
-        "injections": ([f"p_inj_{i + 1}" for i in range(n)], traj.p_inj),
+        family: ([f"{SERIES_COLUMNS[family]}{i + 1}" for i in range(n)],
+                 traj.series[:, traj.model.series_block(family)])
+        for family in SERIES_FAMILIES
     }
 
 
@@ -223,16 +223,18 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     k_v = np.array(sc.cfg.k_v)
     for variant, traj in results.items():
         artifacts.extend(_emit_timeseries(traj, out, fmt, prefix=f"{variant.value}__"))
-        families = _series_families(traj)
-        freq = families["frequencies"][1]
-        gen = families["generation"][1]
-        vdc_dev = traj.states[:, traj.model.layout.sl("vdc")]
+        block = traj.model.series_block
+        freq_end = traj.series[-1, block("frequencies")]
+        gen_end = traj.series[-1, block("generation")]
+        inj = traj.series[:, block("injections")]
+        # the deviation state itself: absolute voltage minus v_ref rounds differently
+        vdc_dev_end = traj.states[-1, traj.model.layout.sl("vdc")]
         summary_rows.append({
             "variant": variant.value,
-            "static_freq_error": float(np.abs(freq[-1] - sc.cfg.omega_ref).max()),
-            "weighted_vdev_terminal": float(abs(k_v @ vdc_dev[-1])),
-            "gen_spread": float(gen[-1].max() - gen[-1].min()),
-            "settling_time_inj": _settling_time(traj.times, traj.p_inj, traj.p_inj[-1]),
+            "static_freq_error": float(np.abs(freq_end - sc.cfg.omega_ref).max()),
+            "weighted_vdev_terminal": float(abs(k_v @ vdc_dev_end)),
+            "gen_spread": float(gen_end.max() - gen_end.min()),
+            "settling_time_inj": _settling_time(traj.times, inj, inj[-1]),
         })
     summary_path = out / "summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:

@@ -10,6 +10,7 @@ equal in-memory configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .control import ControllerConfig, CostWeights, CouplingMode, Variant
@@ -45,11 +46,30 @@ def _expect(container, key, path, kind=None, required=True, default=None):
     return value
 
 
+def _finite(value, path):
+    """``value`` as a finite float; JSON ``NaN``/``Infinity`` are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number}")
+    return number
+
+
 def _number(container, key, path, required=True, default=None):
-    value = _expect(container, key, path, kind=(int, float), required=required, default=default)
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    return float(value) if value is not None else None
+    value = _expect(container, key, path, required=required, default=default)
+    return _finite(value, f"{path}.{key}") if value is not None else None
+
+
+def _numbers(container, key, path, required=True):
+    """A list of finite numbers, each checked under its own index path."""
+    values = _expect(container, key, path, kind=list, required=required)
+    if values is None:
+        return None
+    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
 
 
 def _int(container, key, path, required=True, default=None):
@@ -135,13 +155,13 @@ def parse_config(doc: dict) -> SystemConfig:
             kdi.append(_number(gen, "k_droop_i", gpath))
         ac_lines = _edges(_expect(area, "ac_lines", path, kind=list, required=False, default=[]),
                           f"{path}.ac_lines", "k")
-        p_m_raw = _expect(area, "p_m", path, kind=list, required=False, default=None)
+        p_m = _numbers(area, "p_m", path, required=False)
         try:
             areas.append(AcArea(
                 inertia=tuple(inertia),
                 ac_lines=ac_lines,
                 converter_bus=_int(area, "converter_bus", path, required=False, default=0),
-                p_m=tuple(float(v) for v in p_m_raw) if p_m_raw is not None else None,
+                p_m=p_m,
             ))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
@@ -166,10 +186,8 @@ def parse_config(doc: dict) -> SystemConfig:
         cfg = ControllerConfig(
             k_droop=tuple(k_droop),
             k_droop_i=tuple(k_droop_i),
-            k_omega=tuple(_number({"v": v}, "v", f"controller.k_omega[{i}]")
-                          for i, v in enumerate(_expect(ctrl, "k_omega", "controller", kind=list))),
-            k_v=tuple(_number({"v": v}, "v", f"controller.k_v[{i}]")
-                      for i, v in enumerate(_expect(ctrl, "k_v", "controller", kind=list))),
+            k_omega=_numbers(ctrl, "k_omega", "controller"),
+            k_v=_numbers(ctrl, "k_v", "controller"),
             comm_eta=comm_eta,
             comm_phi=comm_phi,
             gamma=_number(ctrl, "gamma", "controller", required=False, default=0.0),
@@ -184,12 +202,10 @@ def parse_config(doc: dict) -> SystemConfig:
     costs = None
     if "costs" in doc:
         section = _expect(doc, "costs", "", kind=dict)
+        f_p, f_v = _numbers(section, "f_p", "costs"), _numbers(section, "f_v", "costs")
         try:
-            costs = CostWeights(
-                f_p=tuple(float(v) for v in _expect(section, "f_p", "costs", kind=list)),
-                f_v=tuple(float(v) for v in _expect(section, "f_v", "costs", kind=list)),
-            )
-        except (TypeError, ValueError) as exc:
+            costs = CostWeights(f_p=f_p, f_v=f_v)
+        except ValueError as exc:
             raise ConfigError(f"costs: {exc}") from exc
         if len(costs.f_p) != net.n:
             raise ConfigError("costs.f_p: one weight per area required")
@@ -290,9 +306,3 @@ def load_config(path) -> SystemConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(doc)
-
-
-def save_config(sc: SystemConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(sc), fh, indent=2)
-        fh.write("\n")

@@ -47,10 +47,6 @@ class WeightedGraph:
             norm.append((i, j, w))
         object.__setattr__(self, "edges", tuple(norm))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted Laplacian: L[i,j] = -w_ij off-diagonal, row sums exactly zero.

@@ -15,6 +15,10 @@ The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
 second-order Heun treatment of the voltage correction term, one step at a
 time (one n x n product per step plus a per-converter correction).
+
+Only states are propagated. The derived series of a trajectory (area-mean
+frequencies, DC voltages, generation totals, injections) are the model's
+affine ``series_map`` applied to the recorded states.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .assembly import (
     baseline_disturbance,
     disturbance_map,
     reduce_model,
-    reduction_matrix,
 )
 from .analysis import equilibrium, lyapunov_matrix
 from .control import ControllerConfig, CouplingMode, Variant
@@ -64,10 +67,12 @@ class Scenario:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise ValueError("t_end must be > 0")
+        if not (0.0 < self.t_end < np.inf):
+            raise ValueError("t_end must be finite and > 0")
         if not (0.0 < self.dt <= DT_CAP):
             raise ValueError(f"dt must be in (0, {DT_CAP}] s")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9:
+            raise ValueError(f"t_end must be an integer number of steps of dt = {self.dt:g} s")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         events = tuple(ev if isinstance(ev, DisturbanceEvent) else DisturbanceEvent(*ev)
@@ -77,33 +82,30 @@ class Scenario:
                 raise ValueError(f"event time {ev.time} outside [0, {self.t_end}]")
         object.__setattr__(self, "disturbances", events)
 
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded samples plus series reconstructed from the states.
+    """Recorded samples plus the derived series of each sample.
 
-    ``p_gen`` is per generator bus (area-major), ``p_inj`` per converter,
-    ``area_freq_mean`` the per-area bus average of the absolute frequency.
-    Derived series are algebraic functions of the state; nothing is
-    integrated separately.
+    ``series`` is ``states @ model.series_map.T + model.series_offset``:
+    nothing is integrated separately, and ``model.series_block(family)``
+    picks the columns of one family (area-mean frequencies, absolute DC
+    voltages, per-area generation totals, converter injections).
     """
 
     times: np.ndarray
     states: np.ndarray
     model: ClosedLoopModel
-    p_gen: np.ndarray
-    p_inj: np.ndarray
-    area_freq_mean: np.ndarray
+    series: np.ndarray
     mode: CouplingMode
 
     def outputs(self) -> np.ndarray:
         """y = [frequency deviations, DC voltage deviations] per sample."""
         return self.states @ self.model.output.T
-
-    def dc_voltages(self) -> np.ndarray:
-        """Absolute DC voltages per converter and sample."""
-        vdc = self.states[:, self.model.layout.sl("vdc")]
-        return vdc + np.array(self.model.net.v_ref)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +175,7 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     """
     if scenario.mode is CouplingMode.NONLINEAR and model.reduced:
         raise ValueError("nonlinear mode needs the full-coordinate model")
-    n_steps = int(round(scenario.t_end / scenario.dt))
-    if abs(n_steps * scenario.dt - scenario.t_end) > 1e-9:
-        raise ValueError("t_end must be an integer number of steps")
+    n_steps = scenario.n_steps
     bounds, inputs = _segments(model, scenario, n_steps)
     rec_steps = _record_steps(n_steps, scenario.record_every)
     dim = model.dim
@@ -209,20 +209,11 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
             f"integration aborted at t = {status * scenario.dt:.6g} s "
             "(non-finite state or DC voltage below 0.5 p.u.)")
 
-    times = rec_steps.astype(float) * scenario.dt
-    p_gen = out @ model.p_gen_selector.T
-    p_inj = out @ model.p_inj_selector.T
-    freq = np.empty((out.shape[0], model.n_areas))
-    for i in range(model.n_areas):
-        freq[:, i] = out[:, model.layout.sl(f"freq{i}")].mean(axis=1)
-    freq += model.cfg.omega_ref
     return Trajectory(
-        times=times,
+        times=rec_steps.astype(float) * scenario.dt,
         states=out,
         model=model,
-        p_gen=p_gen,
-        p_inj=p_inj,
-        area_freq_mean=freq,
+        series=out @ model.series_map.T + model.series_offset,
         mode=scenario.mode,
     )
 
@@ -261,8 +252,8 @@ def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario,
         if model.reduced:
             x_ref = equilibrium(model, u_final).x_star
         else:
-            t_mat = reduction_matrix(model)
-            x_ref = t_mat.T @ equilibrium(reduce_model(model), u_final).x_star
+            red = reduce_model(model)
+            x_ref = red.projection.T @ equilibrium(red, u_final).x_star
     else:
         x_ref = np.zeros(model.dim)
     p = lyapunov_matrix(model, form)

@@ -70,10 +70,11 @@ def test_criterion_03_frequency_restoration(paper_sc, paper_trajs):
     model = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=False)
     traj = m.integrate(model, paper_sc.scenario)
     elapsed = time.perf_counter() - start
-    final_dev = np.abs(traj.area_freq_mean[-1] - paper_sc.cfg.omega_ref)
+    freq = model.series_block("frequencies")
+    final_dev = np.abs(traj.series[-1, freq] - paper_sc.cfg.omega_ref)
     dec_errors = {}
     for variant in (m.Variant.DIST_GEN_DEC_CONV, m.Variant.DEC_GEN_DEC_CONV):
-        dev = np.abs(paper_trajs[variant].area_freq_mean[-1] - paper_sc.cfg.omega_ref)
+        dev = np.abs(paper_trajs[variant].series[-1, freq] - paper_sc.cfg.omega_ref)
         dec_errors[variant.value] = dev.max()
     ok = (final_dev.max() < 1e-4 and elapsed < 30.0
           and all(v > 1e-4 for v in dec_errors.values()))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mtdcsim as m
-from mtdcsim.analysis import spectral_abscissa
+from mtdcsim.analysis import lyapunov_matrix, spectral_abscissa
 from mtdcsim.netgraph import laplacian
 
 from conftest import random_stable_config, single_gen_system
@@ -154,25 +154,10 @@ class TestStabilityReport:
         assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
 
 
-class TestLyapunovValue:
-    def test_zero_state(self, paper_model_reduced):
-        assert m.lyapunov_value(np.zeros(paper_model_reduced.dim), paper_model_reduced) == 0.0
-
-    def test_quadratic_scaling(self, paper_model_reduced):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(paper_model_reduced.dim)
-        w1 = m.lyapunov_value(x, paper_model_reduced)
-        w2 = m.lyapunov_value(2.0 * x, paper_model_reduced)
-        assert w2 == pytest.approx(4.0 * w1, rel=1e-12)
-        assert w1 > 0.0
-
-    def test_layout_mismatch(self, paper_model_reduced):
-        with pytest.raises(ValueError, match="layout"):
-            m.lyapunov_value(np.zeros(3), paper_model_reduced)
-
+class TestLyapunovMatrix:
     def test_form_argument(self, paper_model_reduced):
         with pytest.raises(ValueError, match="form"):
-            m.lyapunov_value(np.zeros(paper_model_reduced.dim), paper_model_reduced, form="x")
+            lyapunov_matrix(paper_model_reduced, form="x")
 
 
 class TestEquilibrium:

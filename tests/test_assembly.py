@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdcsim as m
-from mtdcsim.assembly import reduction_matrix
+from mtdcsim.analysis import lyapunov_matrix
 
 from conftest import mixed_relative_error, random_stable_config, single_gen_system
 from direct_rhs import direct_rhs, flatten, unflatten
@@ -161,7 +161,7 @@ def _oracle_check(net, areas, cfg, model, rng, n_states=25, mode="linear"):
             full = m.assemble_resistive(net, areas, cfg, reduced=False) \
                 if model.plant == "resistive" else \
                 m.assemble_pi_link(net, areas, cfg, reduced=False)
-            t_mat = reduction_matrix(full)
+            t_mat = model.projection
             x_full = t_mat.T @ x
             state = unflatten(full.layout, x_full)
             got = model.a @ x + model.b_dist @ p_m_flat
@@ -215,7 +215,9 @@ class TestReduce:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_full_and_reduced_agree(self, assemble, seed):
-        """Same outputs on a short linear run, same equilibrium DC voltages."""
+        """Same outputs and derived series on a short linear run, same
+        equilibrium DC voltages and Lyapunov trace; the projected form is
+        positive definite."""
         rng = np.random.default_rng(seed)
         net, areas, cfg = random_stable_config(rng)
         full = assemble(net, areas, cfg, reduced=False)
@@ -224,9 +226,16 @@ class TestReduce:
         magnitude = float(rng.uniform(-0.5, 0.5))
         scen = m.Scenario(t_end=0.5, dt=1e-3, record_every=10,
                           disturbances=(m.DisturbanceEvent(0.1, area, 0, magnitude),))
-        y_full = m.integrate(full, scen).outputs()
-        y_red = m.integrate(red, scen).outputs()
-        assert np.abs(y_full - y_red).max() <= 1e-9 * np.abs(y_full).max()
+        traj_full, traj_red = m.integrate(full, scen), m.integrate(red, scen)
+        y_full = traj_full.outputs()
+        assert np.abs(y_full - traj_red.outputs()).max() <= 1e-9 * np.abs(y_full).max()
+        np.testing.assert_array_equal(full.series_offset, red.series_offset)
+        scale = np.abs(traj_full.series - full.series_offset).max()
+        assert np.abs(traj_full.series - traj_red.series).max() <= 1e-9 * scale
+
+        p_red = lyapunov_matrix(red)  # T P T^T: symmetric up to rounding
+        assert np.abs(p_red - p_red.T).max() <= 1e-14 * np.abs(p_red).max()
+        assert np.linalg.eigvalsh(p_red).min() > 0.0
 
         # random_stable_config guarantees a Hurwitz loop for the resistive plant only
         _, stable = m.hurwitz(red)
@@ -235,6 +244,9 @@ class TestReduce:
             v_full = _full_steady_state(full, u)[full.layout.sl("vdc")]
             v_red = m.equilibrium(red, u).v_hat_star
             assert np.abs(v_full - v_red).max() <= 1e-9 * np.abs(v_full).max()
+            w_full = m.lyapunov_trace(full, scen).values
+            w_red = m.lyapunov_trace(red, scen).values
+            assert np.abs(w_full - w_red).max() <= 1e-9 * np.abs(w_full).max()
 
     def test_block_sizes(self):
         net, areas, cfg = single_gen_system(2)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -80,7 +81,7 @@ class TestConfigParsing:
 
     def test_save_load_identity(self, paper_sc, tmp_path):
         path = tmp_path / "copy.cfg"
-        m.save_config(paper_sc, path)
+        path.write_text(json.dumps(config_to_dict(paper_sc)))
         assert m.load_config(path) == paper_sc
 
 
@@ -182,6 +183,39 @@ class TestSimulateCommand:
         for name in ("frequencies.csv", "dc_voltages.csv", "generation.csv",
                      "injections.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("field, value, path", [
+        (("scenario", "t_end"), float("inf"), r"scenario\.t_end"),
+        (("scenario", "t_end"), 1.0005, r"scenario: t_end must be an integer number of steps"),
+        (("controller", "gamma"), float("nan"), r"controller\.gamma"),
+        (("controller", "gamma"), 10 ** 400, r"controller\.gamma"),  # beyond the float range
+        (("controller", "k_omega", 0), float("inf"), r"controller\.k_omega\[0\]"),
+        (("areas", 0, "generators", 0, "k_droop"), float("inf"),
+         r"areas\[0\]\.generators\[0\]\.k_droop"),
+        (("scenario", "disturbances", 0, "magnitude"), float("inf"),
+         r"scenario\.disturbances\[0\]\.magnitude"),
+        (("areas", 0, "p_m"), [0.0, float("nan")] + [0.0] * 12, r"areas\[0\]\.p_m\[1\]"),
+        (("costs",), {"f_p": [1.0] * 5 + [float("inf")], "f_v": [1.0] * 6},
+         r"costs\.f_p\[5\]"),
+    ], ids=["t_end_inf", "t_end_off_grid", "gamma_nan", "gamma_huge_int", "k_omega_inf",
+            "k_droop_inf", "magnitude_inf", "p_m_nan", "cost_inf"])
+    def test_malformed_number_exit_code(self, paper_doc, tmp_path, capsys, field, value, path):
+        """JSON NaN/Infinity or an off-grid horizon is a configuration error
+        naming the field, never a traceback or a warning."""
+        doc = json.loads(json.dumps(paper_doc))
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+        assert re.search(path, err)
 
     def test_numerical_abort_exit_code(self, tmp_path):
         doc = {

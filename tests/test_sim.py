@@ -197,7 +197,7 @@ class TestIntegrate:
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         traj = m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3))
         np.testing.assert_array_equal(traj.states, np.zeros_like(traj.states))
-        np.testing.assert_array_equal(traj.p_gen, np.zeros_like(traj.p_gen))
+        np.testing.assert_array_equal(traj.series, np.tile(model.series_offset, (traj.times.size, 1)))
 
     def test_stable_decay_from_initial_state(self, two_area):
         net, areas, cfg = two_area
@@ -259,8 +259,11 @@ class TestIntegrate:
         k = traj.states.shape[0] // 2
         x = traj.states[k]
         p_gen, p_inj = direct_controls(areas, cfg, unflatten(model.layout, x))
-        np.testing.assert_allclose(traj.p_gen[k], p_gen, atol=1e-13)
-        np.testing.assert_allclose(traj.p_inj[k], p_inj, atol=1e-13)
+        np.testing.assert_allclose(model.p_gen_selector @ x, p_gen, atol=1e-13)
+        np.testing.assert_allclose(traj.series[k, model.series_block("generation")],
+                                   np.add.reduceat(p_gen, model.bus_offsets()), atol=1e-13)
+        np.testing.assert_allclose(traj.series[k, model.series_block("injections")], p_inj,
+                                   atol=1e-13)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="dt"):
@@ -466,7 +469,7 @@ class TestNonlinearMode:
         lin = paper_trajs[m.Variant.DIST_GEN_DIST_CONV]
         scen = replace(paper_sc.scenario, mode=m.CouplingMode.NONLINEAR)
         non = m.integrate(model, scen)
-        band = np.abs(non.dc_voltages() - paper_sc.net.v_nom).max()
+        band = np.abs(non.series[:, model.series_block("dc_voltages")] - paper_sc.net.v_nom).max()
         assert band < 0.05
         scale = np.abs(lin.outputs()).max()
         assert np.abs(lin.outputs() - non.outputs()).max() <= 0.05 * scale
@@ -487,10 +490,7 @@ class TestCompareVariants:
         """Only the fully distributed pairing equalizes the area totals."""
         spreads = {}
         for variant, traj in paper_trajs.items():
-            offsets = traj.model.bus_offsets()
-            totals = np.array([
-                traj.p_gen[-1, off:off + traj.model.areas[i].n_buses].sum()
-                for i, off in enumerate(offsets)])
+            totals = traj.series[-1, traj.model.series_block("generation")]
             spreads[variant] = totals.max() - totals.min()
         assert spreads[m.Variant.DIST_GEN_DIST_CONV] < 1e-6
         assert spreads[m.Variant.DIST_GEN_DEC_CONV] > 1e-3
