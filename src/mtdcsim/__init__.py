@@ -35,7 +35,7 @@ from .control import (
     gains_from_costs,
 )
 from .netgraph import WeightedGraph, connectivity, laplacian, line_incidence, ones_complement
-from .plant import AcArea, DcLine, MtdcNetwork, ac_swing_matrices, mtdc_resistive_matrices, pi_link_matrices
+from .plant import AcArea, DcLine, MtdcNetwork, mtdc_resistive_matrices, pi_link_matrices
 from .sim import (
     DisturbanceEvent,
     IntegrationError,

@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blas import one_thread
 from .assembly import ClosedLoopModel, PI_LINK, assemble_resistive
 from .control import ControllerConfig
 from .netgraph import laplacian, ones_complement
-from .plant import MtdcNetwork, ac_swing_matrices
+from .plant import MtdcNetwork
 
 HURWITZ_TOL = 1e-9
 ASSUMPTION_TOL = 1e-9
@@ -135,6 +136,7 @@ def check_assumption2(gamma: float, k_phi: float, v_nom: float) -> Assumption2Re
     return Assumption2Result(holds=gamma > bound, bound=bound, gamma=gamma)
 
 
+@one_thread()
 def spectral_abscissa(a: np.ndarray) -> tuple[float, bool]:
     """Largest eigenvalue real part and the strict (tolerance -1e-9) verdict."""
     try:
@@ -233,8 +235,7 @@ def lyapunov_matrix(model: ClosedLoopModel, form: str = "energy") -> np.ndarray:
         p[fq, fq] += weight * np.diag(area.inertia)
         if layout.has(f"angle{i}"):
             ang = layout.sl(f"angle{i}")
-            _, l_ac, _ = ac_swing_matrices(area)
-            p[ang, ang] += weight * l_ac
+            p[ang, ang] += weight * laplacian(area.line_graph())
     vdc = layout.sl("vdc")
     p[vdc, vdc] += 0.5 * model.net.v_nom * np.diag(model.net.cap)
     if layout.has("gen_integral"):

@@ -38,7 +38,6 @@ from .netgraph import laplacian, ones_complement, require_finite
 from .plant import (
     MtdcNetwork,
     PiLinkChain,
-    ac_swing_matrices,
     mtdc_resistive_matrices,
     pi_link_matrices,
 )
@@ -229,9 +228,8 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
         a_mat[fq.start] -= m_inv[0] * p_inj[i]
         b_dist[fq, buses] = np.diag(m_inv)
         if nb >= 2:
-            _, l_ac, _ = ac_swing_matrices(area)
             ang = layout.sl(f"angle{i}")
-            a_mat[fq, ang] -= m_inv[:, None] * l_ac
+            a_mat[fq, ang] -= m_inv[:, None] * laplacian(area.line_graph())
             a_mat[ang, fq] += np.eye(nb)
         bus_off += nb
 

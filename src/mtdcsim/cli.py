@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import one_thread
 from .analysis import (
     EquilibriumReport,
     StabilityReport,
@@ -314,6 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@one_thread()
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

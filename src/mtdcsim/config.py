@@ -35,14 +35,15 @@ class SystemConfig:
 
 
 def _expect(container, key, path, kind=None, required=True, default=None):
+    name = f"{path}.{key}" if path else key  # a top-level field has no parent
     if key not in container:
         if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
+            raise ConfigError(f"{name}: missing required field")
         return default
     value = container[key]
     if kind is not None and not isinstance(value, kind):
         names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{path}.{key}: expected {names}, got {type(value).__name__}")
+        raise ConfigError(f"{name}: expected {names}, got {type(value).__name__}")
     return value
 
 

@@ -12,7 +12,6 @@ from .netgraph import (
     connectivity,
     laplacian,
     line_incidence,
-    ones_complement,
 )
 
 
@@ -161,14 +160,6 @@ def mtdc_resistive_matrices(net: MtdcNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Elastance matrix E = diag(1/C_i) and the conductance Laplacian."""
     e = np.diag([1.0 / c for c in net.cap])
     return e, laplacian(net.conductance_graph())
-
-
-def ac_swing_matrices(area: AcArea) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse-inertia diagonal, AC stiffness Laplacian, and the orthonormal
-    complement used to drop the uniform angle shift."""
-    m = np.diag([1.0 / mi for mi in area.inertia])
-    l_ac = laplacian(area.line_graph())
-    return m, l_ac, ones_complement(area.n_buses)
 
 
 def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:

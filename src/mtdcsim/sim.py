@@ -19,6 +19,11 @@ time (one n x n product per step plus a per-converter correction).
 Only states are propagated. The derived series of a trajectory (area-mean
 frequencies, DC voltages, generation totals, injections) are the model's
 affine ``series_map`` applied to the recorded states.
+
+``discretize`` and ``integrate`` run their linear algebra on one BLAS
+thread and restore the caller's thread count on return, so their outputs
+do not depend on the host's core count. The count is process-global:
+Python threads calling them concurrently share that setting.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import _kernels
+from ._blas import one_thread
 from .assembly import (
     ClosedLoopModel,
     assemble_resistive,
@@ -148,6 +154,7 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.array(steps, dtype=np.int64)
 
 
+@one_thread()
 def discretize(a: np.ndarray, cols: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold step for dx = a x + cols w: x+ = phi x + gc w.
 
@@ -165,6 +172,7 @@ def discretize(a: np.ndarray, cols: np.ndarray, dt: float) -> tuple[np.ndarray, 
     return np.ascontiguousarray(big[:dim, :dim]), np.ascontiguousarray(big[:dim, dim:])
 
 
+@one_thread()
 def integrate(model: ClosedLoopModel, scenario: Scenario,
               x0: np.ndarray = None) -> Trajectory:
     """Run one deterministic simulation and return the recorded trajectory.

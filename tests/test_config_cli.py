@@ -79,6 +79,21 @@ class TestConfigParsing:
         with pytest.raises(m.ConfigError, match=r"disturbances\[0\]\.bus"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "mtdc: missing required field"),
+        ({"mtdc": 3}, "mtdc: expected dict, got int"),
+    ], ids=["empty", "mtdc_int"])
+    def test_top_level_field_path(self, doc, message, tmp_path, capsys):
+        """A top-level field is named without a leading dot."""
+        with pytest.raises(m.ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value).startswith("mtdc:")
+        assert str(exc.value) == message
+        cfg = tmp_path / "top.cfg"
+        cfg.write_text(json.dumps(doc))
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     def test_save_load_identity(self, paper_sc, tmp_path):
         path = tmp_path / "copy.cfg"
         path.write_text(json.dumps(config_to_dict(paper_sc)))
