@@ -1,13 +1,14 @@
 """One OpenBLAS thread around mtdcsim's own linear algebra.
 
-numpy and scipy each load their own OpenBLAS. For the few-hundred-state
+mtdcsim calls BLAS only through numpy, but a process may hold more than one
+OpenBLAS (scipy, for one, loads its own). For the few-hundred-state
 matrices of a closed loop a second thread only adds spin and wake-up cost,
 and a threaded product sums in a different order, so results would depend
 on the host's core count. ``one_thread()`` sets every loaded pool to one
 thread and restores each pool's previous count on exit. The count is
 process-global, so Python threads calling mtdcsim concurrently share one
 setting; the pools are read once, at first use, after the package has
-imported numpy and scipy.linalg.
+imported numpy. A pool loaded later is left alone: mtdcsim does not use it.
 """
 
 from __future__ import annotations

@@ -167,6 +167,7 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat).min())
 
 
+@one_thread()
 def lyapunov_certificate(net: MtdcNetwork, areas, cfg: ControllerConfig) -> CertificateResult:
     """Build the two certificate blocks and test positive definiteness.
 
@@ -275,6 +276,7 @@ def _cost_weights_per_bus(model: ClosedLoopModel, costs=None):
     return f_p, np.array(cfg.k_v)
 
 
+@one_thread()
 def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> EquilibriumReport:
     """Solve for the steady state under constant input and report residuals.
 

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -264,6 +267,49 @@ class TestSimulateCommand:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical abort: integration aborted at t = ")
+
+    def test_overflowing_gain_reports_only_the_abort(self, short_cfg_path, tmp_path, capsys):
+        """k_v = 1e200 overflows the powers of the loop matrix in the exponential:
+        the run aborts at the first record, with one stderr line and no warning."""
+        doc = json.loads(short_cfg_path.read_text())
+        doc["controller"]["k_v"] = [1e200] * len(doc["controller"]["k_v"])
+        doc["scenario"]["record_every"] = 10
+        path = tmp_path / "huge_kv.cfg"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical abort: integration aborted at t = 0.01 s "
+                       "(non-finite state or DC voltage below 0.5 p.u.)"]
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_without_scipy(self, short_cfg_path, tmp_path):
+        """A fresh process runs analyze and linear and nonlinear simulate on
+        numpy alone: scipy is a test dependency, never imported by the package."""
+        doc = json.loads(short_cfg_path.read_text())
+        doc["scenario"]["mode"] = "nonlinear"
+        nonlinear = tmp_path / "nonlinear.cfg"
+        nonlinear.write_text(json.dumps(doc))
+        script = """if True:
+            import sys
+            import mtdcsim, mtdcsim.cli
+            lin, nonlin, out = sys.argv[1:]
+            codes = [mtdcsim.cli.main(["analyze", "--config", lin, "--out", out + "/a"]),
+                     mtdcsim.cli.main(["simulate", "--config", lin, "--out", out + "/l"]),
+                     mtdcsim.cli.main(["simulate", "--config", nonlin, "--out", out + "/n"])]
+            assert codes == [0, 0, 0], codes
+            assert "scipy" not in sys.modules, sorted(k for k in sys.modules if "scipy" in k)
+        """
+        src = str(Path(m.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script, str(short_cfg_path), str(nonlinear),
+                               str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "n" / "frequencies.csv").exists()
 
 
 class TestCompareCommand:

@@ -181,6 +181,73 @@ def _assert_matches_array_form(model, scenario, x0=None):
     return got_status
 
 
+def _assert_expm_matches_scipy(a):
+    got, want = m.sim.expm(a), expm(a)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestMatrixExponential:
+    """The package's numpy ``expm`` against ``scipy.linalg.expm`` as the oracle."""
+
+    def test_random_matrices_from_small_to_large_norm(self):
+        """Random matrices of 1-norm 1e-3 (no squaring) to 5e3 (about ten squarings)."""
+        rng = np.random.default_rng(2009)
+        for norm in (1e-3, 0.1, 0.5, 1.5, 4.0, 30.0, 5e3):
+            for n in (1, 2, 3, 8, 33, 120):
+                g = rng.standard_normal((n, n))
+                a = g * (norm / np.abs(g).sum(axis=0).max())
+                # rightmost eigenvalue at 0, so exp(a) neither over- nor underflows
+                a -= np.linalg.eigvals(a).real.max() * np.eye(n)
+                _assert_expm_matches_scipy(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_zero_matrix(self, n):
+        np.testing.assert_array_equal(m.sim.expm(np.zeros((n, n))), np.eye(n))
+
+    def test_reference_augmented_matrices(self, paper_model_full, paper_sc, monkeypatch):
+        """The Van Loan matrices the linear and nonlinear reference runs exponentiate."""
+        seen = []
+        real_expm = m.sim.expm
+        monkeypatch.setattr(m.sim, "expm", lambda a: seen.append(a) or real_expm(a))
+        scen = replace(paper_sc.scenario, t_end=2.0)
+        m.integrate(paper_model_full, scen)
+        m.integrate(paper_model_full, replace(scen, mode=m.CouplingMode.NONLINEAR))
+        monkeypatch.undo()
+        assert len(seen) == 2
+        for a in seen:
+            _assert_expm_matches_scipy(a)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_random_closed_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        net, areas, cfg = random_stable_config(rng)
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        dt = float(rng.choice([1e-4, 1e-3, 1e-2]))
+        dim = model.dim
+        aug = np.zeros((dim + 1, dim + 1))
+        aug[:dim, :dim] = model.a * dt
+        aug[:dim, dim] = model.b_dist @ rng.uniform(-1.0, 1.0, model.b_dist.shape[1]) * dt
+        _assert_expm_matches_scipy(aug)
+
+    def test_rounding_bound_cannot_overflow(self):
+        """|b|^27 of this nilpotent b overflows as a plain product, so the
+        rounding bound is accumulated in logarithms: the call neither raises
+        nor warns (its result is out of reach of double precision anyway)."""
+        b = np.array([[1.0, 1.0], [-1.0, -1.0]]) * 1e12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.sim.expm(b).shape == (2, 2)
+
+    @pytest.mark.parametrize("a", [np.full((3, 3), 1e200), np.diag(np.full(8, 1e40), k=1)],
+                             ids=["a2_overflows", "a8_bound_overflows"])
+    def test_overflowing_powers_give_nan_without_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.sim.expm(a)
+        assert np.isnan(got).all()
+
+
 class TestSteppers:
     def test_exact_matches_analytic_decay(self):
         final = _run_kernel(np.array([[-1.0]]), 1.0, 0.01, np.array([1.0]))
@@ -649,3 +716,27 @@ class TestOneBlasThread:
         one, two = self._at_each_count(
             pools, lambda: m.analysis.spectral_abscissa(paper_model_reduced.a))
         assert one == two
+
+    def _spy_counts(self, pools, monkeypatch, name):
+        """Pool counts seen by each call of ``numpy.linalg.<name>``."""
+        seen, real = [], getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, **k: seen.append(self._counts(pools)) or real(*a, **k))
+        return seen
+
+    def test_equilibrium_independent_of_caller_threads(self, pools, paper_model_reduced,
+                                                       paper_sc, monkeypatch):
+        model = paper_model_reduced
+        u = m.baseline_disturbance(model) + m.disturbance_map(
+            model, [(ev.area, ev.bus, ev.magnitude) for ev in paper_sc.scenario.disturbances])
+        seen = self._spy_counts(pools, monkeypatch, "solve")
+        one, two = self._at_each_count(pools, lambda: m.analysis.equilibrium(model, u).x_star)
+        np.testing.assert_array_equal(one, two)
+        assert seen == [[1] * len(pools)] * 2
+
+    def test_certificate_independent_of_caller_threads(self, pools, paper_sc, monkeypatch):
+        seen = self._spy_counts(pools, monkeypatch, "eigvalsh")
+        one, two = self._at_each_count(pools, lambda: m.analysis.lyapunov_certificate(
+            paper_sc.net, paper_sc.areas, paper_sc.cfg))
+        assert (one.q1_min_eig, one.q2_min_eig) == (two.q1_min_eig, two.q2_min_eig)
+        assert len(seen) >= 4 and all(c == [1] * len(pools) for c in seen)
