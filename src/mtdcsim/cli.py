@@ -49,11 +49,11 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path: Path, names, times, columns) -> None:
-    row = ",".join(["%.17g"] * (columns.shape[1] + 1)) + "\n"
+def _write_csv(path: Path, names, time_cells, columns) -> None:
+    row = ",".join(["%.17g"] * columns.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t," + ",".join(names) + "\n")
-        fh.writelines([row % tuple(r) for r in np.column_stack([times, columns]).tolist()])
+        fh.writelines([t + row % tuple(r) for t, r in zip(time_cells, columns.tolist())])
 
 
 def _write_series_json(path: Path, names, times, columns) -> None:
@@ -81,17 +81,21 @@ def _series_families(traj: Trajectory):
     }
 
 
-def _emit_timeseries(traj: Trajectory, out_dir: Path, fmt: str, prefix: str = "") -> list:
+def _emit_timeseries(trajs: dict, out_dir: Path, fmt: str) -> list:
+    """Series files of trajectories on one record grid, keyed by file-name prefix."""
+    times = next(iter(trajs.values())).times
+    time_cells = ["%.17g," % t for t in times.tolist()] if fmt == "csv" else None
     artifacts = []
-    for family, (names, columns) in _series_families(traj).items():
-        if fmt == "csv":
-            path = out_dir / f"{prefix}{family}.csv"
-            _write_csv(path, names, traj.times, columns)
-            artifacts.append((TIMESERIES_CSV, str(path)))
-        else:
-            path = out_dir / f"{prefix}{family}.json"
-            _write_series_json(path, names, traj.times, columns)
-            artifacts.append((TIMESERIES_JSON, str(path)))
+    for prefix, traj in trajs.items():
+        for family, (names, columns) in _series_families(traj).items():
+            if fmt == "csv":
+                path = out_dir / f"{prefix}{family}.csv"
+                _write_csv(path, names, time_cells, columns)
+                artifacts.append((TIMESERIES_CSV, str(path)))
+            else:
+                path = out_dir / f"{prefix}{family}.json"
+                _write_series_json(path, names, times, columns)
+                artifacts.append((TIMESERIES_JSON, str(path)))
     return artifacts
 
 
@@ -187,7 +191,7 @@ def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") ->
     out.mkdir(parents=True, exist_ok=True)
     model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=False)
     traj = integrate(model, sc.scenario)
-    artifacts = _emit_timeseries(traj, out, fmt)
+    artifacts = _emit_timeseries({"": traj}, out, fmt)
     stability, equil = _analysis_pair(sc, reduce_model(model))
     report_path = out / "report.json"
     artifacts.append((REPORT_JSON, str(report_path)))
@@ -219,11 +223,10 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = compare_variants(sc.net, sc.areas, sc.cfg, sc.scenario)
-    artifacts = []
+    artifacts = _emit_timeseries({f"{v.value}__": traj for v, traj in results.items()}, out, fmt)
     summary_rows = []
     k_v = np.array(sc.cfg.k_v)
     for variant, traj in results.items():
-        artifacts.extend(_emit_timeseries(traj, out, fmt, prefix=f"{variant.value}__"))
         block = traj.model.series_block
         freq_end = traj.series[-1, block("frequencies")]
         gen_end = traj.series[-1, block("generation")]

@@ -376,7 +376,7 @@ class TestWriters:
         want = "t,a,b\n" + "".join(
             ",".join([f"{times[r]:.17g}"] + [f"{columns[r, c]:.17g}" for c in range(2)]) + "\n"
             for r in range(times.shape[0]))
-        _write_csv(tmp_path / "s.csv", names, times, columns)
+        _write_csv(tmp_path / "s.csv", names, [f"{t:.17g}," for t in times], columns)
         assert (tmp_path / "s.csv").read_bytes() == want.encode("utf-8")
 
     def test_json_matches_per_value_dump(self, tmp_path):

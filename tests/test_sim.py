@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -62,6 +63,42 @@ def _reference_exact(model, scenario):
                 if not np.all(np.isfinite(x)):
                     return step + 1, rec_steps * dt, out
     return -1, rec_steps * dt, out
+
+
+def _strided_exact(phi, c_seg, seg_bounds, x0, rec_steps, out):
+    """The linear kernel as it was before recorded samples were computed in
+    blocks: one matrix-vector product per knot of ``union(rec_steps,
+    seg_bounds)`` and a finiteness check per recorded sample. The shipped
+    kernel must stay within 1e-10 of its largest state."""
+    dim = phi.shape[0]
+    step = np.eye(dim + c_seg.shape[0])
+    step[:dim, :dim] = phi
+    step[:dim, dim:] = c_seg.T
+    powers = {}
+    x = x0.copy()
+    ri = 0
+    if rec_steps[0] == 0:
+        out[0] = x
+        ri = 1
+    s = 0
+    bounds = seg_bounds.tolist()
+    recs = rec_steps.tolist() + [-1]
+    knots = np.union1d(rec_steps, seg_bounds).tolist()
+    for k0, k1 in zip(knots[:-1], knots[1:]):
+        while bounds[s + 1] <= k0:
+            s += 1
+        k = k1 - k0
+        if k not in powers:
+            pk = np.linalg.matrix_power(step, k)
+            powers[k] = (np.ascontiguousarray(pk[:dim, :dim]), np.ascontiguousarray(pk[:dim, dim:].T))
+        phi_k, c_k = powers[k]
+        x = np.dot(phi_k, x) + c_k[s]
+        if recs[ri] == k1:
+            out[ri] = x
+            ri += 1
+            if not np.isfinite(x).all():
+                return k1
+    return -1
 
 
 def _reference_correction(x, pinj_sel, cap_inv, v_ref, v_nom, vhat_off, g):
@@ -151,17 +188,18 @@ def _array_etd2(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
     return -1
 
 
-def _nonlinear_run(model, scenario, kernel, x0=None):
-    """``integrate`` with ``kernel`` as the nonlinear kernel; returns the
-    kernel's status and the rows it recorded (all of them, or those up to
-    the abort)."""
+def _kernel_run(model, scenario, kernel, x0=None):
+    """``integrate`` with ``kernel`` as the kernel of the scenario's mode;
+    returns the kernel's status and the rows it recorded (all of them, or
+    those up to the abort)."""
     seen = []
 
     def spy(*args):
         seen.append((kernel(*args), args[-1]))
         return seen[-1][0]
 
-    with mock.patch.dict(_kernels.KERNELS, etd2_nonlinear=spy):
+    key = "exact_linear" if scenario.mode is m.CouplingMode.LINEAR else "etd2_nonlinear"
+    with mock.patch.dict(_kernels.KERNELS, {key: spy}):
         try:
             m.integrate(model, scenario, x0)
         except m.IntegrationError:
@@ -174,8 +212,8 @@ def _nonlinear_run(model, scenario, kernel, x0=None):
 
 
 def _assert_matches_array_form(model, scenario, x0=None):
-    want_status, want = _nonlinear_run(model, scenario, _array_etd2, x0)
-    got_status, got = _nonlinear_run(model, scenario, _kernels.etd2_nonlinear, x0)
+    want_status, want = _kernel_run(model, scenario, _array_etd2, x0)
+    got_status, got = _kernel_run(model, scenario, _kernels.etd2_nonlinear, x0)
     assert got_status == want_status
     np.testing.assert_array_equal(got, want)
     return got_status
@@ -444,6 +482,124 @@ class TestStridedPropagation:
         m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=ev,
                                       mode=m.CouplingMode.NONLINEAR))
         assert shapes[1] == (model.dim + 2 + net.n,) * 2
+
+
+# (stride, event offsets in steps from 3 strides): on the record grid, off it,
+# and two events inside one stride, where the stride leaves room for them
+_EVENT_CASES = [(stride, offsets) for stride in (1, 2, 7, 10, 13)
+                for offsets in ((0,), (1,), (1, 2)) if max(offsets) < stride]
+
+
+class TestBlockedPropagation:
+    """Runs of recorded samples computed in blocks: one matrix-vector
+    product per block, the other rows of a block from matrix-matrix
+    products. The sample-by-sample loop it replaced is kept above as
+    ``_strided_exact``."""
+
+    @pytest.mark.parametrize("block", [3, 8])
+    @pytest.mark.parametrize("stride, offsets", _EVENT_CASES)
+    def test_matches_strided_loop_around_the_block_size(self, two_area, monkeypatch, stride,
+                                                        offsets, block):
+        """Run lengths 1, b - 1, b, b + 1 and 2b + 1 after the last event, at
+        a block size held at b; a last interval shorter than the stride
+        follows the run."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        monkeypatch.setattr(_kernels, "block_size", lambda n_rec, dim: min(n_rec, block))
+        events = tuple(m.DisturbanceEvent((3 * stride + off) * 1e-3, i % 2, 0, -0.1 / (i + 1))
+                       for i, off in enumerate(offsets))
+        first = -(-(3 * stride + offsets[-1]) // stride) * stride  # record step at or after them
+        for n_rec in (1, block - 1, block, block + 1, 2 * block + 1):
+            n_steps = first + n_rec * stride + stride // 2
+            scen = m.Scenario(t_end=n_steps * 1e-3, dt=1e-3, record_every=stride,
+                              disturbances=events)
+            status, _, want = _reference_exact(model, scen)
+            old_status, old = _kernel_run(model, scen, _strided_exact)
+            got_status, got = _kernel_run(model, scen, _kernels.exact_linear)
+            assert status == old_status == got_status == -1
+            scale = np.abs(want).max()
+            assert np.abs(got - old).max() <= 1e-10 * scale
+            assert np.abs(got - want).max() <= 1e-8 * scale
+
+    def test_matches_strided_loop_on_reference_scenario(self, paper_sc, paper_model_full):
+        """Blocks of 1 on the 100 samples before the event, of 9 on the 4400
+        after it."""
+        assert [_kernels.block_size(n, paper_model_full.dim) for n in (100, 4400)] == [1, 9]
+        old_status, want = _kernel_run(paper_model_full, paper_sc.scenario, _strided_exact)
+        status, got = _kernel_run(paper_model_full, paper_sc.scenario, _kernels.exact_linear)
+        assert status == old_status == -1
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("stride, magnitude, n_steps, position", [
+        (1, -1.0, 1668, "coarse"), (1, -1.0, 1003, "fine"), (1, -1.0, 997, "last partial block"),
+        (7, -1e-2, 1057, "coarse"), (7, -1.0, 1001, "fine"), (7, -1e-2, 1008, "last partial block"),
+        (10, -1e-2, 1060, "coarse"), (10, -1.0, 1000, "fine"),
+        (10, -1e-2, 1010, "last partial block"),
+    ])
+    def test_abort_inside_a_block(self, two_area, stride, magnitude, n_steps, position):
+        """The first non-finite sample on the first row of a block, on
+        another row, and in the last, partial block of the run after the
+        event: the same abort time as the per-step stepper, and no warning."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        unstable = replace(model, a=model.a + 800.0 * np.eye(model.dim))
+        scen = m.Scenario(t_end=n_steps * 1e-3, dt=1e-3, record_every=stride,
+                          disturbances=(m.DisturbanceEvent(0.1, 0, 0, magnitude),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, _, _ = _reference_exact(unstable, scen)
+        start = -(-100 // stride) * stride  # the run after the event at step 100
+        n_rec = (n_steps - start) // stride
+        block = _kernels.block_size(n_rec, model.dim)
+        row = (status - start) // stride - 1
+        tail = n_rec % block
+        where = ("last partial block" if tail and row >= n_rec - tail
+                 else "coarse" if row % block == 0 else "fine")
+        assert block > 1 and where == position, "the horizon no longer puts the abort there"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(m.IntegrationError, match="non-finite") as err:
+                m.integrate(unstable, scen)
+        assert f"t = {status * scen.dt:.6g} s" in str(err.value)
+
+    @pytest.mark.parametrize("stride, magnitude, n_steps", [
+        (1, -1e-6, 1300), (1, -1e-24, 1300), (7, -1e-36, 1300)])
+    def test_abort_time_of_strided_loop_near_overflow(self, two_area, stride, magnitude, n_steps):
+        """Where a product with the b-th power, or a product summed in another
+        order, overflows a sample earlier or later than the sample-by-sample
+        loop, the abort is still reported at the loop's sample."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        unstable = replace(model, a=model.a + 800.0 * np.eye(model.dim))
+        scen = m.Scenario(t_end=n_steps * 1e-3, dt=1e-3, record_every=stride,
+                          disturbances=(m.DisturbanceEvent(0.1, 0, 0, magnitude),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, _ = _kernel_run(unstable, scen, _strided_exact)
+            got, _ = _kernel_run(unstable, scen, _kernels.exact_linear)
+        assert got == want > 0
+
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    def test_nan_initial_state_aborts_at_first_sample(self, two_area, stride):
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        x0 = np.zeros(model.dim)
+        x0[3] = np.nan
+        scen = m.Scenario(t_end=1.0, dt=1e-3, record_every=stride)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(m.IntegrationError, match="non-finite") as err:
+                m.integrate(model, scen, x0)
+        assert f"t = {stride * scen.dt:.6g} s" in str(err.value)
+
+    def test_working_memory_of_reference_run(self, paper_sc, paper_model_full):
+        """Beyond the states and series it returns, the 45 s reference run
+        allocates at most 3 MB at its peak (about 1.7 MB with blocks of 9)."""
+        tracemalloc.start()
+        try:
+            traj = m.integrate(paper_model_full, paper_sc.scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - traj.states.nbytes - traj.series.nbytes <= 3e6
 
 
 class TestNonlinearMode:
