@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import one_thread
-from .assembly import ClosedLoopModel, PI_LINK, assemble_resistive
+from .assembly import ClosedLoopModel, assemble_resistive
 from .control import ControllerConfig
 from .netgraph import laplacian, ones_complement
 from .plant import MtdcNetwork
@@ -245,8 +245,8 @@ def lyapunov_matrix(model: ClosedLoopModel, form: str = "energy") -> np.ndarray:
     if layout.has("conv_phase"):
         ph = layout.sl("conv_phase")
         p[ph, ph] += 0.5 * laplacian(model.cfg.comm_phi)
-    if model.plant == PI_LINK:
-        chain = model.chain
+    chain = model.chain
+    if chain is not None:
         cur_weight = chain.l_seg if form == "energy" else 1.0 / chain.l_seg
         for q in range(1, chain.n_segments + 1):
             sl = layout.sl(f"line_current{q}")
@@ -375,8 +375,8 @@ def gain_limit_sweep(net: MtdcNetwork, areas, cfg: ControllerConfig,
     rows = []
     for scale in scales:
         scale = float(scale)
-        if scale <= 0.0:
-            raise ValueError("scales must be > 0")
+        if not 0.0 < scale < np.inf:
+            raise ValueError("scales must be finite and > 0")
         scaled = replace(
             cfg,
             k_omega=tuple(k * scale for k in cfg.k_omega),

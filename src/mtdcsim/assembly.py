@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControllerConfig, Variant
+from .control import ControllerConfig
 from .netgraph import laplacian, ones_complement, require_finite
 from .plant import (
     MtdcNetwork,
@@ -42,8 +42,6 @@ from .plant import (
     pi_link_matrices,
 )
 
-RESISTIVE = "resistive"
-PI_LINK = "pi_link"
 # row blocks of ``series_map``, one row per converter/area each, in this order
 SERIES_FAMILIES = ("frequencies", "dc_voltages", "generation", "injections")
 
@@ -98,8 +96,6 @@ class ClosedLoopModel:
     b_dist: np.ndarray
     output: np.ndarray
     layout: StateLayout
-    variant: Variant
-    plant: str
     net: MtdcNetwork
     areas: tuple
     cfg: ControllerConfig
@@ -294,8 +290,6 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
         b_dist=b_dist,
         output=out,
         layout=layout,
-        variant=cfg.variant,
-        plant=RESISTIVE if chain is None else PI_LINK,
         net=net,
         areas=tuple(areas),
         cfg=cfg,

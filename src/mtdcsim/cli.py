@@ -1,18 +1,19 @@
 """Command-line surface: analyze | simulate | compare | sweep.
 
 Exit codes are a stable contract: 0 success, 2 configuration error,
-3 numerical abort during integration. Time series are written one file
-per quantity family with a ``t,<names>`` header, newline-terminated
-lines, and floats printed with 17 significant digits so files
-round-trip bit-exactly.
+3 numerical abort during integration. Every CSV (the time series, one
+file per quantity family, ``summary.csv`` and ``sweep.csv``) has a header
+line, a first column (``t``, ``variant`` or ``scale``) and then floats
+printed with 17 significant digits, so files round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from ._blas import one_thread
 from .analysis import (
     EquilibriumReport,
     StabilityReport,
+    SweepRow,
     UnstableSystemError,
     gain_limit_sweep,
     equilibrium,
@@ -45,15 +47,12 @@ class RunReport:
     artifacts: tuple
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_csv(path: Path, names, time_cells, columns) -> None:
-    row = ",".join(["%.17g"] * columns.shape[1]) + "\n"
+def _write_csv(path: Path, names, first_cells, rows) -> None:
+    """Header ``names``; per row its ready first cell (ending in ``,``), then its floats."""
+    row = ",".join(["%.17g"] * (len(names) - 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        fh.writelines([t + row % tuple(r) for t, r in zip(time_cells, columns.tolist())])
+        fh.write(",".join(names) + "\n")
+        fh.writelines([c + row % tuple(r) for c, r in zip(first_cells, rows)])
 
 
 def _write_series_json(path: Path, names, times, columns) -> None:
@@ -90,7 +89,7 @@ def _emit_timeseries(trajs: dict, out_dir: Path, fmt: str) -> list:
         for family, (names, columns) in _series_families(traj).items():
             if fmt == "csv":
                 path = out_dir / f"{prefix}{family}.csv"
-                _write_csv(path, names, time_cells, columns)
+                _write_csv(path, ["t", *names], time_cells, columns.tolist())
                 artifacts.append((TIMESERIES_CSV, str(path)))
             else:
                 path = out_dir / f"{prefix}{family}.json"
@@ -99,58 +98,38 @@ def _emit_timeseries(trajs: dict, out_dir: Path, fmt: str) -> list:
     return artifacts
 
 
-def _stability_to_dict(rep: StabilityReport) -> dict:
-    if rep is None:
-        return None
-    return {
-        "assumption1": None if rep.assumption1 is None else {
-            "holds": rep.assumption1.holds,
-            "k_phi": rep.assumption1.k_phi,
-            "residual": rep.assumption1.residual,
-        },
-        "assumption2": None if rep.assumption2 is None else {
-            "holds": rep.assumption2.holds,
-            "bound": rep.assumption2.bound,
-            "gamma": rep.assumption2.gamma,
-        },
-        "spectral_abscissa": rep.spectral_abscissa,
-        "q1_min_eig": rep.q1_min_eig,
-        "q2_min_eig": rep.q2_min_eig,
-        "certificate": rep.certificate.value,
-    }
+def _jsonable(obj):
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _equilibrium_to_dict(rep: EquilibriumReport) -> dict:
-    if rep is None:
-        return None
-    return {
-        "omega_hat_star": rep.omega_hat_star.tolist(),
-        "v_hat_star": rep.v_hat_star.tolist(),
-        "eta_star": None if rep.eta_star is None else rep.eta_star.tolist(),
-        "phi_star": None if rep.phi_star is None else rep.phi_star.tolist(),
-        "p_gen_star": rep.p_gen_star.tolist(),
-        "p_inj_star": rep.p_inj_star.tolist(),
-        "area_gen_totals": rep.area_gen_totals.tolist(),
-        "kkt_gen_residual": rep.kkt_gen_residual,
-        "kkt_volt_residual": rep.kkt_volt_residual,
-        "avg_freq_residual": rep.avg_freq_residual,
-        "injection_balance": rep.injection_balance,
-        "cost_generation": rep.cost_generation,
-        "cost_voltage": rep.cost_voltage,
-    }
+def _open_run(config_path, out_dir):
+    """The loaded config and the created output directory of one command."""
+    sc = load_config(config_path)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return sc, out
 
 
-def _write_report(path: Path, stability, equil, artifacts, extra=None) -> None:
+def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
+    """Write ``report.json``, listed last among ``artifacts``, and return the run's report."""
+    path = out / "report.json"
+    artifacts = (*artifacts, (REPORT_JSON, str(path)))
     doc = {
-        "stability": _stability_to_dict(stability),
-        "equilibrium": _equilibrium_to_dict(equil),
+        "stability": asdict(stability),
+        "equilibrium": None if equil is None else asdict(equil),
         "artifacts": [{"kind": kind, "path": p} for kind, p in artifacts],
+        **extra,
     }
-    if extra:
-        doc.update(extra)
+    if equil is not None:
+        del doc["equilibrium"]["x_star"]  # report.json has never carried the full state
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, default=_jsonable)
         fh.write("\n")
+    return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
 
 
 def _total_disturbance(sc: SystemConfig, model):
@@ -169,35 +148,22 @@ def _analysis_pair(sc: SystemConfig, model):
 
 
 def cmd_analyze(config_path, out_dir) -> RunReport:
-    sc = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stability, equil = _analysis_pair(
-        sc, assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True))
-    report_path = out / "report.json"
-    artifacts = ((REPORT_JSON, str(report_path)),)
-    _write_report(report_path, stability, equil, artifacts)
-    return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
+    sc, out = _open_run(config_path, out_dir)
+    model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+    return _finish_run(out, (), *_analysis_pair(sc, model))
 
 
 def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") -> RunReport:
-    sc = load_config(config_path)
+    sc, out = _open_run(config_path, out_dir)
     if variant is not None:
         try:
             sc = replace(sc, cfg=replace(sc.cfg, variant=Variant(variant)))
         except ValueError as exc:
             raise ConfigError(f"--variant: {exc}") from exc
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=False)
     traj = integrate(model, sc.scenario)
     artifacts = _emit_timeseries({"": traj}, out, fmt)
-    stability, equil = _analysis_pair(sc, reduce_model(model))
-    report_path = out / "report.json"
-    artifacts.append((REPORT_JSON, str(report_path)))
-    artifacts = tuple(artifacts)
-    _write_report(report_path, stability, equil, artifacts)
-    return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
+    return _finish_run(out, artifacts, *_analysis_pair(sc, reduce_model(model)))
 
 
 def _settling_time(times, series, final_row) -> float:
@@ -219,9 +185,7 @@ def _settling_time(times, series, final_row) -> float:
 
 
 def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
-    sc = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    sc, out = _open_run(config_path, out_dir)
     results = compare_variants(sc.net, sc.areas, sc.cfg, sc.scenario)
     artifacts = _emit_timeseries({f"{v.value}__": traj for v, traj in results.items()}, out, fmt)
     summary_rows = []
@@ -241,25 +205,14 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
             "settling_time_inj": _settling_time(traj.times, inj, inj[-1]),
         })
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        cols = ["variant", "static_freq_error", "weighted_vdev_terminal",
-                "gen_spread", "settling_time_inj"]
-        fh.write(",".join(cols) + "\n")
-        for row in summary_rows:
-            fh.write(",".join(row["variant"] if c == "variant" else _fmt(row[c])
-                              for c in cols) + "\n")
+    _write_csv(summary_path, list(summary_rows[0]), [row["variant"] + "," for row in summary_rows],
+               [list(row.values())[1:] for row in summary_rows])
     artifacts.append((TIMESERIES_CSV, str(summary_path)))
     if sc.cfg.variant in results:
         model = reduce_model(results[sc.cfg.variant].model)
     else:
         model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
-    stability, equil = _analysis_pair(sc, model)
-    report_path = out / "report.json"
-    artifacts.append((REPORT_JSON, str(report_path)))
-    artifacts = tuple(artifacts)
-    _write_report(report_path, stability, equil, artifacts,
-                  extra={"comparison": summary_rows})
-    return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
+    return _finish_run(out, artifacts, *_analysis_pair(sc, model), comparison=summary_rows)
 
 
 def cmd_sweep(config_path, out_dir, scales) -> RunReport:
@@ -270,21 +223,12 @@ def cmd_sweep(config_path, out_dir, scales) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
-    rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg,
-                                 _total_disturbance(sc, model), scales)
+    rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg, _total_disturbance(sc, model), scales)
     sweep_path = out / "sweep.csv"
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("scale,is_hurwitz,max_abs_freq_dev,kkt_gen_residual,kkt_volt_residual\n")
-        for row in rows:
-            fh.write(",".join([
-                _fmt(row.scale),
-                "1" if row.is_hurwitz else "0",
-                _fmt(row.max_abs_freq_dev),
-                _fmt(row.kkt_gen_residual),
-                _fmt(row.kkt_volt_residual),
-            ]) + "\n")
-    artifacts = ((SWEEP_CSV, str(sweep_path)),)
-    return RunReport(stability=None, equilibrium=None, artifacts=artifacts)
+    # "%.17g" % True is "1": is_hurwitz needs no cell of its own
+    _write_csv(sweep_path, [f.name for f in fields(SweepRow)],
+               ["%.17g," % row.scale for row in rows], [astuple(row)[1:] for row in rows])
+    return RunReport(stability=None, equilibrium=None, artifacts=((SWEEP_CSV, str(sweep_path)),))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="equilibrium quality under joint gain scaling")
     common(p_sw)
     p_sw.add_argument("--scales", default="1,10,100",
-                      help="comma-separated positive scale factors")
+                      help="comma-separated positive finite scale factors")
     return parser
 
 
@@ -332,7 +276,10 @@ def main(argv=None) -> int:
             try:
                 scales = [float(s) for s in args.scales.split(",") if s.strip()]
             except ValueError:
-                print("error: --scales must be comma-separated numbers", file=sys.stderr)
+                scales = []
+            if not scales or not all(0.0 < s < np.inf for s in scales):
+                print("error: --scales must be comma-separated positive finite numbers",
+                      file=sys.stderr)
                 return 2
             cmd_sweep(args.config, args.out, scales)
     except ConfigError as exc:

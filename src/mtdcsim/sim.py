@@ -110,7 +110,6 @@ class Trajectory:
     states: np.ndarray
     model: ClosedLoopModel
     series: np.ndarray
-    mode: CouplingMode
 
     def outputs(self) -> np.ndarray:
         """y = [frequency deviations, DC voltage deviations] per sample."""
@@ -300,7 +299,6 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
         states=out,
         model=model,
         series=out @ model.series_map.T + model.series_offset,
-        mode=scenario.mode,
     )
 
 

@@ -233,6 +233,12 @@ class TestGainLimitSweep:
         with pytest.raises(ValueError, match="gamma"):
             m.gain_limit_sweep(net, areas, cfg, np.zeros(2), (1.0,))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_scale_rejected(self, three_area, scale):
+        net, areas, cfg = three_area
+        with pytest.raises(ValueError, match="scales must be finite and > 0"):
+            m.gain_limit_sweep(net, areas, cfg, np.array([-0.2, 0.0, 0.0]), (1.0, scale))
+
     def test_non_hurwitz_row_flagged_not_fatal(self, three_area, monkeypatch):
         from mtdcsim import analysis as analysis_mod
         real_hurwitz = analysis_mod.hurwitz

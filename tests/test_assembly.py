@@ -159,7 +159,7 @@ def _oracle_check(net, areas, cfg, model, rng, n_states=25, mode="linear"):
             off += nb
         if model.reduced:
             full = m.assemble_resistive(net, areas, cfg, reduced=False) \
-                if model.plant == "resistive" else \
+                if model.chain is None else \
                 m.assemble_pi_link(net, areas, cfg, reduced=False)
             t_mat = model.projection
             x_full = t_mat.T @ x

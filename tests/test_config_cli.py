@@ -15,6 +15,7 @@ import pytest
 
 import mtdcsim as m
 from mtdcsim import cli
+from mtdcsim._blas import one_thread
 from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
                          cmd_sweep, main)
 from mtdcsim.config import config_to_dict, parse_config
@@ -37,12 +38,108 @@ def short_cfg_path(paper_doc, tmp_path):
     return path
 
 
+@pytest.fixture()
+def damped_cfg_path(short_cfg_path):
+    """The short system with gamma = 4: Lyapunov-proven, and the gain sweep runs."""
+    doc = json.loads(short_cfg_path.read_text())
+    doc["controller"]["gamma"] = 4.0
+    path = short_cfg_path.with_name("damped.cfg")
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header = rows[0]
     data = np.array([[float(c) for c in row] for row in rows[1:]])
     return header, data
+
+
+# The report and table writers of the CLI from before every CSV went through
+# ``cli._write_csv`` and report.json was dumped from the dataclasses,
+# unchanged but for their names: the byte-for-byte oracle of
+# ``TestWriterOracles``.
+
+def _fmt(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def _stability_to_dict(rep) -> dict:
+    if rep is None:
+        return None
+    return {
+        "assumption1": None if rep.assumption1 is None else {
+            "holds": rep.assumption1.holds,
+            "k_phi": rep.assumption1.k_phi,
+            "residual": rep.assumption1.residual,
+        },
+        "assumption2": None if rep.assumption2 is None else {
+            "holds": rep.assumption2.holds,
+            "bound": rep.assumption2.bound,
+            "gamma": rep.assumption2.gamma,
+        },
+        "spectral_abscissa": rep.spectral_abscissa,
+        "q1_min_eig": rep.q1_min_eig,
+        "q2_min_eig": rep.q2_min_eig,
+        "certificate": rep.certificate.value,
+    }
+
+
+def _equilibrium_to_dict(rep) -> dict:
+    if rep is None:
+        return None
+    return {
+        "omega_hat_star": rep.omega_hat_star.tolist(),
+        "v_hat_star": rep.v_hat_star.tolist(),
+        "eta_star": None if rep.eta_star is None else rep.eta_star.tolist(),
+        "phi_star": None if rep.phi_star is None else rep.phi_star.tolist(),
+        "p_gen_star": rep.p_gen_star.tolist(),
+        "p_inj_star": rep.p_inj_star.tolist(),
+        "area_gen_totals": rep.area_gen_totals.tolist(),
+        "kkt_gen_residual": rep.kkt_gen_residual,
+        "kkt_volt_residual": rep.kkt_volt_residual,
+        "avg_freq_residual": rep.avg_freq_residual,
+        "injection_balance": rep.injection_balance,
+        "cost_generation": rep.cost_generation,
+        "cost_voltage": rep.cost_voltage,
+    }
+
+
+def _old_report(path: Path, stability, equil, artifacts, extra=None) -> None:
+    doc = {
+        "stability": _stability_to_dict(stability),
+        "equilibrium": _equilibrium_to_dict(equil),
+        "artifacts": [{"kind": kind, "path": p} for kind, p in artifacts],
+    }
+    if extra:
+        doc.update(extra)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _old_summary_csv(summary_path: Path, summary_rows) -> None:
+    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+        cols = ["variant", "static_freq_error", "weighted_vdev_terminal",
+                "gen_spread", "settling_time_inj"]
+        fh.write(",".join(cols) + "\n")
+        for row in summary_rows:
+            fh.write(",".join(row["variant"] if c == "variant" else _fmt(row[c])
+                              for c in cols) + "\n")
+
+
+def _old_sweep_csv(sweep_path: Path, rows) -> None:
+    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("scale,is_hurwitz,max_abs_freq_dev,kkt_gen_residual,kkt_volt_residual\n")
+        for row in rows:
+            fh.write(",".join([
+                _fmt(row.scale),
+                "1" if row.is_hurwitz else "0",
+                _fmt(row.max_abs_freq_dev),
+                _fmt(row.kkt_gen_residual),
+                _fmt(row.kkt_volt_residual),
+            ]) + "\n")
 
 
 class TestConfigParsing:
@@ -358,6 +455,17 @@ class TestSweepCommand:
         assert data.shape[0] == 2
         assert data[0, 2] > data[1, 2]  # max_abs_freq_dev decreasing
 
+    @pytest.mark.parametrize("scales", ["-1", "0", "nan", "inf", "1e400", ""])
+    def test_rejects_bad_scales(self, damped_cfg_path, tmp_path, capsys, scales):
+        """Non-positive, non-finite or no scales: exit 2, one stderr line, no table."""
+        out = tmp_path / "w"
+        code = main(["sweep", "--config", str(damped_cfg_path), "--out", str(out),
+                     "--scales", scales])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --scales ") and len(err.splitlines()) == 1
+        assert not (out / "sweep.csv").exists()
+
 
 class TestWriters:
     """The writers reproduce the per-value formatting they replaced."""
@@ -376,7 +484,7 @@ class TestWriters:
         want = "t,a,b\n" + "".join(
             ",".join([f"{times[r]:.17g}"] + [f"{columns[r, c]:.17g}" for c in range(2)]) + "\n"
             for r in range(times.shape[0]))
-        _write_csv(tmp_path / "s.csv", names, [f"{t:.17g}," for t in times], columns)
+        _write_csv(tmp_path / "s.csv", ["t", *names], [f"{t:.17g}," for t in times], columns.tolist())
         assert (tmp_path / "s.csv").read_bytes() == want.encode("utf-8")
 
     def test_json_matches_per_value_dump(self, tmp_path):
@@ -388,3 +496,67 @@ class TestWriters:
             fh.write("\n")
         _write_series_json(tmp_path / "s.json", names, times, columns)
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+class TestWriterOracles:
+    """report.json, summary.csv and sweep.csv equal, byte for byte, what the
+    hand-written writers kept above produce from the same results."""
+
+    def _assert_report_matches(self, rep, out, tmp_path, extra=None):
+        _old_report(tmp_path / "want.json", rep.stability, rep.equilibrium, rep.artifacts, extra)
+        assert (out / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_analyze_hurwitz_only(self, short_cfg_path, tmp_path):
+        rep = cmd_analyze(short_cfg_path, tmp_path / "a")
+        assert rep.stability.certificate is m.CertificateClass.HURWITZ_ONLY
+        assert not rep.stability.assumption2.holds
+        self._assert_report_matches(rep, tmp_path / "a", tmp_path)
+
+    def test_analyze_lyapunov_proven(self, damped_cfg_path, tmp_path):
+        rep = cmd_analyze(damped_cfg_path, tmp_path / "a")
+        assert rep.stability.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+        self._assert_report_matches(rep, tmp_path / "a", tmp_path)
+
+    def test_simulate_decentralized_nulls(self, short_cfg_path, tmp_path):
+        rep = cmd_simulate(short_cfg_path, tmp_path / "s", variant="dec_gen_dec_conv")
+        doc = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert doc["stability"]["assumption1"] is None and doc["stability"]["assumption2"] is None
+        assert doc["equilibrium"]["eta_star"] is None and doc["equilibrium"]["phi_star"] is None
+        self._assert_report_matches(rep, tmp_path / "s", tmp_path)
+
+    def test_non_hurwitz_loop_has_null_equilibrium(self, short_cfg_path, tmp_path, monkeypatch):
+        real_assemble = cli.assemble_resistive
+
+        def unstable(*args, **kwargs):
+            model = real_assemble(*args, **kwargs)
+            return replace(model, a=model.a + 800.0 * np.eye(model.dim))
+
+        monkeypatch.setattr(cli, "assemble_resistive", unstable)
+        rep = cmd_analyze(short_cfg_path, tmp_path / "u")
+        assert rep.stability.certificate is m.CertificateClass.UNSTABLE
+        assert rep.equilibrium is None
+        assert json.loads((tmp_path / "u" / "report.json").read_text())["equilibrium"] is None
+        self._assert_report_matches(rep, tmp_path / "u", tmp_path)
+
+    def test_compare_summary_and_report(self, short_cfg_path, tmp_path):
+        out = tmp_path / "c"
+        rep = cmd_compare(short_cfg_path, out)
+        rows = json.loads((out / "report.json").read_text())["comparison"]
+        _old_summary_csv(tmp_path / "want.csv", rows)
+        assert (out / "summary.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        self._assert_report_matches(rep, out, tmp_path, extra={"comparison": rows})
+
+    def test_sweep_with_non_hurwitz_row(self, damped_cfg_path, tmp_path):
+        out = tmp_path / "w"
+        assert main(["sweep", "--config", str(damped_cfg_path), "--out", str(out),
+                     "--scales", "1,1e300"]) == 0
+        sc = m.load_config(damped_cfg_path)
+        with one_thread():  # as inside ``main``: the products then sum as they did there
+            model = m.assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+            rows = m.gain_limit_sweep(sc.net, sc.areas, sc.cfg,
+                                      cli._total_disturbance(sc, model), [1.0, 1e300])
+        assert [r.is_hurwitz for r in rows] == [True, False]
+        _old_sweep_csv(tmp_path / "want.csv", rows)
+        got = (out / "sweep.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.splitlines()[2].startswith(b"1.0000000000000001e+300,0,nan,")
