@@ -216,18 +216,14 @@ def lyapunov_certificate(net: MtdcNetwork, areas, cfg: ControllerConfig) -> Cert
     )
 
 
-def lyapunov_matrix(model: ClosedLoopModel, form: str = "energy") -> np.ndarray:
+def lyapunov_matrix(model: ClosedLoopModel) -> np.ndarray:
     """Quadratic form P with W(x) = x^T P x for the model's layout.
 
     P is built once, on the assembled coordinates; for a reduced model it
-    is T P T^T with the model's projection T.
-
-    ``form`` selects the line-current weighting of the pi-link terms:
-    "energy" uses the segment inductances (the form that decreases along
-    trajectories), "printed" their inverses (reported for comparison only).
+    is T P T^T with the model's projection T. The pi-link terms weight the
+    line currents by the segment inductances and the line voltages by the
+    segment capacitances, the stored energy of the chain.
     """
-    if form not in ("energy", "printed"):
-        raise ValueError("form must be 'energy' or 'printed'")
     layout = model.assembled_layout
     p = np.zeros((layout.dim, layout.dim))
     for i, area in enumerate(model.areas):
@@ -247,10 +243,9 @@ def lyapunov_matrix(model: ClosedLoopModel, form: str = "energy") -> np.ndarray:
         p[ph, ph] += 0.5 * laplacian(model.cfg.comm_phi)
     chain = model.chain
     if chain is not None:
-        cur_weight = chain.l_seg if form == "energy" else 1.0 / chain.l_seg
         for q in range(1, chain.n_segments + 1):
             sl = layout.sl(f"line_current{q}")
-            p[sl, sl] += 0.5 * model.net.v_nom * np.diag(cur_weight)
+            p[sl, sl] += 0.5 * model.net.v_nom * np.diag(chain.l_seg)
         for q in range(1, chain.n_segments):
             sl = layout.sl(f"line_voltage{q}")
             p[sl, sl] += 0.5 * model.net.v_nom * np.diag(chain.c_seg)
@@ -361,6 +356,7 @@ def stability_report(model: ClosedLoopModel) -> StabilityReport:
     )
 
 
+@one_thread()
 def gain_limit_sweep(net: MtdcNetwork, areas, cfg: ControllerConfig,
                           u: np.ndarray, scales) -> tuple:
     """Equilibrium quality as the converter/integral gains grow jointly.

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._blas import one_thread
 from .control import ControllerConfig
 from .netgraph import laplacian, ones_complement, require_finite
 from .plant import (
@@ -108,6 +109,9 @@ class ClosedLoopModel:
     # (spectral abscissa, verdict), filled by the first ``analysis.hurwitz``
     # call; ``a`` is never modified in place, and ``replace`` starts afresh
     hurwitz_memo: tuple = field(default=None, init=False, repr=False)
+    # step size -> zero-order-hold discretization (``sim._Propagator``), filled
+    # by ``sim.integrate`` from ``a``, ``b_dist`` and the layout alone
+    zoh_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -301,6 +305,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     )
 
 
+@one_thread()
 def assemble_resistive(net: MtdcNetwork, areas, cfg: ControllerConfig,
                        reduced: bool = True) -> ClosedLoopModel:
     """Closed loop with the purely resistive DC line model."""
@@ -309,6 +314,7 @@ def assemble_resistive(net: MtdcNetwork, areas, cfg: ControllerConfig,
     return reduce_model(full) if reduced else full
 
 
+@one_thread()
 def assemble_pi_link(net: MtdcNetwork, areas, cfg: ControllerConfig,
                      reduced: bool = True, allow_multi_gen: bool = False) -> ClosedLoopModel:
     """Closed loop with dynamic pi-link DC lines.
@@ -329,6 +335,7 @@ def assemble_pi_link(net: MtdcNetwork, areas, cfg: ControllerConfig,
     return reduce_model(full) if reduced else full
 
 
+@one_thread()
 def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
     """Drop the unobservable uniform angle/phase directions.
 

@@ -133,7 +133,7 @@ def test_criterion_07_lyapunov_monotonicity(paper_sc):
     net_pi, areas_pi, cfg_pi = _single_gen_reference(paper_sc, gamma=4.0)
     model_pi = m.assemble_pi_link(net_pi, areas_pi, cfg_pi, reduced=True)
     scen_pi = replace(scen, disturbances=(m.DisturbanceEvent(1.0, 0, 0, -0.2),))
-    trace_pi = m.lyapunov_trace(model_pi, scen_pi, form="energy")
+    trace_pi = m.lyapunov_trace(model_pi, scen_pi)
     ok = trace_res.max_step_increase <= 1e-8 and trace_pi.max_step_increase <= 1e-8
     _report(7, "candidate function nonincreasing along damped trajectories", ok,
             f"max_increase resistive={trace_res.max_step_increase:.2g}, "

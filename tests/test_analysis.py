@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mtdcsim as m
-from mtdcsim.analysis import lyapunov_matrix, spectral_abscissa
+from mtdcsim.analysis import spectral_abscissa
 from mtdcsim.netgraph import laplacian
 
 from conftest import random_stable_config, single_gen_system
@@ -152,12 +152,6 @@ class TestStabilityReport:
             replace(paper_sc.cfg, variant=m.Variant.DIST_GEN_DEC_CONV), reduced=True))
         assert rep.assumption1 is None
         assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
-
-
-class TestLyapunovMatrix:
-    def test_form_argument(self, paper_model_reduced):
-        with pytest.raises(ValueError, match="form"):
-            lyapunov_matrix(paper_model_reduced, form="x")
 
 
 class TestEquilibrium:

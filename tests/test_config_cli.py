@@ -15,7 +15,6 @@ import pytest
 
 import mtdcsim as m
 from mtdcsim import cli
-from mtdcsim._blas import one_thread
 from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
                          cmd_sweep, main)
 from mtdcsim.config import config_to_dict, parse_config
@@ -551,10 +550,9 @@ class TestWriterOracles:
         assert main(["sweep", "--config", str(damped_cfg_path), "--out", str(out),
                      "--scales", "1,1e300"]) == 0
         sc = m.load_config(damped_cfg_path)
-        with one_thread():  # as inside ``main``: the products then sum as they did there
-            model = m.assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
-            rows = m.gain_limit_sweep(sc.net, sc.areas, sc.cfg,
-                                      cli._total_disturbance(sc, model), [1.0, 1e300])
+        model = m.assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+        rows = m.gain_limit_sweep(sc.net, sc.areas, sc.cfg,
+                                  cli._total_disturbance(sc, model), [1.0, 1e300])
         assert [r.is_hurwitz for r in rows] == [True, False]
         _old_sweep_csv(tmp_path / "want.csv", rows)
         got = (out / "sweep.csv").read_bytes()

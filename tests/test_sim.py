@@ -29,7 +29,8 @@ def _run_kernel(a, t_end, dt, x0):
     rec = np.array([0, n_steps], dtype=np.int64)
     out = np.empty((2, a.shape[0]))
     phi, gc = discretize(a, np.zeros((a.shape[0], 1)), dt)
-    status = _kernels.KERNELS["exact_linear"](phi, np.ascontiguousarray(gc.T), bounds, x0, rec, out)
+    status = _kernels.KERNELS["exact_linear"](_kernels.PhiPowers(phi), np.ascontiguousarray(gc.T),
+                                              bounds, x0, rec, out)
     assert status == -1
     return out[-1]
 
@@ -65,11 +66,13 @@ def _reference_exact(model, scenario):
     return -1, rec_steps * dt, out
 
 
-def _strided_exact(phi, c_seg, seg_bounds, x0, rec_steps, out):
+def _strided_exact(powers, c_seg, seg_bounds, x0, rec_steps, out):
     """The linear kernel as it was before recorded samples were computed in
     blocks: one matrix-vector product per knot of ``union(rec_steps,
     seg_bounds)`` and a finiteness check per recorded sample. The shipped
-    kernel must stay within 1e-10 of its largest state."""
+    kernel must stay within 1e-10 of its largest state. It takes the
+    shipped kernel's arguments but uses only ``phi = powers.phi``."""
+    phi = powers.phi
     dim = phi.shape[0]
     step = np.eye(dim + c_seg.shape[0])
     step[:dim, :dim] = phi
@@ -220,7 +223,10 @@ def _assert_matches_array_form(model, scenario, x0=None):
 
 
 def _assert_expm_matches_scipy(a):
-    got, want = m.sim.expm(a), expm(a)
+    """``a`` square, or the top rows of a matrix whose other rows are zero."""
+    square = np.zeros((a.shape[1], a.shape[1]))
+    square[:a.shape[0]] = a
+    got, want = m.sim.expm(a), expm(square)[:a.shape[0]]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -243,17 +249,20 @@ class TestMatrixExponential:
         np.testing.assert_array_equal(m.sim.expm(np.zeros((n, n))), np.eye(n))
 
     def test_reference_augmented_matrices(self, paper_model_full, paper_sc, monkeypatch):
-        """The Van Loan matrices the linear and nonlinear reference runs exponentiate."""
+        """The top rows of the Van Loan matrix that the linear and nonlinear
+        reference runs share: the state matrix, every disturbance column and
+        the unit DC-voltage columns."""
         seen = []
         real_expm = m.sim.expm
         monkeypatch.setattr(m.sim, "expm", lambda a: seen.append(a) or real_expm(a))
+        model = replace(paper_model_full)
         scen = replace(paper_sc.scenario, t_end=2.0)
-        m.integrate(paper_model_full, scen)
-        m.integrate(paper_model_full, replace(scen, mode=m.CouplingMode.NONLINEAR))
+        m.integrate(model, scen)
+        m.integrate(model, replace(scen, mode=m.CouplingMode.NONLINEAR))
         monkeypatch.undo()
-        assert len(seen) == 2
-        for a in seen:
-            _assert_expm_matches_scipy(a)
+        n_vdc = model.layout.length("vdc")
+        assert [a.shape for a in seen] == [(model.dim, model.dim + model.b_dist.shape[1] + n_vdc)]
+        _assert_expm_matches_scipy(seen[0])
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -465,23 +474,93 @@ class TestStridedPropagation:
         assert status > 0
         assert f"t = {status * scen.dt:.6g} s" in str(err.value)
 
-    def test_exponentiates_forcing_columns_only(self, two_area, monkeypatch):
-        """One expm of size n + #segments (linear) or n + #segments + #converters
-        (nonlinear), and one matrix power per distinct interval length."""
+
+class TestDiscretizationMemo:
+    """Each model discretizes once per step size: later runs reuse phi, the
+    input integral and the powers of phi, and give the same states as a
+    run on a fresh copy."""
+
+    def test_one_discretization_per_model_and_step(self, two_area, monkeypatch):
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
-        shapes, powers = [], []
-        real_expm, real_power = m.sim.expm, np.linalg.matrix_power
-        monkeypatch.setattr(m.sim, "expm", lambda a: shapes.append(a.shape) or real_expm(a))
+        calls = {"discretize": 0, "expm": 0, "matrix_power": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(m.sim, "discretize", counting("discretize", m.sim.discretize))
+        monkeypatch.setattr(m.sim, "expm", counting("expm", m.sim.expm))
         monkeypatch.setattr(np.linalg, "matrix_power",
-                            lambda a, k: powers.append(k) or real_power(a, k))
-        ev = (m.DisturbanceEvent(0.2, 0, 0, -0.1),)
-        m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=ev))
-        assert shapes == [(model.dim + 2,) * 2]
-        assert powers == [10]
-        m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=ev,
-                                      mode=m.CouplingMode.NONLINEAR))
-        assert shapes[1] == (model.dim + 2 + net.n,) * 2
+                            counting("matrix_power", np.linalg.matrix_power))
+
+        def run(model, dt=1e-3, mode=m.CouplingMode.LINEAR, area=0, magnitude=-0.1):
+            ev = (m.DisturbanceEvent(0.2, area, 0, magnitude),)
+            m.integrate(model, m.Scenario(t_end=1.0, dt=dt, record_every=10, disturbances=ev,
+                                          mode=mode))
+
+        run(model)
+        assert calls["discretize"] == calls["expm"] == 1
+        assert calls["matrix_power"] > 0
+        before = dict(calls)
+        powers = model.zoh_memo[1e-3].powers
+        cached = [id(p) for p in powers._powers.values()]
+        run(model, area=1, magnitude=0.3)
+        run(model, mode=m.CouplingMode.NONLINEAR, magnitude=-0.2)
+        run(model, mode=m.CouplingMode.NONLINEAR, area=1)
+        assert calls == before
+        assert [id(p) for p in powers._powers.values()] == cached  # no power formed again
+        run(replace(model, a=model.a.copy()))
+        assert calls["discretize"] == 2
+        run(model, dt=2e-3)
+        assert calls["discretize"] == 3
+        assert set(model.zoh_memo) == {1e-3, 2e-3}
+
+    def test_event_offsets_keep_no_new_powers(self, two_area):
+        """Events at every offset inside a stride of 10 keep only the powers
+        of two, the stride's power and its block powers."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        for offset in range(10):
+            ev = (m.DisturbanceEvent((200 + offset) * 1e-3, 0, 0, -0.1),)
+            m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=ev))
+        kept = set(model.zoh_memo[1e-3].powers._powers)
+        assert {k for k, b in kept if b == 1} <= {1, 2, 4, 8, 10}
+        assert {k for k, b in kept if b > 1} == {10}
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_history_independence_and_superposition(self, seed):
+        """After runs of other events, the other mode and another step size,
+        a model gives bit for bit the states of a fresh copy; the linear
+        responses to two events add up to the response to both."""
+        rng = np.random.default_rng(seed)
+        net, areas, cfg = random_stable_config(rng)
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+
+        def event():
+            return m.DisturbanceEvent(1e-3 * int(rng.integers(0, 500)), int(rng.integers(net.n)),
+                                      0, float(rng.uniform(-0.5, 0.5)))
+
+        def scenario(events, mode=m.CouplingMode.LINEAR, dt=1e-3):
+            return m.Scenario(t_end=0.5, dt=dt, record_every=int(rng.integers(1, 14)),
+                              disturbances=events, mode=mode)
+
+        one, two = event(), event()
+        both = scenario((one, two))
+        for history in (scenario((two,), dt=5e-4), scenario((event(),)),
+                        scenario((one,), m.CouplingMode.NONLINEAR), scenario((event(), event()))):
+            m.integrate(model, history)
+        for scen in (both, replace(both, mode=m.CouplingMode.NONLINEAR)):
+            np.testing.assert_array_equal(m.integrate(model, scen).states,
+                                          m.integrate(replace(model), scen).states)
+        x_both = m.integrate(model, both).states
+        x_sum = (m.integrate(model, replace(both, disturbances=(one,))).states
+                 + m.integrate(model, replace(both, disturbances=(two,))).states
+                 - m.integrate(model, replace(both, disturbances=())).states)
+        assert np.abs(x_both - x_sum).max() <= 1e-12 * np.abs(x_both).max()
 
 
 # (stride, event offsets in steps from 3 strides): on the record grid, off it,
@@ -591,15 +670,19 @@ class TestBlockedPropagation:
         assert f"t = {stride * scen.dt:.6g} s" in str(err.value)
 
     def test_working_memory_of_reference_run(self, paper_sc, paper_model_full):
-        """Beyond the states and series it returns, the 45 s reference run
-        allocates at most 3 MB at its peak (about 1.7 MB with blocks of 9)."""
-        tracemalloc.start()
-        try:
-            traj = m.integrate(paper_model_full, paper_sc.scenario)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - traj.states.nbytes - traj.series.nbytes <= 3e6
+        """Beyond the states and series it returns, the 45 s reference run on
+        a fresh model allocates at most 3 MB at its peak (about 2.2 MB, of
+        which the model keeps 1.8 MB: phi, gamma's columns and the powers of
+        phi); a second run on the same model at most 0.5 MB (about 0.15 MB)."""
+        model = replace(paper_model_full)
+        for bound in (3e6, 0.5e6):
+            tracemalloc.start()
+            try:
+                traj = m.integrate(model, paper_sc.scenario)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - traj.states.nbytes - traj.series.nbytes <= bound
 
 
 class TestNonlinearMode:
@@ -858,14 +941,16 @@ class TestOneBlasThread:
         return results
 
     def test_linear_reference_independent_of_caller_threads(self, pools, paper_model_full, paper_sc):
+        # a fresh copy per count, so each computes its own exponential
         one, two = self._at_each_count(
-            pools, lambda: m.integrate(paper_model_full, paper_sc.scenario).states)
+            pools, lambda: m.integrate(replace(paper_model_full), paper_sc.scenario).states)
         np.testing.assert_array_equal(one, two)
 
     def test_nonlinear_reference_independent_of_caller_threads(self, pools, paper_model_full,
                                                                paper_sc):
         scen = replace(paper_sc.scenario, t_end=5.0, mode=m.CouplingMode.NONLINEAR)
-        one, two = self._at_each_count(pools, lambda: m.integrate(paper_model_full, scen).states)
+        one, two = self._at_each_count(
+            pools, lambda: m.integrate(replace(paper_model_full), scen).states)
         np.testing.assert_array_equal(one, two)
 
     def test_spectral_abscissa_independent_of_caller_threads(self, pools, paper_model_reduced):
@@ -889,6 +974,20 @@ class TestOneBlasThread:
         one, two = self._at_each_count(pools, lambda: m.analysis.equilibrium(model, u).x_star)
         np.testing.assert_array_equal(one, two)
         assert seen == [[1] * len(pools)] * 2
+
+    def test_reduced_model_independent_of_caller_threads(self, pools, paper_sc):
+        one, two = self._at_each_count(pools, lambda: m.assemble_resistive(
+            paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True).a)
+        np.testing.assert_array_equal(one, two)
+
+    def test_gain_limit_sweep_independent_of_caller_threads(self, pools, paper_sc):
+        model = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True)
+        u = m.baseline_disturbance(model) + m.disturbance_map(
+            model, [(ev.area, ev.bus, ev.magnitude) for ev in paper_sc.scenario.disturbances])
+        cfg = replace(paper_sc.cfg, gamma=4.0)
+        one, two = self._at_each_count(pools, lambda: m.analysis.gain_limit_sweep(
+            paper_sc.net, paper_sc.areas, cfg, u, (1.0, 10.0, 100.0)))
+        assert one == two
 
     def test_certificate_independent_of_caller_threads(self, pools, paper_sc, monkeypatch):
         seen = self._spy_counts(pools, monkeypatch, "eigvalsh")
