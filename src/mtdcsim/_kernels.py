@@ -10,18 +10,28 @@ below 0.5 p.u.).
 
 Cost of the linear kernel: one n x n matrix-vector product per block of
 recorded samples, the samples inside a block from matrix-matrix products;
-it stays within 1e-10 of the largest state of one product per sample. The
+it stays within 1e-10 of the largest state of one product per sample. A
+sample that its product leaves non-finite is stepped again one step at a
+time before the run aborts there. The
 powers of the one-step propagator it needs come from ``PhiPowers``, which
 forms each once; what depends on the input costs O(log k) matrix-vector
 products per segment and interval length k.
 
-Cost per step of the nonlinear kernel: one n x n product ``phi @ x``, two
-converter-count products each of ``pinj_sel`` and ``gam_v``, and a
-per-converter correction on Python floats, so the numpy calls per step do
-not grow with the number of converters. Its results are bit-identical to
-the same Heun step written with numpy arrays throughout.
+Cost of the nonlinear kernel, with m converters and q = 2m outputs (the DC
+voltages and the converter injections, through which alone the voltage
+correction reads the state): per step two products of q x (m + 1) i
+matrices at step i of a block, and a per-converter correction on Python
+floats; per block of up to ``HEUN_BLOCK`` steps one (b + 1) q x n product
+for the free response, one move of the full state by a power of phi per
+recorded sample (to the block end if it has none), and one n x b m product
+for the correction's forcing. The matrices
+come from ``OutputBlocks``, which forms them once per model and step size.
+It stays within 1e-10 of the largest state of the same Heun step taken one
+full step at a time with numpy arrays (1.2e-12 over the 45 s reference
+run) and aborts at the same step.
 """
 
+from bisect import bisect
 from itertools import groupby
 from math import isqrt
 
@@ -111,26 +121,35 @@ def exact_linear(powers, c_seg, seg_bounds, x0, rec_steps, out):
         # only the stride of a run of samples is kept as a matrix: an
         # interval cut by an event is applied to the state alone
         phi_k = powers.power(k) if n > 1 else None
-        # a second pass, sample by sample, locates an abort: near overflow a
-        # product by the b-th power, or one summed in another order, can
-        # overflow a sample before or after the state does
-        for b in (block_size(n, dim), 1):
-            rows[0] = (powers.apply(k, x) if phi_k is None else np.dot(phi_k, x)) + c_k
-            if b < n:
-                phi_b, c_b = powers.power(k, b), c_k
-                for _ in range(b - 1):
-                    c_b = np.dot(phi_k, c_b) + c_k
-                for j in range(b, n, b):
-                    rows[j] = np.dot(phi_b, rows[j - b]) + c_b
-            for r in range(1, b):
-                fine = rows[r::b]
-                np.matmul(rows[r - 1::b][:fine.shape[0]], phi_k.T, out=fine)
-                fine += c_k
-            finite = np.isfinite(rows).all(axis=1)
-            if finite.all():
-                break
-        else:
-            return int(rec_steps[ri + finite.argmin()])
+        b = block_size(n, dim)
+        rows[0] = (powers.apply(k, x) if phi_k is None else np.dot(phi_k, x)) + c_k
+        if b < n:
+            phi_b, c_b = powers.power(k, b), c_k
+            for _ in range(b - 1):
+                c_b = np.dot(phi_k, c_b) + c_k
+            for j in range(b, n, b):
+                rows[j] = np.dot(phi_b, rows[j - b]) + c_b
+        for r in range(1, b):
+            fine = rows[r::b]
+            np.matmul(rows[r - 1::b][:fine.shape[0]], phi_k.T, out=fine)
+            fine += c_k
+        if not np.isfinite(rows).all():
+            # a second pass, sample by sample, locates an abort: near overflow
+            # a product by the b-th power, or one summed in another order, can
+            # overflow a sample before or after the state does; a product by
+            # the stride's power can overflow in its partial sums while the
+            # state stays finite, so such a sample is stepped again one step
+            # at a time
+            prev = x
+            for j in range(n):
+                rows[j] = (powers.apply(k, prev) if phi_k is None else np.dot(phi_k, prev)) + c_k
+                if not np.isfinite(rows[j]).all():
+                    for _ in range(k):
+                        prev = np.dot(powers.phi, prev) + c_seg[s]
+                    rows[j] = prev
+                    if not np.isfinite(prev).all():
+                        return int(rec_steps[ri + j])
+                prev = rows[j]
         x = rows[-1]
         ri += n
     return -1
@@ -144,60 +163,178 @@ def block_size(n_rec, dim):
     return max(1, min(n_rec, isqrt(4 * n_rec // dim)))
 
 
-def etd2_nonlinear(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
-                   v_ref, v_nom, vdc, rec_steps, out):
+# Steps per block of the nonlinear kernel. On the 186-state reference the
+# kernel time is flat from 24 to 64 (2-vCPU x86 host, one BLAS thread), while
+# the kept matrices grow with it: (b + 1) q n + b m n + b (m + 1) q floats,
+# 0.9 MB at 32.
+HEUN_BLOCK = 32
+
+
+class OutputBlocks:
+    """The matrices of the nonlinear kernel's blocks of b steps, each set
+    formed at its first use from phi, the output map ``out_map`` (C, q x n)
+    and the DC-voltage columns ``gam_v`` of gamma (G, n x m) alone, so that
+    they never depend on which runs came first:
+
+    - ``obs`` = [C; C phi; ...; C phi^b], ((b + 1) q) x n;
+    - ``toeplitz``, b (m + 1) x q: the row blocks K_(b-1)^T, ..., K_1^T,
+      K_0^T with K_j = C phi^j G, each after a zero row that the kernel
+      fills, in its own copy, with the free response at that lag;
+    - ``gcat`` = [phi^(b-1) G, ..., phi G, G], n x b m.
+    """
+
+    def __init__(self, phi, out_map, gam_v):
+        self.phi, self.out_map, self.gam_v = phi, out_map, gam_v
+        self._blocks = {}
+
+    def get(self, b):
+        blk = self._blocks.get(b)
+        if blk is None:
+            (q, n), m = self.out_map.shape, self.gam_v.shape[1]
+            obs = np.empty((b + 1, q, n))
+            obs[0] = self.out_map
+            for i in range(b):
+                np.dot(obs[i], self.phi, out=obs[i + 1])
+            toeplitz = np.zeros((b, m + 1, q))
+            toeplitz[:, 1:] = (obs[b - 1::-1] @ self.gam_v).transpose(0, 2, 1)
+            gcat = [self.gam_v]
+            for _ in range(b - 1):
+                gcat.append(self.phi @ gcat[-1])
+            blk = self._blocks.setdefault(
+                b, (obs.reshape(-1, n), toeplitz.reshape(-1, q), np.hstack(gcat[::-1])))
+        return blk
+
+
+def etd2_nonlinear(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom,
+                   rec_steps, out):
     """Exact linear propagation, Heun treatment of the voltage correction.
 
     The correction h = cap_inv * p_inj * (1/v - 1/v_nom) (true minus
-    nominal-voltage current injection) only enters the DC-voltage rows, so
-    it is applied through ``gam_v``, the columns of gamma selected by the
-    ``vdc`` slice. Per step: x* = phi x + c + gam_v h(x), then
-    x+ = phi x + c + gam_v (h(x) + h(x*)) / 2, with one ``phi @ x``.
+    nominal-voltage current injection) enters the state through G, the
+    DC-voltage columns of gamma, and reads it through the q = 2m outputs
+    z = C x = [x[vdc]; pinj_sel x] (``blocks.out_map``). Per step:
+    x* = phi x + c + G h(x), then x+ = phi x + c + G hbar with
+    hbar = (h(x) + h(x*)) / 2.
 
-    h is evaluated per converter on Python floats, from ``x[vdc]`` and
-    ``pinj_sel @ x``: on a handful of converters that is cheaper than a
-    numpy call per elementwise operation, and it rounds identically.
+    Inside a block of b steps of one segment, from x0 at its start, the
+    recurrence runs on z alone: z_i = C phi^i x0 + C S_i c +
+    sum_(j<i) K_(i-1-j) hbar_j, and z*_i is z_(i+1) with h(x_i) in place
+    of hbar_i. The free and forced responses C phi^i x0 + C S_i c of the
+    whole block come from one product with ``obs`` (C S_i c once per
+    segment), each z_i and z*_i from one product of a slice of ``toeplitz``
+    with the hbar written so far; h is evaluated per converter on Python
+    floats. The state then moves from recorded sample to recorded sample:
+    over k steps from step p, x <- phi^k x + S_k c + [phi^(k-1) G ... G]
+    [hbar_p; ...; hbar_(p+k-1)], the forcing of a run of equal k from one
+    product. A block spans at most ``HEUN_BLOCK`` steps of one segment and
+    ends on the last recorded sample among them, if there is one.
+
+    The voltage floor is tested at every step on z and z*, and NaN passes
+    it; finiteness at the recorded samples and at the block end. A block
+    that fails either is run again in blocks of one step, which return the
+    step at which the step-by-step recurrence aborts.
     """
+    dim = powers.phi.shape[0]
+    (q, _), m = blocks.out_map.shape, blocks.gam_v.shape[1]
+    size = HEUN_BLOCK
+    obs, toeplitz, gcat = blocks.get(size)
+    toeplitz = toeplitz.copy()
+    lead = toeplitz[::m + 1]  # the row before K_j^T is lead[size - 1 - j]
+    hbar = np.zeros(size * (m + 1))
+    hbar[0] = 1.0  # weights the lead row at the head of each product's slice
+    tails = [toeplitz[(size - 1 - i) * (m + 1):] for i in range(size)]
+    heads = [hbar[:(i + 1) * (m + 1)] for i in range(size)]
+    slots = [hbar[i * (m + 1) + 1:(i + 1) * (m + 1)] for i in range(size)]
+    h_rows = hbar.reshape(size, m + 1)[:, 1:]
     conv = tuple(zip(cap_inv.tolist(), v_ref.tolist()))
     inv_nom = 1.0 / v_nom
     bounds = seg_bounds.tolist()
-    recs = rec_steps.tolist() + [-1]
+    recs = rec_steps.tolist() + [bounds[-1] + 1]
+    # as in exact_linear, only the record stride's power is kept as a matrix
+    stride = recs[1] - recs[0] if len(recs) > 2 else 0
+
+    def block(x, start, length, ri, c, forced, sums):
+        """Steps start .. start + length - 1 from x under forcing c; returns
+        (the step of an abort or -1, the state at the block end, the index
+        of the next recorded sample)."""
+        z = np.dot(obs[:(length + 1) * q], x).reshape(length + 1, q)
+        z += forced[:length + 1]
+        lead[size - length:] = z[length:0:-1]
+        z = z[0].tolist()
+        for i in range(length):
+            h1 = []
+            for (ci, vr), xv, p in zip(conv, z[:m], z[m:]):
+                v = xv + vr
+                if v < 0.5:  # false for NaN, which the finiteness check reports
+                    return start + i, None, ri
+                h1.append(ci * p * (1.0 / v - inv_nom))
+            slots[i][:] = h1
+            z = np.dot(heads[i], tails[i]).tolist()
+            h_mean = []
+            for (ci, vr), xv, p, hv in zip(conv, z[:m], z[m:], h1):
+                v = xv + vr
+                if v < 0.5:
+                    return start + i, None, ri
+                h_mean.append(0.5 * (hv + ci * p * (1.0 / v - inv_nom)))
+            slots[i][:] = h_mean
+            if i + 1 < length:
+                z = np.dot(heads[i], tails[i]).tolist()
+        h = np.ascontiguousarray(h_rows[:length])
+        first = ri
+        knots = [0]
+        while recs[ri] <= start + length:
+            knots.append(recs[ri] - start)
+            ri += 1
+        if knots[-1] < length:
+            knots.append(length)
+        row, pos = first, 0
+        for k, run in groupby(b - a for a, b in zip(knots, knots[1:])):
+            n = len(list(run))
+            force = h[pos:pos + n * k].reshape(n, k * m) @ gcat[:, (size - k) * m:].T
+            if k not in sums:
+                sums[k] = powers.summed(k, c)
+            force += sums[k]
+            phi_k = powers.power(k) if k == stride else None
+            for f in force:
+                y = out[row] if row < ri else np.empty(dim)
+                if phi_k is None:
+                    y[:] = powers.apply(k, x)
+                else:
+                    np.dot(phi_k, x, out=y)
+                y += f
+                x, row, pos = y, row + 1, pos + k
+        finite = np.isfinite(out[first:ri]).all(axis=1)
+        if not finite.all():
+            return recs[first + finite.argmin()], x, ri
+        return -1, x, ri
+
     x = x0.copy()
-    lin, x_pred, g = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    h, p_inj = np.empty(len(conv)), np.empty(len(conv))
     ri = 0
     if recs[0] == 0:
         out[0] = x
         ri = 1
     for s in range(c_seg.shape[0]):
-        c = c_seg[s]
-        for step in range(bounds[s], bounds[s + 1]):
-            h1 = []
-            for (ci, vr), xv, p in zip(conv, x[vdc].tolist(), np.dot(pinj_sel, x, out=p_inj).tolist()):
-                v = xv + vr
-                if v < 0.5:  # false for NaN, which the finiteness check reports
-                    return step
-                h1.append(ci * p * (1.0 / v - inv_nom))
-            np.dot(phi, x, out=lin)
-            lin += c
-            h[:] = h1
-            np.dot(gam_v, h, out=g)
-            np.add(lin, g, out=x_pred)
-            h_mean = []
-            for (ci, vr), xv, p, hv in zip(conv, x_pred[vdc].tolist(),
-                                           np.dot(pinj_sel, x_pred, out=p_inj).tolist(), h1):
-                v = xv + vr
-                if v < 0.5:
-                    return step
-                h_mean.append(0.5 * (hv + ci * p * (1.0 / v - inv_nom)))
-            h[:] = h_mean
-            np.dot(gam_v, h, out=g)
-            np.add(lin, g, out=x)
-            if recs[ri] == step + 1:
-                out[ri] = x
-                ri += 1
-                if not np.isfinite(x).all():
-                    return step + 1
+        c, sums = c_seg[s], {}
+        forced = np.zeros((size + 1, q))
+        np.cumsum(np.dot(obs[:size * q], c).reshape(size, q), axis=0, out=forced[1:])
+        start, stop = bounds[s], bounds[s + 1]
+        while start < stop:
+            # end on the last recorded sample within reach, if any: the state
+            # then moves from sample to sample only
+            end = min(start + size, stop)
+            j = bisect(recs, end, ri)
+            length = (recs[j - 1] if j > ri else end) - start
+            step, y, ri_end = block(x, start, length, ri, c, forced, sums)
+            if length > 1 and (step >= 0 or not np.isfinite(y).all()):
+                for t in range(start, start + length):
+                    step, x, ri = block(x, t, 1, ri, c, forced, sums)
+                    if step >= 0:
+                        return step
+            elif step >= 0:
+                return step
+            else:
+                x, ri = y, ri_end
+            start += length
     return -1
 
 

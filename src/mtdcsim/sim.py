@@ -28,8 +28,15 @@ reference scenario.
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
-second-order Heun treatment of the voltage correction term, one step at a
-time (one n x n product per step plus a per-converter correction).
+second-order Heun treatment of the voltage correction term. The correction
+reads the state through q = 2m outputs (the m DC voltages and converter
+injections) and writes it through m columns of gamma, so inside a block of
+up to 32 steps the Heun recurrence runs on those q outputs alone: per step
+two q x O(32 m) products and a per-converter correction on Python floats;
+per block one product with the stacked [C; C phi; ...] and one n x n
+product per recorded sample, which moves the full state. It agrees with
+the same Heun step taken one full step at a time to 1e-10 of the largest
+state (1.2e-12 over the 45 s reference run) and aborts at the same step.
 
 Only states are propagated. The derived series of a trajectory (area-mean
 frequencies, DC voltages, generation totals, injections) are the model's
@@ -288,7 +295,9 @@ class _Propagator:
 
     ``powers`` holds phi, the one-step propagator, and its powers;
     ``u @ c_map`` is the one-step forcing ``gamma @ b_dist @ u`` of an
-    input u, and ``gam_v`` is ``gamma[:, vdc]``. All three come from one
+    input u; ``blocks`` holds G = ``gamma[:, vdc]``, the output map
+    C = [I[vdc]; p_inj_selector] of the nonlinear correction and the block
+    matrices the nonlinear kernel forms from phi, C and G. All come from one
     exponential of the model's state matrix, every disturbance column and
     the unit DC-voltage columns, whichever run asks first.
     """
@@ -299,7 +308,8 @@ class _Propagator:
         phi, g = discretize(model.a, cols, dt)
         self.powers = _kernels.PhiPowers(phi)
         self.c_map = np.ascontiguousarray(g[:, :n_dist].T)
-        self.gam_v = np.ascontiguousarray(g[:, n_dist:])
+        out_map = np.vstack([np.eye(model.dim)[model.layout.sl("vdc")], model.p_inj_selector])
+        self.blocks = _kernels.OutputBlocks(phi, out_map, np.ascontiguousarray(g[:, n_dist:]))
 
 
 def _propagator(model: ClosedLoopModel, dt: float) -> _Propagator:
@@ -339,9 +349,8 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
         args = (prop.powers, c_seg, bounds, x0, rec_steps, out)
     else:
         kernel = "etd2_nonlinear"
-        args = (prop.powers.phi, prop.gam_v, c_seg, bounds, x0, model.p_inj_selector,
-                1.0 / np.array(model.net.cap), np.array(model.net.v_ref, dtype=float),
-                model.net.v_nom, model.layout.sl("vdc"), rec_steps, out)
+        args = (prop.powers, prop.blocks, c_seg, bounds, x0, 1.0 / np.array(model.net.cap),
+                np.array(model.net.v_ref, dtype=float), model.net.v_nom, rec_steps, out)
     # a diverging run overflows before the finiteness check sees it; the
     # abort is reported once, as IntegrationError, not also as warnings
     with np.errstate(over="ignore", invalid="ignore"):
