@@ -2,7 +2,10 @@
 
 Each kernel advances the state over piecewise-constant input segments with
 the exact zero-order-hold propagator and writes decimated samples into a
-preallocated output array.
+preallocated output array. Both are ``kernel(prop, c_seg, seg_bounds, x0,
+rec_steps, out)``: the model's ``Propagator`` at the step size, the
+one-step forcing per segment, the segment bounds and the record steps
+(the first is 0), the initial state and the output array.
 
 Kernels return -1 on success or the failing step index when the state
 stops being finite (or, for the nonlinear kernel, when a DC voltage drops
@@ -12,10 +15,10 @@ Cost of the linear kernel: one n x n matrix-vector product per block of
 recorded samples, the samples inside a block from matrix-matrix products;
 it stays within 1e-10 of the largest state of one product per sample. A
 sample that its product leaves non-finite is stepped again one step at a
-time before the run aborts there. The
-powers of the one-step propagator it needs come from ``PhiPowers``, which
-forms each once; what depends on the input costs O(log k) matrix-vector
-products per segment and interval length k.
+time before the run aborts there. The powers of the one-step propagator it
+needs are kept by the ``Propagator``, which forms each once; what depends
+on the input costs O(log k) matrix-vector products per segment and
+interval length k.
 
 Cost of the nonlinear kernel, with m converters and q = 2m outputs (the DC
 voltages and the converter injections, through which alone the voltage
@@ -24,11 +27,10 @@ matrices at step i of a block, and a per-converter correction on Python
 floats; per block of up to ``HEUN_BLOCK`` steps one (b + 1) q x n product
 for the free response, one move of the full state by a power of phi per
 recorded sample (to the block end if it has none), and one n x b m product
-for the correction's forcing. The matrices
-come from ``OutputBlocks``, which forms them once per model and step size.
-It stays within 1e-10 of the largest state of the same Heun step taken one
-full step at a time with numpy arrays (1.2e-12 over the 45 s reference
-run) and aborts at the same step.
+for the correction's forcing. The ``Propagator`` forms the block matrices
+once per model and step size. It stays within 1e-10 of the largest state
+of the same Heun step taken one full step at a time with numpy arrays
+(1.2e-12 over the 45 s reference run) and aborts at the same step.
 """
 
 from bisect import bisect
@@ -38,20 +40,37 @@ from math import isqrt
 import numpy as np
 
 
-class PhiPowers:
-    """Powers of one propagator ``phi``, each formed at its first use.
+# Steps per block of the nonlinear kernel. On the 186-state reference the
+# kernel time is flat from 24 to 64 (2-vCPU x86 host, one BLAS thread), while
+# the kept matrices grow with it: (b + 1) q n + b m n + b (m + 1) q floats,
+# 0.9 MB at 32.
+HEUN_BLOCK = 32
 
-    ``power(k, b)`` is ``(phi^k)^b``. A power of two is the square of its
-    half, any other phi^k the product of those over the set bits of k,
-    lowest first, so every entry depends on phi and its key alone, never on
-    which calls came first (nor on which of two threads formed it).
+
+class Propagator:
+    """The zero-order-hold discretization of one model at one step size:
+    all that a kernel needs beyond a run's own inputs.
+
+    ``phi`` is the one-step propagator, ``u @ c_map`` the one-step forcing
+    gamma b_dist u of an input u. The nonlinear voltage correction reads the
+    state through C = ``out_map`` = [I[vdc]; p_inj_selector] (q x n),
+    enters it through G = ``gam_v`` = gamma[:, vdc] (n x m) and takes the
+    converters' ``cap_inv``, ``v_ref`` and ``v_nom``. The powers of phi and
+    the block matrices are formed at their first use and kept; each depends
+    on phi, C, G and its key alone, never on which calls came first (nor on
+    which of two threads formed it).
     """
 
-    def __init__(self, phi):
-        self.phi = phi
+    def __init__(self, phi, c_map, out_map, gam_v, cap_inv, v_ref, v_nom):
+        self.phi, self.c_map = phi, c_map
+        self.out_map, self.gam_v = out_map, gam_v
+        self.cap_inv, self.v_ref, self.v_nom = cap_inv, v_ref, v_nom
         self._powers = {(1, 1): phi}
+        self._blocks = None
 
     def power(self, k, b=1):
+        """(phi^k)^b. A power of two is the square of its half, any other
+        phi^k the product of those over the set bits of k, lowest first."""
         pk = self._powers.get((k, b))
         if pk is None:
             if b > 1:
@@ -66,12 +85,21 @@ class PhiPowers:
             pk = self._powers.setdefault((k, b), pk)
         return pk
 
-    def apply(self, k, x):
-        """phi^k x from the powers of two, without forming phi^k."""
+    def advance(self, k, x, stride, out=None):
+        """phi^k x, into ``out`` if given. phi^k is kept as a matrix only at
+        the record ``stride`` (0 for a run that records its end alone, which
+        steps its one interval once); any other k (an interval cut by an
+        event, or the last, shorter one) reaches x through the powers of
+        two, so that events add no power."""
+        if k == stride:
+            return np.dot(self.power(k), x, out=out)
         for i in range(k.bit_length()):
             if k >> i & 1:
                 x = np.dot(self.power(1 << i), x)
-        return x
+        if out is None:
+            return x
+        out[:] = x
+        return out
 
     def summed(self, k, c):
         """(phi^(k-1) + ... + phi + I) c, by doubling over the bits of k:
@@ -84,25 +112,49 @@ class PhiPowers:
                 part = part + np.dot(self.power(1 << i), part)
         return total
 
+    def blocks(self):
+        """The matrices of the nonlinear kernel's blocks of b = ``HEUN_BLOCK``
+        steps:
 
-def exact_linear(powers, c_seg, seg_bounds, x0, rec_steps, out):
+        - ``obs`` = [C; C phi; ...; C phi^b], ((b + 1) q) x n;
+        - ``toeplitz``, b (m + 1) x q: the row blocks K_(b-1)^T, ..., K_1^T,
+          K_0^T with K_j = C phi^j G, each after a zero row that the kernel
+          fills, in its own copy, with the free response at that lag;
+        - ``gcat`` = [phi^(b-1) G, ..., phi G, G], n x b m.
+        """
+        if self._blocks is None:
+            b = HEUN_BLOCK
+            (q, n), m = self.out_map.shape, self.gam_v.shape[1]
+            obs = np.empty((b + 1, q, n))
+            obs[0] = self.out_map
+            for i in range(b):
+                np.dot(obs[i], self.phi, out=obs[i + 1])
+            toeplitz = np.zeros((b, m + 1, q))
+            toeplitz[:, 1:] = (obs[b - 1::-1] @ self.gam_v).transpose(0, 2, 1)
+            gcat = [self.gam_v]
+            for _ in range(b - 1):
+                gcat.append(self.phi @ gcat[-1])
+            self._blocks = (obs.reshape(-1, n), toeplitz.reshape(-1, q), np.hstack(gcat[::-1]))
+        return self._blocks
+
+
+def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     """Jump from knot to knot of ``union(rec_steps, seg_bounds)``.
 
-    ``powers`` is the ``PhiPowers`` of the one-step propagator phi. Over k
-    steps of segment s, x <- phi^k x + S_k c_s with
+    Over k steps of segment s, x <- phi^k x + S_k c_s with
     S_k = phi^(k-1) + ... + I; S_k c_s is formed once per call, segment and
-    k. In a run of recorded intervals of one length in one segment, the
-    first row of each block of b rows comes from that of the block before
-    by ``powers.power(k, b)``, the other rows from the row above. The state
-    is checked for finiteness at the recorded samples only.
+    k. In a run of recorded intervals at the record stride in one segment,
+    the first row of each block of b rows comes from that of the block
+    before by ``prop.power(k, b)``, the other rows from the row above; any
+    other run goes sample by sample through ``prop.advance``. The state is
+    checked for finiteness at the recorded samples only.
     """
-    dim = powers.phi.shape[0]
+    dim = prop.phi.shape[0]
+    stride = int(rec_steps[1]) if len(rec_steps) > 2 else 0
     sums = {}
     x = x0.copy()
-    ri = 0
-    if rec_steps[0] == 0:
-        out[0] = x
-        ri = 1
+    out[0] = x
+    ri = 1
     knots = np.sort(np.concatenate([rec_steps, seg_bounds]))  # np.union1d hashes: 10x slower
     knots = knots[np.diff(knots, prepend=-1) > 0]
     segs = np.searchsorted(seg_bounds, knots[:-1], side="right") - 1
@@ -111,41 +163,41 @@ def exact_linear(powers, c_seg, seg_bounds, x0, rec_steps, out):
     for (k, s, recorded), run in groupby(zip(np.diff(knots).tolist(), segs.tolist(),
                                              np.isin(knots[1:], rec_steps).tolist())):
         if (k, s) not in sums:
-            sums[k, s] = powers.summed(k, c_seg[s])
+            sums[k, s] = prop.summed(k, c_seg[s])
         c_k = sums[k, s]
         if not recorded:
-            x = powers.apply(k, x) + c_k
+            x = prop.advance(k, x, stride) + c_k
             continue
         n = len(list(run))
         rows = out[ri:ri + n]
-        # only the stride of a run of samples is kept as a matrix: an
-        # interval cut by an event is applied to the state alone
-        phi_k = powers.power(k) if n > 1 else None
-        b = block_size(n, dim)
-        rows[0] = (powers.apply(k, x) if phi_k is None else np.dot(phi_k, x)) + c_k
-        if b < n:
-            phi_b, c_b = powers.power(k, b), c_k
-            for _ in range(b - 1):
-                c_b = np.dot(phi_k, c_b) + c_k
-            for j in range(b, n, b):
-                rows[j] = np.dot(phi_b, rows[j - b]) + c_b
-        for r in range(1, b):
-            fine = rows[r::b]
-            np.matmul(rows[r - 1::b][:fine.shape[0]], phi_k.T, out=fine)
-            fine += c_k
-        if not np.isfinite(rows).all():
-            # a second pass, sample by sample, locates an abort: near overflow
-            # a product by the b-th power, or one summed in another order, can
+        if k == stride:
+            rows[0] = prop.advance(k, x, stride) + c_k
+            b = block_size(n, dim)
+            if b < n:
+                phi_b, c_b = prop.power(k, b), c_k
+                for _ in range(b - 1):
+                    c_b = np.dot(prop.power(k), c_b) + c_k
+                for j in range(b, n, b):
+                    rows[j] = np.dot(phi_b, rows[j - b]) + c_b
+            for r in range(1, b):
+                fine = rows[r::b]
+                np.matmul(rows[r - 1::b][:fine.shape[0]], prop.power(k).T, out=fine)
+                fine += c_k
+        if k != stride or not np.isfinite(rows).all():
+            # sample by sample through advance: so a run off the stride (an
+            # interval cut by an event, the last, shorter one, or both) keeps
+            # no power, and a second pass locates an abort: near overflow a
+            # product by the b-th power, or one summed in another order, can
             # overflow a sample before or after the state does; a product by
             # the stride's power can overflow in its partial sums while the
             # state stays finite, so such a sample is stepped again one step
             # at a time
             prev = x
             for j in range(n):
-                rows[j] = (powers.apply(k, prev) if phi_k is None else np.dot(phi_k, prev)) + c_k
+                rows[j] = prop.advance(k, prev, stride) + c_k
                 if not np.isfinite(rows[j]).all():
                     for _ in range(k):
-                        prev = np.dot(powers.phi, prev) + c_seg[s]
+                        prev = np.dot(prop.phi, prev) + c_seg[s]
                     rows[j] = prev
                     if not np.isfinite(prev).all():
                         return int(rec_steps[ri + j])
@@ -163,56 +215,13 @@ def block_size(n_rec, dim):
     return max(1, min(n_rec, isqrt(4 * n_rec // dim)))
 
 
-# Steps per block of the nonlinear kernel. On the 186-state reference the
-# kernel time is flat from 24 to 64 (2-vCPU x86 host, one BLAS thread), while
-# the kept matrices grow with it: (b + 1) q n + b m n + b (m + 1) q floats,
-# 0.9 MB at 32.
-HEUN_BLOCK = 32
-
-
-class OutputBlocks:
-    """The matrices of the nonlinear kernel's blocks of b steps, each set
-    formed at its first use from phi, the output map ``out_map`` (C, q x n)
-    and the DC-voltage columns ``gam_v`` of gamma (G, n x m) alone, so that
-    they never depend on which runs came first:
-
-    - ``obs`` = [C; C phi; ...; C phi^b], ((b + 1) q) x n;
-    - ``toeplitz``, b (m + 1) x q: the row blocks K_(b-1)^T, ..., K_1^T,
-      K_0^T with K_j = C phi^j G, each after a zero row that the kernel
-      fills, in its own copy, with the free response at that lag;
-    - ``gcat`` = [phi^(b-1) G, ..., phi G, G], n x b m.
-    """
-
-    def __init__(self, phi, out_map, gam_v):
-        self.phi, self.out_map, self.gam_v = phi, out_map, gam_v
-        self._blocks = {}
-
-    def get(self, b):
-        blk = self._blocks.get(b)
-        if blk is None:
-            (q, n), m = self.out_map.shape, self.gam_v.shape[1]
-            obs = np.empty((b + 1, q, n))
-            obs[0] = self.out_map
-            for i in range(b):
-                np.dot(obs[i], self.phi, out=obs[i + 1])
-            toeplitz = np.zeros((b, m + 1, q))
-            toeplitz[:, 1:] = (obs[b - 1::-1] @ self.gam_v).transpose(0, 2, 1)
-            gcat = [self.gam_v]
-            for _ in range(b - 1):
-                gcat.append(self.phi @ gcat[-1])
-            blk = self._blocks.setdefault(
-                b, (obs.reshape(-1, n), toeplitz.reshape(-1, q), np.hstack(gcat[::-1])))
-        return blk
-
-
-def etd2_nonlinear(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom,
-                   rec_steps, out):
+def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     """Exact linear propagation, Heun treatment of the voltage correction.
 
     The correction h = cap_inv * p_inj * (1/v - 1/v_nom) (true minus
     nominal-voltage current injection) enters the state through G, the
     DC-voltage columns of gamma, and reads it through the q = 2m outputs
-    z = C x = [x[vdc]; pinj_sel x] (``blocks.out_map``). Per step:
+    z = C x = [x[vdc]; pinj_sel x] (``prop.out_map``). Per step:
     x* = phi x + c + G h(x), then x+ = phi x + c + G hbar with
     hbar = (h(x) + h(x*)) / 2.
 
@@ -222,8 +231,9 @@ def etd2_nonlinear(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom,
     of hbar_i. The free and forced responses C phi^i x0 + C S_i c of the
     whole block come from one product with ``obs`` (C S_i c once per
     segment), each z_i and z*_i from one product of a slice of ``toeplitz``
-    with the hbar written so far; h is evaluated per converter on Python
-    floats. The state then moves from recorded sample to recorded sample:
+    (both from ``prop.blocks()``) with the hbar written so far; h is
+    evaluated per converter on Python floats. The state then moves from
+    recorded sample to recorded sample by ``prop.advance``:
     over k steps from step p, x <- phi^k x + S_k c + [phi^(k-1) G ... G]
     [hbar_p; ...; hbar_(p+k-1)], the forcing of a run of equal k from one
     product. A block spans at most ``HEUN_BLOCK`` steps of one segment and
@@ -234,10 +244,9 @@ def etd2_nonlinear(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom,
     that fails either is run again in blocks of one step, which return the
     step at which the step-by-step recurrence aborts.
     """
-    dim = powers.phi.shape[0]
-    (q, _), m = blocks.out_map.shape, blocks.gam_v.shape[1]
+    (q, _), m = prop.out_map.shape, prop.gam_v.shape[1]
     size = HEUN_BLOCK
-    obs, toeplitz, gcat = blocks.get(size)
+    obs, toeplitz, gcat = prop.blocks()
     toeplitz = toeplitz.copy()
     lead = toeplitz[::m + 1]  # the row before K_j^T is lead[size - 1 - j]
     hbar = np.zeros(size * (m + 1))
@@ -246,12 +255,11 @@ def etd2_nonlinear(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom,
     heads = [hbar[:(i + 1) * (m + 1)] for i in range(size)]
     slots = [hbar[i * (m + 1) + 1:(i + 1) * (m + 1)] for i in range(size)]
     h_rows = hbar.reshape(size, m + 1)[:, 1:]
-    conv = tuple(zip(cap_inv.tolist(), v_ref.tolist()))
-    inv_nom = 1.0 / v_nom
+    conv = tuple(zip(prop.cap_inv.tolist(), prop.v_ref.tolist()))
+    inv_nom = 1.0 / prop.v_nom
     bounds = seg_bounds.tolist()
     recs = rec_steps.tolist() + [bounds[-1] + 1]
-    # as in exact_linear, only the record stride's power is kept as a matrix
-    stride = recs[1] - recs[0] if len(recs) > 2 else 0
+    stride = recs[1] if len(rec_steps) > 2 else 0
 
     def block(x, start, length, ri, c, forced, sums):
         """Steps start .. start + length - 1 from x under forcing c; returns
@@ -292,15 +300,10 @@ def etd2_nonlinear(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom,
             n = len(list(run))
             force = h[pos:pos + n * k].reshape(n, k * m) @ gcat[:, (size - k) * m:].T
             if k not in sums:
-                sums[k] = powers.summed(k, c)
+                sums[k] = prop.summed(k, c)
             force += sums[k]
-            phi_k = powers.power(k) if k == stride else None
             for f in force:
-                y = out[row] if row < ri else np.empty(dim)
-                if phi_k is None:
-                    y[:] = powers.apply(k, x)
-                else:
-                    np.dot(phi_k, x, out=y)
+                y = prop.advance(k, x, stride, out[row] if row < ri else None)
                 y += f
                 x, row, pos = y, row + 1, pos + k
         finite = np.isfinite(out[first:ri]).all(axis=1)
@@ -309,10 +312,8 @@ def etd2_nonlinear(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom,
         return -1, x, ri
 
     x = x0.copy()
-    ri = 0
-    if recs[0] == 0:
-        out[0] = x
-        ri = 1
+    out[0] = x
+    ri = 1
     for s in range(c_seg.shape[0]):
         c, sums = c_seg[s], {}
         forced = np.zeros((size + 1, q))

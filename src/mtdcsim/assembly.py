@@ -109,8 +109,8 @@ class ClosedLoopModel:
     # (spectral abscissa, verdict), filled by the first ``analysis.hurwitz``
     # call; ``a`` is never modified in place, and ``replace`` starts afresh
     hurwitz_memo: tuple = field(default=None, init=False, repr=False)
-    # step size -> zero-order-hold discretization (``sim._Propagator``), filled
-    # by ``sim.integrate`` from ``a``, ``b_dist`` and the layout alone
+    # step size -> zero-order-hold discretization (``_kernels.Propagator``),
+    # filled by ``sim.integrate`` from the model's own fields alone
     zoh_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property

@@ -16,15 +16,16 @@ Higham 2009), so the package needs no scipy at run time.
 A model is discretized once per step size. The first ``integrate`` at a
 ``dt`` computes one exponential, on the top rows of the Van Loan matrix of
 the state matrix, every disturbance column and the unit DC-voltage
-columns, and keeps phi, those columns of gamma and each power of phi the
-run needs with the model (``replace`` starts afresh). A later run at that
-``dt`` forms its forcing from thin products and O(log k) matrix-vector
-products per interval length k; apart from the fill of its blocks, its
-only O(n^3) work is a power of phi that no earlier run needed. What is
-kept depends only on the model and ``dt``, so a run gives bit-identical
-states whatever ran on the model before; they agree with one exponential
-of the run's own input columns to 7.2e-12 of the largest state on the
-reference scenario.
+columns, and keeps phi and those columns of gamma with the model as one
+``_kernels.Propagator`` (``replace`` starts afresh). That also keeps the
+powers of phi runs use: the powers of two, each record stride's power and
+its block powers. A later run at that ``dt`` forms its forcing from thin
+products and O(log k) matrix-vector products per interval length k; apart
+from the fill of its blocks, its only O(n^3) work is a power of phi that
+no earlier run needed. What is kept depends only on the model and ``dt``,
+so a run gives bit-identical states whatever ran on the model before; they
+agree with one exponential of the run's own input columns to 7.2e-12 of
+the largest state on the reference scenario.
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import ceil, factorial, log2
+from numbers import Integral
 
 import numpy as np
 
@@ -101,8 +103,9 @@ class Scenario:
             raise ValueError(f"dt must be in (0, {DT_CAP}] s")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9:
             raise ValueError(f"t_end must be an integer number of steps of dt = {self.dt:g} s")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        every = self.record_every  # numpy integers pass, a bool does not
+        if isinstance(every, bool) or not isinstance(every, Integral) or every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
         events = tuple(ev if isinstance(ev, DisturbanceEvent) else DisturbanceEvent(*ev)
                        for ev in self.disturbances)
         for ev in events:
@@ -290,33 +293,17 @@ def discretize(a: np.ndarray, cols: np.ndarray, dt: float) -> tuple[np.ndarray, 
     return np.ascontiguousarray(big[:, :dim]), np.ascontiguousarray(big[:, dim:])
 
 
-class _Propagator:
-    """The zero-order-hold discretization of one model at one step size.
-
-    ``powers`` holds phi, the one-step propagator, and its powers;
-    ``u @ c_map`` is the one-step forcing ``gamma @ b_dist @ u`` of an
-    input u; ``blocks`` holds G = ``gamma[:, vdc]``, the output map
-    C = [I[vdc]; p_inj_selector] of the nonlinear correction and the block
-    matrices the nonlinear kernel forms from phi, C and G. All come from one
-    exponential of the model's state matrix, every disturbance column and
-    the unit DC-voltage columns, whichever run asks first.
-    """
-
-    def __init__(self, model: ClosedLoopModel, dt: float):
-        n_dist = model.b_dist.shape[1]
-        cols = np.hstack([model.b_dist, np.eye(model.dim)[:, model.layout.sl("vdc")]])
-        phi, g = discretize(model.a, cols, dt)
-        self.powers = _kernels.PhiPowers(phi)
-        self.c_map = np.ascontiguousarray(g[:, :n_dist].T)
-        out_map = np.vstack([np.eye(model.dim)[model.layout.sl("vdc")], model.p_inj_selector])
-        self.blocks = _kernels.OutputBlocks(phi, out_map, np.ascontiguousarray(g[:, n_dist:]))
-
-
-def _propagator(model: ClosedLoopModel, dt: float) -> _Propagator:
-    """The model's discretization at ``dt``, computed at the first request."""
+def _propagator(model: ClosedLoopModel, dt: float) -> _kernels.Propagator:
+    """The model's discretization at ``dt``, formed at the first request."""
     prop = model.zoh_memo.get(dt)
     if prop is None:
-        prop = model.zoh_memo.setdefault(dt, _Propagator(model, dt))
+        n_dist = model.b_dist.shape[1]
+        vdc = np.eye(model.dim)[model.layout.sl("vdc")]
+        phi, g = discretize(model.a, np.hstack([model.b_dist, vdc.T]), dt)
+        prop = model.zoh_memo.setdefault(dt, _kernels.Propagator(
+            phi, np.ascontiguousarray(g[:, :n_dist].T), np.vstack([vdc, model.p_inj_selector]),
+            np.ascontiguousarray(g[:, n_dist:]), 1.0 / np.array(model.net.cap),
+            np.array(model.net.v_ref, dtype=float), model.net.v_nom))
     return prop
 
 
@@ -339,22 +326,15 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     if x0 is None:
         x0 = np.zeros(dim)
     x0 = np.ascontiguousarray(np.asarray(x0, dtype=float))
-    if x0.shape[0] != dim:
+    if x0.shape != (dim,):
         raise ValueError("x0 length does not match the model")
 
     prop = _propagator(model, scenario.dt)
-    c_seg = inputs @ prop.c_map
-    if scenario.mode is CouplingMode.LINEAR:
-        kernel = "exact_linear"
-        args = (prop.powers, c_seg, bounds, x0, rec_steps, out)
-    else:
-        kernel = "etd2_nonlinear"
-        args = (prop.powers, prop.blocks, c_seg, bounds, x0, 1.0 / np.array(model.net.cap),
-                np.array(model.net.v_ref, dtype=float), model.net.v_nom, rec_steps, out)
+    kernel = "exact_linear" if scenario.mode is CouplingMode.LINEAR else "etd2_nonlinear"
     # a diverging run overflows before the finiteness check sees it; the
     # abort is reported once, as IntegrationError, not also as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        status = _kernels.KERNELS[kernel](*args)
+        status = _kernels.KERNELS[kernel](prop, inputs @ prop.c_map, bounds, x0, rec_steps, out)
     if status >= 0:
         raise IntegrationError(
             f"integration aborted at t = {status * scenario.dt:.6g} s "
@@ -393,8 +373,7 @@ def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario) -> LyapunovTrace:
     guarantee.
     """
     traj = integrate(model, scenario)
-    u_final = baseline_disturbance(model) + disturbance_map(
-        model, [(ev.area, ev.bus, ev.magnitude) for ev in scenario.disturbances])
+    u_final = _segments(model, scenario, scenario.n_steps)[1][-1]
     if np.any(u_final != 0.0):
         if model.reduced:
             x_ref = equilibrium(model, u_final).x_star

@@ -29,8 +29,8 @@ def _run_kernel(a, t_end, dt, x0):
     rec = np.array([0, n_steps], dtype=np.int64)
     out = np.empty((2, a.shape[0]))
     phi, gc = discretize(a, np.zeros((a.shape[0], 1)), dt)
-    status = _kernels.KERNELS["exact_linear"](_kernels.PhiPowers(phi), np.ascontiguousarray(gc.T),
-                                              bounds, x0, rec, out)
+    prop = _kernels.Propagator(phi, *[None] * 6)  # the linear kernel reads phi alone
+    status = _kernels.KERNELS["exact_linear"](prop, np.ascontiguousarray(gc.T), bounds, x0, rec, out)
     assert status == -1
     return out[-1]
 
@@ -66,13 +66,13 @@ def _reference_exact(model, scenario):
     return -1, rec_steps * dt, out
 
 
-def _strided_exact(powers, c_seg, seg_bounds, x0, rec_steps, out):
+def _strided_exact(prop, c_seg, seg_bounds, x0, rec_steps, out):
     """The linear kernel as it was before recorded samples were computed in
     blocks: one matrix-vector product per knot of ``union(rec_steps,
     seg_bounds)`` and a finiteness check per recorded sample. The shipped
     kernel must stay within 1e-10 of its largest state. It takes the
-    shipped kernel's arguments but uses only ``phi = powers.phi``."""
-    phi = powers.phi
+    shipped kernel's arguments but uses only ``phi = prop.phi``."""
+    phi = prop.phi
     dim = phi.shape[0]
     step = np.eye(dim + c_seg.shape[0])
     step[:dim, :dim] = phi
@@ -219,9 +219,9 @@ def _array_kernel(model):
     """``_array_etd2`` called with the shipped nonlinear kernel's arguments."""
     vdc = model.layout.sl("vdc")
 
-    def kernel(powers, blocks, c_seg, seg_bounds, x0, cap_inv, v_ref, v_nom, rec_steps, out):
-        return _array_etd2(powers.phi, blocks.gam_v, c_seg, seg_bounds, x0, model.p_inj_selector,
-                           cap_inv, v_ref, v_nom, vdc, rec_steps, out)
+    def kernel(prop, c_seg, seg_bounds, x0, rec_steps, out):
+        return _array_etd2(prop.phi, prop.gam_v, c_seg, seg_bounds, x0, model.p_inj_selector,
+                           prop.cap_inv, prop.v_ref, prop.v_nom, vdc, rec_steps, out)
     return kernel
 
 
@@ -402,6 +402,21 @@ class TestIntegrate:
             m.Scenario(t_end=1.0, dt=0.05)
         with pytest.raises(ValueError, match="event time"):
             m.Scenario(t_end=1.0, disturbances=(m.DisturbanceEvent(2.0, 0, 0, 1.0),))
+        # integrate steps through the record grid with range(), which takes integers only
+        for every in (2.0, True, 0):
+            with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+                m.Scenario(t_end=0.05, record_every=every)
+        assert m.Scenario(t_end=0.05, record_every=np.int64(2)).record_every == 2
+
+    def test_x0_shape_checked(self, two_area):
+        """An initial state of the model's length but not 1-D is refused by
+        name, not by a broadcast error inside the kernel."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=True)
+        scen = m.Scenario(t_end=0.01, dt=1e-3)
+        for shape in ((model.dim, 1), (model.dim, 2), (model.dim + 1,)):
+            with pytest.raises(ValueError, match="x0 length does not match the model"):
+                m.integrate(model, scen, np.zeros(shape))
 
 
 def _solve_ivp_records(model, scenario, times):
@@ -520,13 +535,13 @@ class TestDiscretizationMemo:
         assert calls["discretize"] == calls["expm"] == 1
         assert calls["matrix_power"] > 0
         before = dict(calls)
-        powers = model.zoh_memo[1e-3].powers
-        cached = [id(p) for p in powers._powers.values()]
+        powers = model.zoh_memo[1e-3]._powers
+        cached = [id(p) for p in powers.values()]
         run(model, area=1, magnitude=0.3)
         run(model, mode=m.CouplingMode.NONLINEAR, magnitude=-0.2)
         run(model, mode=m.CouplingMode.NONLINEAR, area=1)
         assert calls == before
-        assert [id(p) for p in powers._powers.values()] == cached  # no power formed again
+        assert [id(p) for p in powers.values()] == cached  # no power formed again
         run(replace(model, a=model.a.copy()))
         assert calls["discretize"] == 2
         run(model, dt=2e-3)
@@ -535,15 +550,51 @@ class TestDiscretizationMemo:
 
     def test_event_offsets_keep_no_new_powers(self, two_area):
         """Events at every offset inside a stride of 10 keep only the powers
-        of two, the stride's power and its block powers."""
+        of two, the stride's power and its block powers; so does an event
+        5 steps before the last, 5-step-long recorded interval, which makes
+        a run of two recorded 5-step intervals in one segment."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         for offset in range(10):
             ev = (m.DisturbanceEvent((200 + offset) * 1e-3, 0, 0, -0.1),)
             m.integrate(model, m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=ev))
-        kept = set(model.zoh_memo[1e-3].powers._powers)
+        trailing = m.Scenario(t_end=0.095, dt=1e-3, record_every=10,
+                              disturbances=(m.DisturbanceEvent(0.085, 0, 0, -0.1),))
+        got = m.integrate(model, trailing).states
+        status, _, want = _reference_exact(model, trailing)
+        assert status == -1
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        kept = set(model.zoh_memo[1e-3]._powers)
         assert {k for k, b in kept if b == 1} <= {1, 2, 4, 8, 10}
         assert {k for k, b in kept if b > 1} == {10}
+
+    def test_lone_stride_interval_keeps_the_stride_power(self, two_area):
+        """A stride-length interval that is the only recorded one of its
+        segment (steps 70 to 77 between events at steps 70 and 80) is
+        advanced by the stride's power, which is kept like that of any other
+        run at the stride; a run that records its end alone has no stride
+        and keeps the powers of two only. Both match the per-step stepper,
+        and after runs at other strides and offsets the model gives the
+        states of a fresh copy bit for bit."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+
+        def scenario(t_end, stride, *steps):
+            return m.Scenario(t_end=t_end, dt=1e-3, record_every=stride, disturbances=tuple(
+                m.DisturbanceEvent(step * 1e-3, i % 2, 0, -0.1) for i, step in enumerate(steps)))
+
+        lone = scenario(0.007, 7, 0)
+        fresh = replace(model)
+        m.integrate(fresh, lone)
+        assert set(fresh.zoh_memo[1e-3]._powers) == {(1, 1), (2, 1), (4, 1)}
+        for stride, step in ((3, 71), (10, 75), (7, 72), (1, 3)):
+            m.integrate(model, scenario(0.2, stride, step))
+        for scen in (scenario(0.2, 7, 70, 80), lone):
+            got = m.integrate(model, scen).states
+            status, _, want = _reference_exact(model, scen)
+            assert status == -1
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            np.testing.assert_array_equal(got, m.integrate(replace(model), scen).states)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -735,8 +786,7 @@ class TestBlockedPropagation:
             returned = traj.times.nbytes + traj.states.nbytes + traj.series.nbytes
             assert peak - returned <= peak_bound
             assert kept - returned <= kept_bound
-        blocks = model.zoh_memo[scen.dt].blocks
-        assert sum(a.nbytes for blk in blocks._blocks.values() for a in blk) <= 1e6
+        assert sum(a.nbytes for a in model.zoh_memo[scen.dt]._blocks) <= 1e6
 
 
 class TestNonlinearMode:
@@ -907,6 +957,15 @@ class TestLyapunovTrace:
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
         trace = m.lyapunov_trace(model, m.Scenario(t_end=1.0, dt=1e-3))
+        np.testing.assert_array_equal(trace.values, np.zeros_like(trace.values))
+
+    def test_event_at_t_end_zero_trace(self, two_area):
+        """An event at t_end never applies, so from rest the trace is measured
+        against the origin, not against the equilibrium of that event."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=True)
+        scen = m.Scenario(t_end=1.0, dt=1e-3, disturbances=(m.DisturbanceEvent(1.0, 0, 0, -0.2),))
+        trace = m.lyapunov_trace(model, scen)
         np.testing.assert_array_equal(trace.values, np.zeros_like(trace.values))
 
     def test_damped_configuration_monotone(self):
