@@ -20,6 +20,7 @@ from .analysis import (
 )
 from .assembly import (
     ClosedLoopModel,
+    NonFiniteModelError,
     assemble_pi_link,
     assemble_resistive,
     baseline_disturbance,

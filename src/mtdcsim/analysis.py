@@ -56,8 +56,11 @@ class Assumption2Result:
 
 @dataclass(frozen=True, eq=False)
 class CertificateResult:
-    q1: np.ndarray
-    q2: np.ndarray
+    """Assumptions 1 and 2 (``None`` without phase coupling) and the least
+    eigenvalues of q1 and q2 (``None`` for an empty block or a failed Assumption 1)."""
+
+    assumption1: Assumption1Result
+    assumption2: Assumption2Result
     q1_min_eig: float
     q2_min_eig: float
     schur_ok: bool
@@ -127,13 +130,15 @@ def check_assumption1(l_phi: np.ndarray, l_r: np.ndarray) -> Assumption1Result:
 
 
 def check_assumption2(gamma: float, k_phi: float, v_nom: float) -> Assumption2Result:
-    """Strict damping condition gamma > k_phi / (4 v_nom)."""
+    """Strict damping condition gamma > k_phi / (4 v_nom), by a margin of
+    ``ASSUMPTION_TOL`` relative to the bound (absolute below a bound of 1)."""
     if k_phi < 0.0:
         raise ValueError("k_phi must be >= 0")
     if v_nom <= 0.0:
         raise ValueError("v_nom must be > 0")
     bound = k_phi / (4.0 * v_nom)
-    return Assumption2Result(holds=gamma > bound, bound=bound, gamma=gamma)
+    return Assumption2Result(holds=gamma - bound > ASSUMPTION_TOL * max(1.0, bound),
+                             bound=bound, gamma=gamma)
 
 
 @one_thread()
@@ -162,24 +167,35 @@ def hurwitz(model: ClosedLoopModel) -> tuple[float, bool]:
 
 
 def _min_eig(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(mat).min())
+    """Least eigenvalue of a symmetric block; ``None`` for an empty block."""
+    return float(np.linalg.eigvalsh(mat).min()) if mat.size else None
 
 
 @one_thread()
-def lyapunov_certificate(net: MtdcNetwork, areas, cfg: ControllerConfig) -> CertificateResult:
-    """Build the two certificate blocks and test positive definiteness.
+def lyapunov_certificate(net: MtdcNetwork, cfg: ControllerConfig) -> CertificateResult:
+    """Check Assumptions 1 and 2 and build the two certificate blocks, once each.
 
-    The frequency/voltage block couples the converter gains with the
+    The frequency/voltage block q1 couples the converter gains with the
     converter-bus droop; its Schur complement is positive definite exactly
-    when that droop is positive. The voltage/phase block requires the
-    proportionality factor k_phi (distributed converter law) and is
-    positive definite exactly when the damping exceeds k_phi / (4 v_nom).
-    Raises when the proportionality check fails.
+    when that droop is positive. The voltage/phase block q2 carries the
+    proportionality factor k_phi of Assumption 1 (distributed converter
+    law) and its Schur complement is positive definite exactly when
+    Assumption 2 holds. ``schur_ok`` is both Schur tests together. When
+    Assumption 1 fails the result says so, with no block built.
     """
-    areas = tuple(areas)
     n = net.n
+    s = ones_complement(n)
+    l_r = laplacian(net.conductance_graph())
+    core = s.T @ l_r @ s
+    a1 = a2 = None
+    weights = np.array([[net.v_nom]])
+    if cfg.variant.distributed_conv and n > 1:
+        a1 = check_assumption1(laplacian(cfg.comm_phi), l_r)
+        if not a1.holds:
+            return CertificateResult(a1, None, None, None, schur_ok=False)
+        a2 = check_assumption2(cfg.gamma, a1.k_phi, net.v_nom)
+        weights = np.array([[net.v_nom, -0.5 * a1.k_phi],
+                            [-0.5 * a1.k_phi, cfg.gamma * a1.k_phi]])
     k_omega = np.array(cfg.k_omega)
     k_v = np.array(cfg.k_v)
     droop_conv = np.array([cfg.k_droop[i][0] for i in range(n)])
@@ -187,33 +203,9 @@ def lyapunov_certificate(net: MtdcNetwork, areas, cfg: ControllerConfig) -> Cert
         [np.diag(k_omega / k_v * (k_omega + 0.5 * droop_conv)), -np.diag(k_omega)],
         [-np.diag(k_omega), np.diag(k_v)],
     ])
-    s = ones_complement(n)
-    l_r = laplacian(net.conductance_graph())
-    core = s.T @ l_r @ s
-    if cfg.variant.distributed_conv:
-        a1 = check_assumption1(laplacian(cfg.comm_phi), l_r)
-        if not a1.holds:
-            raise ValueError("certificate needs the phase graph proportional to the "
-                             f"conductance graph (residual {a1.residual:.3g})")
-        k_phi = a1.k_phi
-        q2 = np.block([
-            [net.v_nom * core, -0.5 * k_phi * core],
-            [-0.5 * k_phi * core, cfg.gamma * k_phi * core],
-        ])
-        margin = cfg.gamma * k_phi - k_phi ** 2 / (4.0 * net.v_nom)
-        schur_gamma = margin > ASSUMPTION_TOL * max(1.0, k_phi ** 2 / (4.0 * net.v_nom))
-    else:
-        q2 = net.v_nom * core
-        schur_gamma = True
-    schur_ok = bool(np.all(droop_conv > 0.0) and schur_gamma and
+    schur_ok = bool(np.all(droop_conv > 0.0) and (a2 is None or a2.holds) and
                     (core.size == 0 or _min_eig(core) > 0.0))
-    return CertificateResult(
-        q1=q1,
-        q2=q2,
-        q1_min_eig=_min_eig(q1),
-        q2_min_eig=_min_eig(q2),
-        schur_ok=schur_ok,
-    )
+    return CertificateResult(a1, a2, _min_eig(q1), _min_eig(np.kron(weights, core)), schur_ok)
 
 
 def lyapunov_matrix(model: ClosedLoopModel) -> np.ndarray:
@@ -321,24 +313,11 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
 
 
 def stability_report(model: ClosedLoopModel) -> StabilityReport:
-    """Run both stability routes on a reduced model."""
-    net, areas, cfg = model.net, model.areas, model.cfg
+    """Classify a reduced model: ``LYAPUNOV_PROVEN`` by the certificate (an
+    empty block counts as positive definite), otherwise by the spectrum."""
     abscissa, stable = hurwitz(model)
-    a1 = a2 = None
-    cert_result = None
-    if cfg.variant.distributed_conv:
-        a1 = check_assumption1(laplacian(cfg.comm_phi), laplacian(net.conductance_graph()))
-        if a1.holds:
-            a2 = check_assumption2(cfg.gamma, a1.k_phi, net.v_nom)
-            cert_result = lyapunov_certificate(net, areas, cfg)
-    else:
-        cert_result = lyapunov_certificate(net, areas, cfg)
-    proven = (cert_result is not None
-              and cert_result.q1_min_eig > 0.0
-              and cert_result.q2_min_eig > 0.0
-              and (a1 is None or a1.holds)
-              and (a2 is None or a2.holds))
-    if proven:
+    cert = lyapunov_certificate(model.net, model.cfg)
+    if cert.schur_ok and all(e is None or e > 0.0 for e in (cert.q1_min_eig, cert.q2_min_eig)):
         certificate = CertificateClass.LYAPUNOV_PROVEN
     elif abscissa > HURWITZ_TOL:
         certificate = CertificateClass.UNSTABLE
@@ -347,11 +326,11 @@ def stability_report(model: ClosedLoopModel) -> StabilityReport:
     else:
         certificate = CertificateClass.MARGINAL
     return StabilityReport(
-        assumption1=a1,
-        assumption2=a2,
+        assumption1=cert.assumption1,
+        assumption2=cert.assumption2,
         spectral_abscissa=abscissa,
-        q1_min_eig=cert_result.q1_min_eig if cert_result is not None else None,
-        q2_min_eig=cert_result.q2_min_eig if cert_result is not None else None,
+        q1_min_eig=cert.q1_min_eig,
+        q2_min_eig=cert.q2_min_eig,
         certificate=certificate,
     )
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._blas import one_thread
 from .control import ControllerConfig
-from .netgraph import laplacian, ones_complement, require_finite
+from .netgraph import laplacian, ones_complement
 from .plant import (
     MtdcNetwork,
     PiLinkChain,
@@ -45,6 +45,11 @@ from .plant import (
 
 # row blocks of ``series_map``, one row per converter/area each, in this order
 SERIES_FAMILIES = ("frequencies", "dc_voltages", "generation", "injections")
+
+
+class NonFiniteModelError(ValueError):
+    """Raised when the assembled state matrix has a non-finite entry, as when
+    finite gains, inertias or capacitances overflow it."""
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,7 @@ def _build_layout(areas, cfg: ControllerConfig, reduced: bool, chain: PiLinkChai
     return StateLayout(tuple(blocks))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # reported once, by the final check
 def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
               chain: PiLinkChain = None) -> ClosedLoopModel:
     n = net.n
@@ -288,7 +294,9 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     series_offset = np.concatenate([np.full(n, cfg.omega_ref), np.array(net.v_ref, dtype=float),
                                     np.zeros(2 * n)])
 
-    require_finite(a_mat, "state matrix")
+    if not np.isfinite(a_mat).all():
+        raise NonFiniteModelError("state matrix: non-finite entries (a gain, inertia or "
+                                  "capacitance beyond the float range)")
     return ClosedLoopModel(
         a=a_mat,
         b_dist=b_dist,

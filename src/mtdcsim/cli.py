@@ -28,8 +28,8 @@ from .analysis import (
     equilibrium,
     stability_report,
 )
-from .assembly import (SERIES_FAMILIES, assemble_resistive, baseline_disturbance, disturbance_map,
-                       reduce_model)
+from .assembly import (SERIES_FAMILIES, NonFiniteModelError, assemble_resistive,
+                       baseline_disturbance, disturbance_map, reduce_model)
 from .config import ConfigError, SystemConfig, load_config
 from .control import Variant
 from .sim import IntegrationError, Trajectory, compare_variants, integrate
@@ -127,7 +127,7 @@ def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
     if equil is not None:
         del doc["equilibrium"]["x_star"]  # report.json has never carried the full state
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=_jsonable)
+        json.dump(doc, fh, indent=2, default=_jsonable, allow_nan=False)
         fh.write("\n")
     return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
 
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
             cmd_sweep(args.config, args.out, scales)
-    except ConfigError as exc:
+    except (ConfigError, NonFiniteModelError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:

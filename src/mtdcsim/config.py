@@ -122,14 +122,18 @@ def parse_config(doc: dict) -> SystemConfig:
         path = f"mtdc.lines[{idx}]"
         if not isinstance(ln, dict):
             raise ConfigError(f"{path}: expected an object")
-        lines.append(DcLine(
+        values = dict(
             i=_int(ln, "i", path),
             j=_int(ln, "j", path),
             r=_number(ln, "r", path),
             l=_number(ln, "l", path, required=False, default=0.0),
             c=_number(ln, "c", path, required=False, default=0.0),
             segments=_int(ln, "segments", path, required=False, default=1),
-        ))
+        )
+        try:
+            lines.append(DcLine(**values))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     try:
         net = MtdcNetwork(cap=tuple(cap), lines=tuple(lines), v_nom=v_nom,
                           v_ref=tuple(v_ref) if v_ref is not None else None)

@@ -126,9 +126,3 @@ def line_incidence(lines, n: int) -> tuple[np.ndarray, np.ndarray]:
         d_out[j, k] = 1.0
     return d_in, d_out
 
-
-def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """Reject NaN/Inf on construction paths; returns the array unchanged."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what}: non-finite entries")
-    return arr

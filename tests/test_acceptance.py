@@ -55,8 +55,7 @@ def test_criterion_02_assumption_arithmetic(paper_sc):
     a1 = m.check_assumption1(laplacian(paper_sc.cfg.comm_phi),
                              laplacian(paper_sc.net.conductance_graph()))
     a2 = m.check_assumption2(paper_sc.cfg.gamma, a1.k_phi, paper_sc.net.v_nom)
-    cert = m.lyapunov_certificate(paper_sc.net, paper_sc.areas,
-                                  replace(paper_sc.cfg, gamma=4.0))
+    cert = m.lyapunov_certificate(paper_sc.net, replace(paper_sc.cfg, gamma=4.0))
     ok = (a1.holds and abs(a1.k_phi - 15.0) < 1e-9
           and abs(a2.bound - 3.75) < 1e-9 and not a2.holds
           and cert.q1_min_eig > 0.0 and cert.q2_min_eig > 0.0 and cert.schur_ok)

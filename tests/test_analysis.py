@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtdcsim as m
 from mtdcsim.analysis import spectral_abscissa
@@ -87,30 +89,34 @@ class TestHurwitz:
 class TestLyapunovCertificate:
     def test_reference_gains_with_damping(self, paper_sc):
         cfg = replace(paper_sc.cfg, gamma=4.0)
-        cert = m.lyapunov_certificate(paper_sc.net, paper_sc.areas, cfg)
+        cert = m.lyapunov_certificate(paper_sc.net, cfg)
         assert cert.q1_min_eig > 0.0
         assert cert.q2_min_eig > 0.0
         assert cert.schur_ok
 
     def test_boundary_damping_is_singular(self, paper_sc):
         cfg = replace(paper_sc.cfg, gamma=3.75)
-        cert = m.lyapunov_certificate(paper_sc.net, paper_sc.areas, cfg)
+        cert = m.lyapunov_certificate(paper_sc.net, cfg)
         assert abs(cert.q2_min_eig) < 1e-9
         assert not cert.schur_ok
 
     def test_zero_converter_droop_breaks_q1(self, paper_sc):
         k_droop = ((0.0,) + (9.0,) * 13,) + tuple(paper_sc.cfg.k_droop[1:])
         cfg = replace(paper_sc.cfg, gamma=4.0, k_droop=k_droop)
-        cert = m.lyapunov_certificate(paper_sc.net, paper_sc.areas, cfg)
+        cert = m.lyapunov_certificate(paper_sc.net, cfg)
         assert cert.q1_min_eig <= 1e-12
         assert not cert.schur_ok
 
     def test_requires_proportional_graphs(self, paper_sc):
+        """A phase graph not proportional to the conductance graph fails
+        Assumption 1; the result says so and builds no block."""
         broken = m.WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
                                      (3, 4, 1.0), (4, 5, 1.0)))
         cfg = replace(paper_sc.cfg, comm_phi=broken, gamma=4.0)
-        with pytest.raises(ValueError, match="proportional"):
-            m.lyapunov_certificate(paper_sc.net, paper_sc.areas, cfg)
+        cert = m.lyapunov_certificate(paper_sc.net, cfg)
+        assert not cert.assumption1.holds and cert.assumption1.residual > 1e-3
+        assert (cert.assumption2, cert.q1_min_eig, cert.q2_min_eig) == (None, None, None)
+        assert not cert.schur_ok
 
     def test_certificate_soundness_random(self):
         """All-positive-definite certificate implies a Hurwitz reduced loop."""
@@ -121,7 +127,7 @@ class TestLyapunovCertificate:
             a1 = m.check_assumption1(laplacian(cfg.comm_phi),
                                      laplacian(net.conductance_graph()))
             cfg = replace(cfg, gamma=a1.k_phi / (4 * net.v_nom) + 1.0)
-            cert = m.lyapunov_certificate(net, areas, cfg)
+            cert = m.lyapunov_certificate(net, cfg)
             if cert.q1_min_eig > 0 and cert.q2_min_eig > 0:
                 model = m.assemble_resistive(net, areas, cfg, reduced=True)
                 _, stable = m.hurwitz(model)
@@ -152,6 +158,65 @@ class TestStabilityReport:
             replace(paper_sc.cfg, variant=m.Variant.DIST_GEN_DEC_CONV), reduced=True))
         assert rep.assumption1 is None
         assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+
+    @pytest.mark.parametrize("gamma", [3.75, 3.75 + 1e-9])
+    def test_boundary_damping_not_proven(self, paper_sc, gamma):
+        """At the bound, and within the tolerance above it, Assumption 2, the
+        Schur test and the class agree; the fitted k_phi is a few ulps below 15."""
+        cfg = replace(paper_sc.cfg, gamma=gamma)
+        rep = m.stability_report(m.assemble_resistive(paper_sc.net, paper_sc.areas, cfg,
+                                                      reduced=True))
+        assert not rep.assumption2.holds
+        assert not m.lyapunov_certificate(paper_sc.net, cfg).schur_ok
+        assert rep.certificate is m.CertificateClass.HURWITZ_ONLY
+
+    @pytest.mark.parametrize("variant", list(m.Variant))
+    def test_single_terminal_loop(self, variant):
+        """One terminal has no phase coupling: no assumption applies, the q2
+        block is empty, and q1 alone decides."""
+        net, areas, cfg = single_gen_system(1, variant=variant)
+        rep = m.stability_report(m.assemble_resistive(net, areas, cfg, reduced=True))
+        assert (rep.assumption1, rep.assumption2, rep.q2_min_eig) == (None, None, None)
+        assert rep.q1_min_eig > 0.0 and rep.spectral_abscissa < 0.0
+        assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+
+    def test_one_evaluation_per_report(self, paper_sc, monkeypatch):
+        calls = dict.fromkeys(["lyapunov_certificate", "check_assumption1", "check_assumption2"], 0)
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(m.analysis, name, counted(name, getattr(m.analysis, name)))
+        m.stability_report(m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg,
+                                                reduced=True))
+        assert calls == dict.fromkeys(calls, 1)
+
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(m.Variant)),
+           offset=st.sampled_from([-1e-6, 0.0, 1e-12, 1e-6]), zero_droop=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_one_verdict_near_the_damping_bound(self, seed, variant, offset, zero_droop):
+        """Random grids with gamma below, at, within the tolerance above and
+        above the bound: a proven loop is Hurwitz with the Schur tests and
+        Assumption 2 passed, and Assumption 2 is the Schur test whenever
+        every converter droop is positive."""
+        net, areas, cfg = random_stable_config(np.random.default_rng(seed))
+        a1 = m.check_assumption1(laplacian(cfg.comm_phi), laplacian(net.conductance_graph()))
+        k_droop = ((0.0,),) + cfg.k_droop[1:] if zero_droop else cfg.k_droop
+        cfg = replace(cfg, variant=variant, k_droop=k_droop,
+                      gamma=a1.k_phi / (4.0 * net.v_nom) * (1.0 + offset))
+        model = m.assemble_resistive(net, areas, cfg, reduced=True)
+        rep = m.stability_report(model)
+        cert = m.lyapunov_certificate(net, cfg)
+        assert (rep.assumption2 is None) == (not variant.distributed_conv)
+        if rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN:
+            assert m.hurwitz(model)[1] and cert.schur_ok
+            assert rep.assumption2 is None or rep.assumption2.holds
+        if variant.distributed_conv and not zero_droop:
+            assert rep.assumption2.holds == cert.schur_ok
 
 
 class TestEquilibrium:

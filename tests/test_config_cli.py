@@ -19,6 +19,8 @@ from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_ana
                          cmd_sweep, main)
 from mtdcsim.config import config_to_dict, parse_config
 
+from conftest import single_gen_system
+
 
 @pytest.fixture(scope="module")
 def paper_doc():
@@ -225,6 +227,26 @@ class TestAnalyzeCommand:
         path.write_text(json.dumps(doc))
         assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("variant", list(m.Variant))
+    def test_single_terminal_report(self, tmp_path, variant):
+        """A one-terminal loop gets a report: no assumption applies, the empty
+        q2 block is null, and report.json is strict JSON."""
+        net, areas, cfg = single_gen_system(1, variant=variant)
+        sc = m.SystemConfig(net=net, areas=areas, cfg=cfg, costs=None,
+                            scenario=m.Scenario(t_end=1.0))
+        path = tmp_path / "one.cfg"
+        path.write_text(json.dumps(config_to_dict(sc)))
+        rep = cmd_analyze(path, tmp_path / "o")
+        assert rep.stability.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+
+        def reject(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        stability = json.loads((tmp_path / "o" / "report.json").read_text(),
+                               parse_constant=reject)["stability"]
+        assert (stability["assumption1"], stability["assumption2"]) == (None, None)
+        assert stability["q2_min_eig"] is None and stability["q1_min_eig"] > 0.0
+
     def test_success_exit_code(self, short_cfg_path, tmp_path):
         assert main(["analyze", "--config", str(short_cfg_path),
                      "--out", str(tmp_path / "o")]) == 0
@@ -311,8 +333,14 @@ class TestSimulateCommand:
         (("areas", 0, "p_m"), [0.0, float("nan")] + [0.0] * 12, r"areas\[0\]\.p_m\[1\]"),
         (("costs",), {"f_p": [1.0] * 5 + [float("inf")], "f_v": [1.0] * 6},
          r"costs\.f_p\[5\]"),
+        (("mtdc", "lines", 0, "r"), 0.0, r"mtdc\.lines\[0\]: .*resistance"),
+        (("mtdc", "lines", 1, "l"), -1e-3, r"mtdc\.lines\[1\]: .*l and c"),
+        (("mtdc", "lines", 2, "c"), -1e-3, r"mtdc\.lines\[2\]: .*l and c"),
+        (("mtdc", "lines", 0, "j"), 0, r"mtdc\.lines\[0\]: .*endpoints"),
+        (("mtdc", "lines", 0, "segments"), 0, r"mtdc\.lines\[0\]: .*segments"),
     ], ids=["t_end_inf", "t_end_off_grid", "gamma_nan", "gamma_huge_int", "k_omega_inf",
-            "k_droop_inf", "magnitude_inf", "p_m_nan", "cost_inf"])
+            "k_droop_inf", "magnitude_inf", "p_m_nan", "cost_inf", "line_r_zero",
+            "line_l_negative", "line_c_negative", "line_self_loop", "line_no_segments"])
     def test_malformed_number_exit_code(self, paper_doc, tmp_path, capsys, field, value, path):
         """JSON NaN/Infinity or an off-grid horizon is a configuration error
         naming the field, never a traceback or a warning."""
@@ -330,6 +358,29 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
         assert re.search(path, err)
+
+    @pytest.mark.parametrize("field, value, argv", [
+        (("controller", "k_v"), [1e308] * 6, ["analyze"]),
+        (("mtdc", "nodes", 0, "cap"), 1e-320, ["simulate"]),
+        (("controller", "gamma"), 4.0, ["sweep", "--scales", "1,1e305"]),
+    ], ids=["k_v_huge", "cap_tiny", "sweep_scale_huge"])
+    def test_overflowing_matrix_exit_code(self, paper_doc, tmp_path, capsys, field, value, argv):
+        """Finite inputs that overflow the assembled state matrix are a
+        configuration error: one stderr line, no warning, no traceback."""
+        doc = json.loads(json.dumps(paper_doc))
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: state matrix: non-finite entries "
+                       "(a gain, inertia or capacitance beyond the float range)"]
 
     def test_numerical_abort_exit_code(self, tmp_path):
         doc = {

@@ -1123,6 +1123,6 @@ class TestOneBlasThread:
     def test_certificate_independent_of_caller_threads(self, pools, paper_sc, monkeypatch):
         seen = self._spy_counts(pools, monkeypatch, "eigvalsh")
         one, two = self._at_each_count(pools, lambda: m.analysis.lyapunov_certificate(
-            paper_sc.net, paper_sc.areas, paper_sc.cfg))
+            paper_sc.net, paper_sc.cfg))
         assert (one.q1_min_eig, one.q2_min_eig) == (two.q1_min_eig, two.q2_min_eig)
         assert len(seen) >= 4 and all(c == [1] * len(pools) for c in seen)
