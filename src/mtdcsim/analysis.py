@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import one_thread
-from .assembly import ClosedLoopModel, assemble_resistive
+from .assembly import ClosedLoopModel, NonFiniteModelError, assemble_resistive
 from .control import ControllerConfig
 from .netgraph import laplacian, ones_complement
 from .plant import MtdcNetwork
@@ -168,10 +168,14 @@ def hurwitz(model: ClosedLoopModel) -> tuple[float, bool]:
 
 def _min_eig(mat: np.ndarray) -> float:
     """Least eigenvalue of a symmetric block; ``None`` for an empty block."""
+    if not np.isfinite(mat).all():
+        raise NonFiniteModelError("certificate: non-finite entries (a gain or voltage "
+                                  "beyond the float range)")
     return float(np.linalg.eigvalsh(mat).min()) if mat.size else None
 
 
 @one_thread()
+@np.errstate(over="ignore", invalid="ignore")  # reported once, by _min_eig
 def lyapunov_certificate(net: MtdcNetwork, cfg: ControllerConfig) -> CertificateResult:
     """Check Assumptions 1 and 2 and build the two certificate blocks, once each.
 
@@ -264,6 +268,7 @@ def _cost_weights_per_bus(model: ClosedLoopModel, costs=None):
 
 
 @one_thread()
+@np.errstate(over="ignore", invalid="ignore")  # reported once, by the final check
 def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> EquilibriumReport:
     """Solve for the steady state under constant input and report residuals.
 
@@ -294,7 +299,7 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
     kdi = np.concatenate([np.array(model.cfg.k_droop_i[i]) for i in range(model.n_areas)])
     avg_freq = float(abs(kdi @ omega_hat))
     balance = float(abs(p_inj.sum() / model.net.v_nom))
-    return EquilibriumReport(
+    report = EquilibriumReport(
         x_star=x_star,
         omega_hat_star=omega_hat,
         v_hat_star=v_hat,
@@ -310,6 +315,10 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
         cost_generation=float(0.5 * np.sum(f_p * p_gen ** 2)),
         cost_voltage=float(0.5 * np.sum(f_v * v_hat ** 2)),
     )
+    if not all(np.isfinite(v).all() for v in vars(report).values() if v is not None):
+        raise NonFiniteModelError("equilibrium: non-finite values (a disturbance or gain "
+                                  "beyond the float range)")
+    return report
 
 
 def stability_report(model: ClosedLoopModel) -> StabilityReport:

@@ -48,8 +48,9 @@ SERIES_FAMILIES = ("frequencies", "dc_voltages", "generation", "injections")
 
 
 class NonFiniteModelError(ValueError):
-    """Raised when the assembled state matrix has a non-finite entry, as when
-    finite gains, inertias or capacitances overflow it."""
+    """Raised when finite gains, inertias, capacitances or disturbances
+    overflow the assembled state matrix, a certificate block or the
+    equilibrium."""
 
 
 @dataclass(frozen=True)

@@ -34,63 +34,71 @@ class SystemConfig:
     scenario: Scenario
 
 
-def _expect(container, key, path, kind=None, required=True, default=None):
+_REQUIRED = object()
+
+
+def _check(value, name, kind):
+    """``value`` as ``kind``: float (a finite number), int (not a bool), str,
+    list or dict. JSON ``NaN``/``Infinity`` and ``null`` are wrong values."""
+    got = "null" if value is None else type(value).__name__
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name}: expected a number, got {got}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: expected a finite number, got {value}")
+    elif isinstance(value, bool) or not isinstance(value, kind):  # JSON true is no int
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {got}")
+    return value
+
+
+def _get(obj, key, path, kind, default=_REQUIRED):
+    """``obj[key]`` checked by ``_check``. A missing key gives ``default``, or
+    an error when there is none; a present ``null`` never stands for it."""
     name = f"{path}.{key}" if path else key  # a top-level field has no parent
-    if key not in container:
-        if required:
+    if key not in obj:
+        if default is _REQUIRED:
             raise ConfigError(f"{name}: missing required field")
         return default
-    value = container[key]
-    if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{name}: expected {names}, got {type(value).__name__}")
-    return value
+    return _check(obj[key], name, kind)
 
 
-def _finite(value, path):
-    """``value`` as a finite float; JSON ``NaN``/``Infinity`` are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {number}")
-    return number
-
-
-def _number(container, key, path, required=True, default=None):
-    value = _expect(container, key, path, required=required, default=default)
-    return _finite(value, f"{path}.{key}") if value is not None else None
-
-
-def _numbers(container, key, path, required=True):
+def _numbers(obj, key, path, default=_REQUIRED):
     """A list of finite numbers, each checked under its own index path."""
-    values = _expect(container, key, path, kind=list, required=required)
+    values = _get(obj, key, path, list, default)
     if values is None:
         return None
-    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
+    return tuple(_check(v, f"{path}.{key}[{i}]", float) for i, v in enumerate(values))
 
 
-def _int(container, key, path, required=True, default=None):
-    value = _expect(container, key, path, kind=int, required=required, default=default)
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return value
-
-
-def _edges(raw, path, weight_key):
-    edges = []
-    for idx, item in enumerate(raw):
+def _objects(obj, key, path, default=_REQUIRED):
+    """Yield ``(entry, entry_path)`` for each entry of a list of objects."""
+    name = f"{path}.{key}" if path else key
+    for idx, item in enumerate(_get(obj, key, path, list, default)):
         if not isinstance(item, dict):
-            raise ConfigError(f"{path}[{idx}]: expected an object")
-        edges.append((
-            _int(item, "i", f"{path}[{idx}]"),
-            _int(item, "j", f"{path}[{idx}]"),
-            _number(item, weight_key, f"{path}[{idx}]"),
-        ))
-    return tuple(edges)
+            raise ConfigError(f"{name}[{idx}]: expected an object")
+        yield item, f"{name}[{idx}]"
+
+
+def _edges(obj, key, path, weight_key, default=_REQUIRED):
+    """``(i, j, weight)`` triples from a list of edge objects."""
+    return tuple((_get(e, "i", epath, int), _get(e, "j", epath, int),
+                  _get(e, weight_key, epath, float))
+                 for e, epath in _objects(obj, key, path, default))
+
+
+def _build(path, factory, **fields):
+    """``factory(**fields)``; its ``ValueError`` is reported under ``path``,
+    a ``ConfigError`` passes unchanged."""
+    try:
+        return factory(**fields)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> SystemConfig:
@@ -98,158 +106,106 @@ def parse_config(doc: dict) -> SystemConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
 
-    mtdc = _expect(doc, "mtdc", "", kind=dict)
-    nodes = _expect(mtdc, "nodes", "mtdc", kind=list)
-    if not nodes:
-        raise ConfigError("mtdc.nodes: at least one node required")
+    mtdc = _get(doc, "mtdc", "", dict)
     cap, v_ref = [], []
-    for idx, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise ConfigError(f"mtdc.nodes[{idx}]: expected an object")
-        c = _number(node, "cap", f"mtdc.nodes[{idx}]")
-        if c <= 0.0:
-            raise ConfigError(f"mtdc.nodes[{idx}].cap: must be > 0")
-        cap.append(c)
-        v_ref.append(_number(node, "v_ref", f"mtdc.nodes[{idx}]", required=False, default=None))
-    v_nom = _number(mtdc, "v_nom", "mtdc", required=False, default=1.0)
-    if any(v is None for v in v_ref):
-        if not all(v is None for v in v_ref):
+    for node, path in _objects(mtdc, "nodes", "mtdc"):
+        cap.append(_get(node, "cap", path, float))
+        if cap[-1] <= 0.0:
+            raise ConfigError(f"{path}.cap: must be > 0")
+        v_ref.append(_get(node, "v_ref", path, float, None))
+    if not cap:
+        raise ConfigError("mtdc.nodes: at least one node required")
+    v_nom = _get(mtdc, "v_nom", "mtdc", float, 1.0)
+    if None in v_ref:
+        if any(v is not None for v in v_ref):
             raise ConfigError("mtdc.nodes: v_ref must be set on all nodes or none")
         v_ref = None
-    lines_raw = _expect(mtdc, "lines", "mtdc", kind=list)
-    lines = []
-    for idx, ln in enumerate(lines_raw):
-        path = f"mtdc.lines[{idx}]"
-        if not isinstance(ln, dict):
-            raise ConfigError(f"{path}: expected an object")
-        values = dict(
-            i=_int(ln, "i", path),
-            j=_int(ln, "j", path),
-            r=_number(ln, "r", path),
-            l=_number(ln, "l", path, required=False, default=0.0),
-            c=_number(ln, "c", path, required=False, default=0.0),
-            segments=_int(ln, "segments", path, required=False, default=1),
-        )
-        try:
-            lines.append(DcLine(**values))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        net = MtdcNetwork(cap=tuple(cap), lines=tuple(lines), v_nom=v_nom,
-                          v_ref=tuple(v_ref) if v_ref is not None else None)
-    except ValueError as exc:
-        raise ConfigError(f"mtdc: {exc}") from exc
+    lines = tuple(
+        _build(path, DcLine,
+               i=_get(ln, "i", path, int),
+               j=_get(ln, "j", path, int),
+               r=_get(ln, "r", path, float),
+               l=_get(ln, "l", path, float, 0.0),
+               c=_get(ln, "c", path, float, 0.0),
+               segments=_get(ln, "segments", path, int, 1))
+        for ln, path in _objects(mtdc, "lines", "mtdc"))
+    net = _build("mtdc", MtdcNetwork, cap=cap, lines=lines, v_nom=v_nom, v_ref=v_ref)
 
-    areas_raw = _expect(doc, "areas", "", kind=list)
-    areas = []
-    k_droop, k_droop_i = [], []
-    for idx, area in enumerate(areas_raw):
-        path = f"areas[{idx}]"
-        if not isinstance(area, dict):
-            raise ConfigError(f"{path}: expected an object")
-        gens = _expect(area, "generators", path, kind=list)
+    areas, k_droop, k_droop_i = [], [], []
+    for area, path in _objects(doc, "areas", ""):
+        gens = list(_objects(area, "generators", path))
         if not gens:
             raise ConfigError(f"{path}.generators: at least one generator required")
-        inertia, kd, kdi = [], [], []
-        for g, gen in enumerate(gens):
-            gpath = f"{path}.generators[{g}]"
-            if not isinstance(gen, dict):
-                raise ConfigError(f"{gpath}: expected an object")
-            inertia.append(_number(gen, "inertia", gpath))
-            kd.append(_number(gen, "k_droop", gpath))
-            kdi.append(_number(gen, "k_droop_i", gpath))
-        ac_lines = _edges(_expect(area, "ac_lines", path, kind=list, required=False, default=[]),
-                          f"{path}.ac_lines", "k")
-        p_m = _numbers(area, "p_m", path, required=False)
-        try:
-            areas.append(AcArea(
-                inertia=tuple(inertia),
-                ac_lines=ac_lines,
-                converter_bus=_int(area, "converter_bus", path, required=False, default=0),
-                p_m=p_m,
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        k_droop.append(tuple(kd))
-        k_droop_i.append(tuple(kdi))
+        areas.append(_build(
+            path, AcArea,
+            inertia=tuple(_get(gen, "inertia", gpath, float) for gen, gpath in gens),
+            ac_lines=_edges(area, "ac_lines", path, "k", ()),
+            converter_bus=_get(area, "converter_bus", path, int, 0),
+            p_m=_numbers(area, "p_m", path, None),
+        ))
+        k_droop.append(tuple(_get(gen, "k_droop", gpath, float) for gen, gpath in gens))
+        k_droop_i.append(tuple(_get(gen, "k_droop_i", gpath, float) for gen, gpath in gens))
+    if len(areas) != net.n:
+        raise ConfigError(f"areas: expected {net.n} areas (one per converter), got {len(areas)}")
 
-    ctrl = _expect(doc, "controller", "", kind=dict)
-    variant_name = _expect(ctrl, "variant", "controller", kind=str)
+    ctrl = _get(doc, "controller", "", dict)
+    variant_name = _get(ctrl, "variant", "controller", str)
     try:
         variant = Variant(variant_name)
     except ValueError:
         raise ConfigError(
             f"controller.variant: unknown value {variant_name!r}; expected one of "
             + ", ".join(v.value for v in Variant)) from None
-    comm_eta_raw = _expect(ctrl, "comm_eta", "controller", kind=list, required=False, default=None)
-    comm_phi_raw = _expect(ctrl, "comm_phi", "controller", kind=list, required=False, default=None)
-    try:
-        comm_eta = (WeightedGraph(net.n, _edges(comm_eta_raw, "controller.comm_eta", "w"))
-                    if comm_eta_raw is not None else None)
-        comm_phi = (WeightedGraph(net.n, _edges(comm_phi_raw, "controller.comm_phi", "w"))
-                    if comm_phi_raw is not None else None)
-        cfg = ControllerConfig(
-            k_droop=tuple(k_droop),
-            k_droop_i=tuple(k_droop_i),
-            k_omega=_numbers(ctrl, "k_omega", "controller"),
-            k_v=_numbers(ctrl, "k_v", "controller"),
-            comm_eta=comm_eta,
-            comm_phi=comm_phi,
-            gamma=_number(ctrl, "gamma", "controller", required=False, default=0.0),
-            omega_ref=_number(ctrl, "omega_ref", "controller", required=False, default=1.0),
-            variant=variant,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"controller: {exc}") from exc
+    graphs = {key: _build(f"controller.{key}", WeightedGraph, n_nodes=net.n,
+                          edges=_edges(ctrl, key, "controller", "w"))
+              for key in ("comm_eta", "comm_phi") if key in ctrl}
+    cfg = _build(
+        "controller", ControllerConfig,
+        k_droop=tuple(k_droop),
+        k_droop_i=tuple(k_droop_i),
+        k_omega=_numbers(ctrl, "k_omega", "controller"),
+        k_v=_numbers(ctrl, "k_v", "controller"),
+        gamma=_get(ctrl, "gamma", "controller", float, 0.0),
+        omega_ref=_get(ctrl, "omega_ref", "controller", float, 1.0),
+        variant=variant,
+        **graphs,
+    )
 
     costs = None
     if "costs" in doc:
-        section = _expect(doc, "costs", "", kind=dict)
-        f_p, f_v = _numbers(section, "f_p", "costs"), _numbers(section, "f_v", "costs")
-        try:
-            costs = CostWeights(f_p=f_p, f_v=f_v)
-        except ValueError as exc:
-            raise ConfigError(f"costs: {exc}") from exc
+        section = _get(doc, "costs", "", dict)
+        costs = _build("costs", CostWeights, f_p=_numbers(section, "f_p", "costs"),
+                       f_v=_numbers(section, "f_v", "costs"))
         if len(costs.f_p) != net.n:
             raise ConfigError("costs.f_p: one weight per area required")
 
-    scen = _expect(doc, "scenario", "", kind=dict)
+    scen = _get(doc, "scenario", "", dict)
     events = []
-    for idx, ev in enumerate(_expect(scen, "disturbances", "scenario", kind=list,
-                                     required=False, default=[])):
-        path = f"scenario.disturbances[{idx}]"
-        if not isinstance(ev, dict):
-            raise ConfigError(f"{path}: expected an object")
-        events.append(DisturbanceEvent(
-            time=_number(ev, "time", path),
-            area=_int(ev, "area", path),
-            bus=_int(ev, "bus", path),
-            magnitude=_number(ev, "magnitude", path),
+    for ev, path in _objects(scen, "disturbances", "scenario", ()):
+        events.append(_build(
+            path, DisturbanceEvent,
+            time=_get(ev, "time", path, float),
+            area=_get(ev, "area", path, int),
+            bus=_get(ev, "bus", path, int),
+            magnitude=_get(ev, "magnitude", path, float),
         ))
         if not (0 <= events[-1].area < net.n):
             raise ConfigError(f"{path}.area: no such area")
         if not (0 <= events[-1].bus < areas[events[-1].area].n_buses):
             raise ConfigError(f"{path}.bus: no such bus in area {events[-1].area}")
-    mode_name = _expect(scen, "mode", "scenario", kind=str, required=False, default="linear")
+    mode_name = _get(scen, "mode", "scenario", str, "linear")
     try:
         mode = CouplingMode(mode_name)
     except ValueError:
         raise ConfigError(f"scenario.mode: unknown value {mode_name!r}") from None
-    try:
-        scenario = Scenario(
-            t_end=_number(scen, "t_end", "scenario"),
-            dt=_number(scen, "dt", "scenario", required=False, default=1e-3),
-            disturbances=tuple(events),
-            mode=mode,
-            record_every=_int(scen, "record_every", "scenario", required=False, default=1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-
-    if len(areas) != net.n:
-        raise ConfigError(f"areas: expected {net.n} areas (one per converter), got {len(areas)}")
+    scenario = _build(
+        "scenario", Scenario,
+        t_end=_get(scen, "t_end", "scenario", float),
+        dt=_get(scen, "dt", "scenario", float, 1e-3),
+        disturbances=tuple(events),
+        mode=mode,
+        record_every=_get(scen, "record_every", "scenario", int, 1),
+    )
     return SystemConfig(net=net, areas=tuple(areas), cfg=cfg, costs=costs, scenario=scenario)
 
 

@@ -77,6 +77,9 @@ class MtdcNetwork:
             v_ref = tuple(float(v) for v in v_ref)
             if len(v_ref) != len(cap):
                 raise ValueError("v_ref length must match node count")
+            for k, v in enumerate(v_ref):
+                if not (v > 0.0 and np.isfinite(v)):
+                    raise ValueError(f"v_ref[{k}]: must be finite and > 0")
         object.__setattr__(self, "v_ref", v_ref)
         if not connectivity(self.conductance_graph()):
             raise ValueError("DC grid must be connected")

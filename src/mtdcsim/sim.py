@@ -101,6 +101,8 @@ class Scenario:
             raise ValueError("t_end must be finite and > 0")
         if not (0.0 < self.dt <= DT_CAP):
             raise ValueError(f"dt must be in (0, {DT_CAP}] s")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end is too many steps of dt = {self.dt:g} s to count")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9:
             raise ValueError(f"t_end must be an integer number of steps of dt = {self.dt:g} s")
         every = self.record_every  # numpy integers pass, a bool does not

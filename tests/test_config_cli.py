@@ -1,6 +1,8 @@
 """Configuration files and the command-line surface."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -12,14 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtdcsim as m
 from mtdcsim import cli
 from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
                          cmd_sweep, main)
-from mtdcsim.config import config_to_dict, parse_config
+from mtdcsim.config import SystemConfig, config_to_dict, parse_config
 
-from conftest import single_gen_system
+from conftest import random_stable_config, single_gen_system
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +203,106 @@ class TestConfigParsing:
         path = tmp_path / "copy.cfg"
         path.write_text(json.dumps(config_to_dict(paper_sc)))
         assert m.load_config(path) == paper_sc
+
+
+_DELETE = object()
+# each fuzz mutant takes one of these at one place of the reference document
+_MUTATIONS = (_DELETE, None, "x", [], {}, -1, 0, 1e308, 10 ** 400, True, 99,
+              float("nan"), float("inf"), float("-inf"))
+_ERROR_LINE = re.compile(r"configuration error: (?P<path>[a-z_]+(?:\[\d+\])*"
+                         r"(?:\.[a-z_]+(?:\[\d+\])*)*|state matrix): (?P<rest>.+)")
+
+
+def _places(node, prefix=()):
+    """Every key of a document and the first two entries of every list."""
+    children = node.items() if isinstance(node, dict) else enumerate(node[:2])
+    for key, child in children:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _places(child, prefix + (key,))
+
+
+def _set(doc, place, value):
+    parent = doc
+    for key in place[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[place[-1]]
+    else:
+        parent[place[-1]] = value
+
+
+def _analyze_stderr(doc, out):
+    """``analyze`` on ``doc``, warnings as errors: the exit code and stderr."""
+    out.mkdir(parents=True, exist_ok=True)
+    cfg = out / "mutant.cfg"
+    cfg.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["analyze", "--config", str(cfg), "--out", str(out / "o")])
+    return code, err.getvalue()
+
+
+class TestConfigFuzz:
+    """Malformed input ends in exit 2 with one line naming a field or section,
+    never in a traceback (ROADMAP item 5)."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reference_mutants(self, paper_doc, tmp_path_factory, data):
+        doc = json.loads(json.dumps(paper_doc))
+        place = data.draw(st.sampled_from(list(_places(doc))), label="place")
+        _set(doc, place, data.draw(st.sampled_from(_MUTATIONS), label="value"))
+        code, err = _analyze_stderr(doc, tmp_path_factory.mktemp("fuzz"))
+        assert code in (0, 2)
+        if code == 2:
+            assert len(err.splitlines()) == 1, err
+            match = _ERROR_LINE.fullmatch(err.rstrip("\n"))
+            assert match, err
+            # no path repeated, as in "scenario: scenario.t_end: ..."
+            assert not match["rest"].startswith(re.split(r"[.[]", match["path"])[0]), err
+
+    @pytest.mark.parametrize("edits, message", [
+        ([(("controller", "omega_ref"), None)],
+         "controller.omega_ref: expected a number, got null"),
+        ([(("scenario", "disturbances", 0, "magnitude"), None)],
+         "scenario.disturbances[0].magnitude: expected a number, got null"),
+        ([(("mtdc", "nodes", 0, "cap"), None)], "mtdc.nodes[0].cap: expected a number, got null"),
+        ([(("scenario", "t_end"), 1e308)],
+         "scenario: t_end is too many steps of dt = 0.001 s to count"),
+        ([(("areas", 5), _DELETE), (("controller", "variant"), "dec_gen_dec_conv"),
+          (("controller", "k_omega"), [1501.0] * 5), (("controller", "k_v"), [80.0] * 5),
+          (("scenario", "disturbances", 0, "area"), 5)],
+         "areas: expected 6 areas (one per converter), got 5"),
+        ([(("mtdc", "nodes", 0, "v_ref"), -1)], "mtdc: v_ref[0]: must be finite and > 0"),
+        ([(("areas", 0, "generators", 0, "k_droop"), 1e308)],
+         "certificate: non-finite entries (a gain or voltage beyond the float range)"),
+        ([(("scenario", "disturbances", 0, "magnitude"), 1e308)],
+         "equilibrium: non-finite values (a disturbance or gain beyond the float range)"),
+    ], ids=["omega_ref_null", "magnitude_null", "cap_null", "t_end_1e308",
+            "event_in_missing_area", "v_ref_negative", "certificate_overflow",
+            "equilibrium_overflow"])
+    def test_named_regressions(self, paper_doc, tmp_path, edits, message):
+        doc = json.loads(json.dumps(paper_doc))
+        for place, value in edits:
+            _set(doc, place, value)
+        assert _analyze_stderr(doc, tmp_path) == (2, f"configuration error: {message}\n")
+
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(m.Variant)),
+           with_costs=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_round_trip_random(self, seed, variant, with_costs):
+        """Random grids carry line l, c, segments and, half the time, costs."""
+        rng = np.random.default_rng(seed)
+        net, areas, cfg = random_stable_config(rng)
+        costs = (m.CostWeights(f_p=tuple(rng.uniform(0.5, 2.0, net.n)),
+                               f_v=tuple(rng.uniform(0.5, 2.0, net.n)))
+                 if with_costs else None)
+        event = m.DisturbanceEvent(0.5, int(rng.integers(net.n)), 0, float(rng.uniform(-1, 1)))
+        sc = SystemConfig(net=net, areas=areas, cfg=replace(cfg, variant=variant), costs=costs,
+                          scenario=m.Scenario(t_end=2.0, record_every=5, disturbances=(event,)))
+        assert parse_config(json.loads(json.dumps(config_to_dict(sc)))) == sc
 
 
 class TestAnalyzeCommand:

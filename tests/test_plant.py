@@ -27,6 +27,11 @@ class TestMtdcNetwork:
         with pytest.raises(ValueError, match="connected"):
             m.MtdcNetwork(cap=(1.0, 1.0), lines=())
 
+    @pytest.mark.parametrize("v_ref", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_nonpositive_vref(self, v_ref):
+        with pytest.raises(ValueError, match=r"v_ref\[1\]: must be finite and > 0"):
+            m.MtdcNetwork(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 0.1),), v_ref=(1.0, v_ref))
+
     def test_vref_defaults_to_vnom(self):
         net = m.MtdcNetwork(cap=(1.0,), lines=(), v_nom=1.05)
         assert net.v_ref == (1.05,)

@@ -402,6 +402,8 @@ class TestIntegrate:
             m.Scenario(t_end=1.0, dt=0.05)
         with pytest.raises(ValueError, match="event time"):
             m.Scenario(t_end=1.0, disturbances=(m.DisturbanceEvent(2.0, 0, 0, 1.0),))
+        with pytest.raises(ValueError, match="t_end is too many steps"):  # t_end / dt is inf
+            m.Scenario(t_end=1e308)
         # integrate steps through the record grid with range(), which takes integers only
         for every in (2.0, True, 0):
             with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
