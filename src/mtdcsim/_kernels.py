@@ -209,9 +209,12 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
 
 def block_size(n_rec, dim):
     """Rows per block of a run of ``n_rec`` samples of ``dim`` states, about
-    sqrt(4 n_rec / dim): it balances the n_rec / b matrix-vector products,
-    about four times slower per flop than the fill, against the b - 1
-    products that form the b-th power."""
+    sqrt(4 n_rec / dim). The trade-off: the first rows of the n_rec / b
+    blocks are memory-bound matrix-vector products by the b-th power (about
+    6 us each at 186 states), and the forcing of b steps takes b - 1 more;
+    the other rows come from b - 1 fill calls of n_rec / b rows each. The
+    b-th power costs a run nothing: the ``Propagator`` forms it once per
+    model, stride and b."""
     return max(1, min(n_rec, isqrt(4 * n_rec // dim)))
 
 

@@ -29,7 +29,7 @@ from .analysis import (
     stability_report,
 )
 from .assembly import (SERIES_FAMILIES, NonFiniteModelError, assemble_resistive,
-                       baseline_disturbance, disturbance_map, reduce_model)
+                       baseline_disturbance, disturbance_map)
 from .config import ConfigError, SystemConfig, load_config
 from .control import Variant
 from .sim import IntegrationError, Trajectory, compare_variants, integrate
@@ -160,10 +160,10 @@ def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") ->
             sc = replace(sc, cfg=replace(sc.cfg, variant=Variant(variant)))
         except ValueError as exc:
             raise ConfigError(f"--variant: {exc}") from exc
-    model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=False)
+    model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
     traj = integrate(model, sc.scenario)
     artifacts = _emit_timeseries({"": traj}, out, fmt)
-    return _finish_run(out, artifacts, *_analysis_pair(sc, reduce_model(model)))
+    return _finish_run(out, artifacts, *_analysis_pair(sc, model))
 
 
 def _settling_time(times, series, final_row) -> float:
@@ -208,10 +208,8 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     _write_csv(summary_path, list(summary_rows[0]), [row["variant"] + "," for row in summary_rows],
                [list(row.values())[1:] for row in summary_rows])
     artifacts.append((TIMESERIES_CSV, str(summary_path)))
-    if sc.cfg.variant in results:
-        model = reduce_model(results[sc.cfg.variant].model)
-    else:
-        model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+    model = (results[sc.cfg.variant].model if sc.cfg.variant in results
+             else assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True))
     return _finish_run(out, artifacts, *_analysis_pair(sc, model), comparison=summary_rows)
 
 

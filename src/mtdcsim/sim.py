@@ -59,17 +59,16 @@ import numpy as np
 
 from . import _kernels
 from ._blas import one_thread
-from .assembly import (
-    ClosedLoopModel,
-    assemble_resistive,
-    baseline_disturbance,
-    disturbance_map,
-    reduce_model,
-)
+from .assembly import ClosedLoopModel, assemble_resistive, baseline_disturbance, disturbance_map
 from .analysis import equilibrium, lyapunov_matrix
 from .control import ControllerConfig, CouplingMode, Variant
 
 DT_CAP = 0.01
+# Bounds on a run's size: step indices stay exact in a float and far inside
+# int64, and the recorded states (samples x states floats: 1.4 GB at 10**6
+# samples of the reference's 179 reduced states) fit in memory.
+MAX_STEPS = 2**53
+MAX_SAMPLES = 10**6
 
 
 class IntegrationError(RuntimeError):
@@ -101,13 +100,18 @@ class Scenario:
             raise ValueError("t_end must be finite and > 0")
         if not (0.0 < self.dt <= DT_CAP):
             raise ValueError(f"dt must be in (0, {DT_CAP}] s")
-        if not np.isfinite(self.t_end / self.dt):
-            raise ValueError(f"t_end is too many steps of dt = {self.dt:g} s to count")
+        if self.t_end / self.dt > MAX_STEPS:  # also where the quotient overflows
+            raise ValueError(f"t_end is {self.t_end / self.dt:.3g} steps of dt = {self.dt:g} s, "
+                             f"more than MAX_STEPS = {MAX_STEPS}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9:
             raise ValueError(f"t_end must be an integer number of steps of dt = {self.dt:g} s")
         every = self.record_every  # numpy integers pass, a bool does not
         if isinstance(every, bool) or not isinstance(every, Integral) or every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
+        n_samples = -(-self.n_steps // every) + 1
+        if n_samples > MAX_SAMPLES:
+            raise ValueError(f"t_end records {n_samples:.3g} samples at record_every = {every}, "
+                             f"more than MAX_SAMPLES = {MAX_SAMPLES}")
         events = tuple(ev if isinstance(ev, DisturbanceEvent) else DisturbanceEvent(*ev)
                        for ev in self.disturbances)
         for ev in events:
@@ -315,11 +319,8 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     """Run one deterministic simulation and return the recorded trajectory.
 
     Step events take effect at the first integration step boundary at or
-    after their event time. The nonlinear mode needs the full-coordinate
-    model so the absolute DC voltages can be reconstructed per node.
+    after their event time.
     """
-    if scenario.mode is CouplingMode.NONLINEAR and model.reduced:
-        raise ValueError("nonlinear mode needs the full-coordinate model")
     n_steps = scenario.n_steps
     bounds, inputs = _segments(model, scenario, n_steps)
     rec_steps = _record_steps(n_steps, scenario.record_every)
@@ -356,17 +357,18 @@ COMPARISON_VARIANTS = (
 
 
 def compare_variants(net, areas, cfg: ControllerConfig, scenario: Scenario) -> dict:
-    """Run the same plant and scenario under the three controller pairings."""
+    """Run the same plant and scenario under the three controller pairings,
+    each on its reduced model."""
     results = {}
     for variant in COMPARISON_VARIANTS:
-        cfg_v = replace(cfg, variant=variant)
-        model = assemble_resistive(net, areas, cfg_v, reduced=False)
+        model = assemble_resistive(net, areas, replace(cfg, variant=variant), reduced=True)
         results[variant] = integrate(model, scenario)
     return results
 
 
 def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario) -> LyapunovTrace:
-    """Candidate-function values along a simulated trajectory.
+    """Candidate-function values along a simulated trajectory of the reduced
+    ``model``.
 
     The state is measured relative to the equilibrium under the final
     constant input, so a single step disturbance from rest yields a series
@@ -376,14 +378,7 @@ def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario) -> LyapunovTrace:
     """
     traj = integrate(model, scenario)
     u_final = _segments(model, scenario, scenario.n_steps)[1][-1]
-    if np.any(u_final != 0.0):
-        if model.reduced:
-            x_ref = equilibrium(model, u_final).x_star
-        else:
-            red = reduce_model(model)
-            x_ref = red.projection.T @ equilibrium(red, u_final).x_star
-    else:
-        x_ref = np.zeros(model.dim)
+    x_ref = equilibrium(model, u_final).x_star if np.any(u_final != 0.0) else np.zeros(model.dim)
     p = lyapunov_matrix(model)
     rel = traj.states - x_ref
     values = np.einsum("ij,jk,ik->i", rel, p, rel)

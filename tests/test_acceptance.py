@@ -196,8 +196,7 @@ def test_criterion_09_block_oracle():
 
 def test_criterion_10_step_size_insensitivity(paper_sc, paper_trajs):
     base = paper_trajs[m.Variant.DIST_GEN_DIST_CONV]
-    model = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=False)
-    halved = m.integrate(model, replace(paper_sc.scenario, dt=5e-4, record_every=20))
+    halved = m.integrate(base.model, replace(paper_sc.scenario, dt=5e-4, record_every=20))
     gap = float(np.abs(base.states[-1] - halved.states[-1]).max())
     _report(10, "halving the step leaves the terminal state unchanged", gap < 1e-8,
             f"terminal_gap={gap:.2g}")

@@ -1,5 +1,7 @@
 """Closed-loop assembly: block equations, layout, reduction, disturbance map."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,9 +217,9 @@ class TestReduce:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_full_and_reduced_agree(self, assemble, seed):
-        """Same outputs and derived series on a short linear run, same
-        equilibrium DC voltages and Lyapunov trace; the projected form is
-        positive definite."""
+        """Same outputs and derived series on a short run in either coupling
+        mode, same equilibrium DC voltages and Lyapunov trace; the projected
+        form is positive definite."""
         rng = np.random.default_rng(seed)
         net, areas, cfg = random_stable_config(rng)
         full = assemble(net, areas, cfg, reduced=False)
@@ -226,12 +228,14 @@ class TestReduce:
         magnitude = float(rng.uniform(-0.5, 0.5))
         scen = m.Scenario(t_end=0.5, dt=1e-3, record_every=10,
                           disturbances=(m.DisturbanceEvent(0.1, area, 0, magnitude),))
-        traj_full, traj_red = m.integrate(full, scen), m.integrate(red, scen)
-        y_full = traj_full.outputs()
-        assert np.abs(y_full - traj_red.outputs()).max() <= 1e-9 * np.abs(y_full).max()
         np.testing.assert_array_equal(full.series_offset, red.series_offset)
-        scale = np.abs(traj_full.series - full.series_offset).max()
-        assert np.abs(traj_full.series - traj_red.series).max() <= 1e-9 * scale
+        for mode in m.CouplingMode:
+            scen_mode = replace(scen, mode=mode)
+            traj_full, traj_red = m.integrate(full, scen_mode), m.integrate(red, scen_mode)
+            y_full = traj_full.outputs()
+            assert np.abs(y_full - traj_red.outputs()).max() <= 1e-9 * np.abs(y_full).max()
+            scale = np.abs(traj_full.series - full.series_offset).max()
+            assert np.abs(traj_full.series - traj_red.series).max() <= 1e-9 * scale
 
         p_red = lyapunov_matrix(red)  # T P T^T: symmetric up to rounding
         assert np.abs(p_red - p_red.T).max() <= 1e-14 * np.abs(p_red).max()
@@ -242,9 +246,12 @@ class TestReduce:
         if stable:
             u = m.disturbance_map(full, [(area, 0, magnitude)])
             v_full = _full_steady_state(full, u)[full.layout.sl("vdc")]
-            v_red = m.equilibrium(red, u).v_hat_star
-            assert np.abs(v_full - v_red).max() <= 1e-9 * np.abs(v_full).max()
-            w_full = m.lyapunov_trace(full, scen).values
+            equil = m.equilibrium(red, u)
+            assert np.abs(v_full - equil.v_hat_star).max() <= 1e-9 * np.abs(v_full).max()
+            # oracle: W of the full form along the full linear run, about
+            # the reduced equilibrium lifted back by T^T
+            rel = m.integrate(full, scen).states - red.projection.T @ equil.x_star
+            w_full = np.einsum("ij,jk,ik->i", rel, lyapunov_matrix(full), rel)
             w_red = m.lyapunov_trace(red, scen).values
             assert np.abs(w_full - w_red).max() <= 1e-9 * np.abs(w_full).max()
 

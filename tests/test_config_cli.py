@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdcsim as m
-from mtdcsim import cli
+from mtdcsim import assembly, cli
 from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
                          cmd_sweep, main)
 from mtdcsim.config import SystemConfig, config_to_dict, parse_config
@@ -270,7 +270,7 @@ class TestConfigFuzz:
          "scenario.disturbances[0].magnitude: expected a number, got null"),
         ([(("mtdc", "nodes", 0, "cap"), None)], "mtdc.nodes[0].cap: expected a number, got null"),
         ([(("scenario", "t_end"), 1e308)],
-         "scenario: t_end is too many steps of dt = 0.001 s to count"),
+         "scenario: t_end is inf steps of dt = 0.001 s, more than MAX_STEPS = 9007199254740992"),
         ([(("areas", 5), _DELETE), (("controller", "variant"), "dec_gen_dec_conv"),
           (("controller", "k_omega"), [1501.0] * 5), (("controller", "k_v"), [80.0] * 5),
           (("scenario", "disturbances", 0, "area"), 5)],
@@ -280,9 +280,17 @@ class TestConfigFuzz:
          "certificate: non-finite entries (a gain or voltage beyond the float range)"),
         ([(("scenario", "disturbances", 0, "magnitude"), 1e308)],
          "equilibrium: non-finite values (a disturbance or gain beyond the float range)"),
+        ([(("scenario", "t_end"), 2.0 ** 60), (("scenario", "dt"), 2.0 ** -10),
+          (("scenario", "record_every"), 2 ** 80)],
+         "scenario: t_end is 1.18e+21 steps of dt = 0.000976562 s, "
+         "more than MAX_STEPS = 9007199254740992"),
+        ([(("scenario", "t_end"), 2.0 ** 40), (("scenario", "dt"), 2.0 ** -10),
+          (("scenario", "record_every"), 1)],
+         "scenario: t_end records 1.13e+15 samples at record_every = 1, "
+         "more than MAX_SAMPLES = 1000000"),
     ], ids=["omega_ref_null", "magnitude_null", "cap_null", "t_end_1e308",
             "event_in_missing_area", "v_ref_negative", "certificate_overflow",
-            "equilibrium_overflow"])
+            "equilibrium_overflow", "t_end_beyond_max_steps", "t_end_beyond_max_samples"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
         doc = json.loads(json.dumps(paper_doc))
         for place, value in edits:
@@ -427,6 +435,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("field, value, path", [
         (("scenario", "t_end"), float("inf"), r"scenario\.t_end"),
         (("scenario", "t_end"), 1.0005, r"scenario: t_end must be an integer number of steps"),
+        (("scenario", "t_end"), 2.0 ** 60, r"scenario: t_end is .* more than MAX_STEPS = "),
+        (("scenario", "t_end"), 2.0 ** 40, r"scenario: t_end records .* more than MAX_SAMPLES = "),
         (("controller", "gamma"), float("nan"), r"controller\.gamma"),
         (("controller", "gamma"), 10 ** 400, r"controller\.gamma"),  # beyond the float range
         (("controller", "k_omega", 0), float("inf"), r"controller\.k_omega\[0\]"),
@@ -442,9 +452,10 @@ class TestSimulateCommand:
         (("mtdc", "lines", 2, "c"), -1e-3, r"mtdc\.lines\[2\]: .*l and c"),
         (("mtdc", "lines", 0, "j"), 0, r"mtdc\.lines\[0\]: .*endpoints"),
         (("mtdc", "lines", 0, "segments"), 0, r"mtdc\.lines\[0\]: .*segments"),
-    ], ids=["t_end_inf", "t_end_off_grid", "gamma_nan", "gamma_huge_int", "k_omega_inf",
-            "k_droop_inf", "magnitude_inf", "p_m_nan", "cost_inf", "line_r_zero",
-            "line_l_negative", "line_c_negative", "line_self_loop", "line_no_segments"])
+    ], ids=["t_end_inf", "t_end_off_grid", "t_end_max_steps", "t_end_max_samples", "gamma_nan",
+            "gamma_huge_int", "k_omega_inf", "k_droop_inf", "magnitude_inf", "p_m_nan",
+            "cost_inf", "line_r_zero", "line_l_negative", "line_c_negative", "line_self_loop",
+            "line_no_segments"])
     def test_malformed_number_exit_code(self, paper_doc, tmp_path, capsys, field, value, path):
         """JSON NaN/Infinity or an off-grid horizon is a configuration error
         naming the field, never a traceback or a warning."""
@@ -590,6 +601,31 @@ class TestCompareCommand:
             assert float(r["static_freq_error"]) == 0.0
             assert float(r["gen_spread"]) == 0.0
             assert float(r["settling_time_inj"]) == 0.0
+
+
+class TestOneModelPerCommand:
+    @pytest.mark.parametrize("command, n_models", [(cmd_simulate, 1), (cmd_compare, 3)],
+                             ids=["simulate", "compare"])
+    def test_integrates_the_analysed_model(self, short_cfg_path, tmp_path, monkeypatch, command,
+                                           n_models):
+        """``simulate`` assembles one model and ``compare`` one per pairing,
+        each reduced once inside ``assemble_resistive``; the analysis gets a
+        model that was integrated, so it shares that run's memos."""
+        calls = {"_assemble": 0, "reduce_model": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(assembly, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(assembly, name, counted)
+        analysed = []
+        real_pair = cli._analysis_pair
+        monkeypatch.setattr(cli, "_analysis_pair",
+                            lambda sc, model: analysed.append(model) or real_pair(sc, model))
+        command(short_cfg_path, tmp_path / "o")
+        assert calls == {"_assemble": n_models, "reduce_model": n_models}
+        assert not hasattr(cli, "reduce_model")
+        (model,) = analysed
+        assert model.reduced and list(model.zoh_memo) == [1e-3]
 
 
 class TestSweepCommand:

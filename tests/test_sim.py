@@ -17,7 +17,7 @@ from scipy.linalg import expm
 
 import mtdcsim as m
 from mtdcsim import _blas, _kernels
-from mtdcsim.sim import _record_steps, _segments, discretize
+from mtdcsim.sim import MAX_SAMPLES, MAX_STEPS, _record_steps, _segments, discretize
 
 from conftest import random_stable_config, single_gen_system
 from direct_rhs import direct_controls, direct_rhs, flatten, unflatten
@@ -402,13 +402,21 @@ class TestIntegrate:
             m.Scenario(t_end=1.0, dt=0.05)
         with pytest.raises(ValueError, match="event time"):
             m.Scenario(t_end=1.0, disturbances=(m.DisturbanceEvent(2.0, 0, 0, 1.0),))
-        with pytest.raises(ValueError, match="t_end is too many steps"):  # t_end / dt is inf
+        with pytest.raises(ValueError, match="t_end is inf steps"):  # t_end / dt overflows
             m.Scenario(t_end=1e308)
         # integrate steps through the record grid with range(), which takes integers only
         for every in (2.0, True, 0):
             with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
                 m.Scenario(t_end=0.05, record_every=every)
         assert m.Scenario(t_end=0.05, record_every=np.int64(2)).record_every == 2
+        # the size bounds, at their edges: MAX_STEPS steps, MAX_SAMPLES samples
+        dt = 2.0 ** -10
+        m.Scenario(t_end=MAX_STEPS * dt, dt=dt, record_every=2**80)
+        with pytest.raises(ValueError, match="more than MAX_STEPS = 9007199254740992$"):
+            m.Scenario(t_end=2 * MAX_STEPS * dt, dt=dt, record_every=2**80)
+        m.Scenario(t_end=(MAX_SAMPLES - 1) * dt, dt=dt)
+        with pytest.raises(ValueError, match="1e\\+06 samples .* more than MAX_SAMPLES = 1000000$"):
+            m.Scenario(t_end=MAX_SAMPLES * dt, dt=dt)
 
     def test_x0_shape_checked(self, two_area):
         """An initial state of the model's length but not 1-D is refused by
@@ -792,13 +800,6 @@ class TestBlockedPropagation:
 
 
 class TestNonlinearMode:
-    def test_requires_full_model(self, two_area):
-        net, areas, cfg = two_area
-        red = m.assemble_resistive(net, areas, cfg, reduced=True)
-        scen = m.Scenario(t_end=1.0, mode=m.CouplingMode.NONLINEAR)
-        with pytest.raises(ValueError, match="full-coordinate"):
-            m.integrate(red, scen)
-
     def test_against_reference_solver(self, two_area):
         """Independent oracle: adaptive RK on the scalar-equation right side."""
         net, areas, cfg = two_area
@@ -816,15 +817,16 @@ class TestNonlinearMode:
                         t_eval=[4.0])
         np.testing.assert_allclose(traj.states[-1], ref.y[:, -1], atol=1e-7)
 
-    def test_matches_reference_heun_step(self, paper_sc, paper_model_full):
+    def test_matches_reference_heun_step(self, paper_sc, paper_model_full, paper_model_reduced):
         """The kernel reproduces the per-converter Heun step, one full step
         at a time, within 1e-10 of the largest state on the reference
-        nonlinear scenario."""
+        nonlinear scenario, in full and in reduced coordinates."""
         scen = replace(paper_sc.scenario, t_end=5.0, mode=m.CouplingMode.NONLINEAR)
-        status, want = _reference_etd2(paper_model_full, scen)
-        assert status == -1
-        got = m.integrate(paper_model_full, scen).states
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        for model in (paper_model_full, paper_model_reduced):
+            status, want = _reference_etd2(model, scen)
+            assert status == -1
+            got = m.integrate(model, scen).states
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_voltage_collapse_aborts(self):
         net, areas, cfg = single_gen_system(1, variant=m.Variant.DEC_GEN_DEC_CONV,
@@ -838,10 +840,14 @@ class TestNonlinearMode:
         assert status > 0
         assert f"t = {status * scen.dt:.6g} s" in str(err.value)
 
-    @pytest.mark.parametrize("t_end", [5.0, 45.0])
-    def test_close_to_array_form(self, paper_sc, paper_model_full, t_end):
+    @pytest.mark.parametrize("t_end, reduced", [(5.0, False), (45.0, False), (5.0, True)],
+                             ids=["5.0", "45.0", "reduced-5.0"])
+    def test_close_to_array_form(self, paper_sc, paper_model_full, paper_model_reduced, t_end,
+                                 reduced):
+        """On the full model, and on the reduced one the command line integrates."""
         scen = replace(paper_sc.scenario, t_end=t_end, mode=m.CouplingMode.NONLINEAR)
-        assert _assert_close_to_array_form(paper_model_full, scen) == -1
+        model = paper_model_reduced if reduced else paper_model_full
+        assert _assert_close_to_array_form(model, scen) == -1
 
     @pytest.mark.parametrize("stride", [1, 7, 10, 37])
     def test_close_to_array_form_at_record_strides(self, paper_sc, paper_model_full, stride):
