@@ -139,10 +139,10 @@ def test_criterion_07_lyapunov_monotonicity(paper_sc):
             f"pi_link={trace_pi.max_step_increase:.2g}")
 
 
-def test_criterion_08_model_equivalences(paper_sc, paper_model_full, paper_trajs):
+def test_criterion_08_model_equivalences(paper_sc, paper_model_full):
     # (a) full vs reduced output trajectories
     red = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True)
-    y_full = paper_trajs[m.Variant.DIST_GEN_DIST_CONV].outputs()
+    y_full = m.integrate(paper_model_full, paper_sc.scenario).outputs()
     y_red = m.integrate(red, paper_sc.scenario).outputs()
     out_gap = np.abs(y_full - y_red).max()
 
