@@ -2,10 +2,11 @@
 
 Two routes to a stability verdict are kept deliberately separate: the
 spectral test (eigenvalues of the reduced closed loop) and the quadratic
-certificate built from the proportionality and damping conditions on the
-converter communication graph. The certificate is sufficient, never
-necessary; the bundled six-terminal setup with zero phase damping is the
-standard example that is spectrally stable without a certificate.
+certificate of the resistive-line proof, from the proportionality and
+damping conditions on the converter communication graph. It covers resistive
+lines, and pi-link lines under the decentralised converter law. It is
+sufficient, never necessary: the bundled six-terminal setup with zero phase
+damping is spectrally stable without a certificate.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def _min_eig(mat: np.ndarray) -> float:
 @one_thread()
 @np.errstate(over="ignore", invalid="ignore")  # reported once, by _min_eig
 def lyapunov_certificate(net: MtdcNetwork, cfg: ControllerConfig) -> CertificateResult:
-    """Check Assumptions 1 and 2 and build the two certificate blocks, once each.
+    """Check Assumptions 1 and 2 and build the resistive-line proof's two blocks, once each.
 
     The frequency/voltage block q1 couples the converter gains with the
     converter-bus droop; its Schur complement is positive definite exactly
@@ -323,10 +324,14 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
 
 def stability_report(model: ClosedLoopModel) -> StabilityReport:
     """Classify a reduced model: ``LYAPUNOV_PROVEN`` by the certificate (an
-    empty block counts as positive definite), otherwise by the spectrum."""
+    empty block counts as positive definite) where its resistive-line proof
+    holds, so not for pi-link lines under the distributed converter law, whose
+    P can grow; otherwise by the spectrum."""
     abscissa, stable = hurwitz(model)
     cert = lyapunov_certificate(model.net, model.cfg)
-    if cert.schur_ok and all(e is None or e > 0.0 for e in (cert.q1_min_eig, cert.q2_min_eig)):
+    covered = model.chain is None or not model.cfg.variant.distributed_conv
+    if covered and cert.schur_ok and all(e is None or e > 0.0
+                                         for e in (cert.q1_min_eig, cert.q2_min_eig)):
         certificate = CertificateClass.LYAPUNOV_PROVEN
     elif abscissa > HURWITZ_TOL:
         certificate = CertificateClass.UNSTABLE

@@ -28,7 +28,6 @@ projected by it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,17 +152,6 @@ class ClosedLoopModel:
         return out
 
 
-def _check_structure(net: MtdcNetwork, areas, cfg: ControllerConfig):
-    areas = tuple(areas)
-    if len(areas) != net.n:
-        raise ValueError("need exactly one AC area per converter node")
-    if cfg.n_areas != net.n:
-        raise ValueError("controller gain lists must match the converter count")
-    if cfg.bus_counts != tuple(a.n_buses for a in areas):
-        raise ValueError("per-bus gain lists must match the area bus counts")
-    return areas
-
-
 def _build_layout(areas, cfg: ControllerConfig, reduced: bool, chain: PiLinkChain = None) -> StateLayout:
     n = len(areas)
     blocks = []
@@ -195,6 +183,14 @@ def _build_layout(areas, cfg: ControllerConfig, reduced: bool, chain: PiLinkChai
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # reported once, by the final check
 def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
               chain: PiLinkChain = None) -> ClosedLoopModel:
+    """The full-coordinate closed loop with resistive lines, or with the pi-link ``chain``."""
+    areas = tuple(areas)
+    if len(areas) != net.n:
+        raise ValueError("need exactly one AC area per converter node")
+    if cfg.n_areas != net.n:
+        raise ValueError("controller gain lists must match the converter count")
+    if cfg.bus_counts != tuple(a.n_buses for a in areas):
+        raise ValueError("per-bus gain lists must match the area bus counts")
     n = net.n
     layout = _build_layout(areas, cfg, False, chain)
     dim = layout.dim
@@ -318,29 +314,20 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
 def assemble_resistive(net: MtdcNetwork, areas, cfg: ControllerConfig,
                        reduced: bool = True) -> ClosedLoopModel:
     """Closed loop with the purely resistive DC line model."""
-    areas = _check_structure(net, areas, cfg)
     full = _assemble(net, areas, cfg)
     return reduce_model(full) if reduced else full
 
 
 @one_thread()
 def assemble_pi_link(net: MtdcNetwork, areas, cfg: ControllerConfig,
-                     reduced: bool = True, allow_multi_gen: bool = False) -> ClosedLoopModel:
-    """Closed loop with dynamic pi-link DC lines.
+                     reduced: bool = True) -> ClosedLoopModel:
+    """Closed loop with dynamic pi-link DC lines, for areas of any size.
 
-    Multi-generator areas are rejected by default: the stability
-    certificate covers single-generator areas only. Pass
-    ``allow_multi_gen=True`` to compose them anyway (a warning notes the
-    missing certificate).
+    ``analysis.stability_report`` decides what the certificate covers: a
+    pi-link model can be ``LYAPUNOV_PROVEN`` only under the decentralised
+    converter law.
     """
-    areas = _check_structure(net, areas, cfg)
-    if any(a.n_buses > 1 for a in areas):
-        if not allow_multi_gen:
-            raise ValueError("pi-link model supports single-generator areas only "
-                             "(allow_multi_gen=True overrides)")
-        warnings.warn("pi-link model with multi-generator areas has no stability certificate",
-                      stacklevel=2)
-    full = _assemble(net, areas, cfg, chain=pi_link_matrices(net))
+    full = _assemble(net, areas, cfg, pi_link_matrices(net))
     return reduce_model(full) if reduced else full
 
 

@@ -32,7 +32,7 @@ from .assembly import (SERIES_FAMILIES, NonFiniteModelError, assemble_resistive,
                        baseline_disturbance, disturbance_map)
 from .config import ConfigError, SystemConfig, load_config
 from .control import Variant
-from .sim import IntegrationError, Trajectory, compare_variants, integrate
+from .sim import COMPARISON_VARIANTS, IntegrationError, Trajectory, compare_variants, integrate
 
 TIMESERIES_CSV = "TIMESERIES_CSV"
 TIMESERIES_JSON = "TIMESERIES_JSON"
@@ -114,6 +114,14 @@ def _open_run(config_path, out_dir):
     return sc, out
 
 
+def _with_variant(sc: SystemConfig, variant, source: str) -> SystemConfig:
+    """``sc`` under another pairing; one its graphs cannot run is a ``ConfigError``."""
+    try:
+        return replace(sc, cfg=replace(sc.cfg, variant=Variant(variant)))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
 def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
     """Write ``report.json``, listed last among ``artifacts``, and return the run's report."""
     path = out / "report.json"
@@ -155,11 +163,7 @@ def cmd_analyze(config_path, out_dir) -> RunReport:
 
 def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") -> RunReport:
     sc, out = _open_run(config_path, out_dir)
-    if variant is not None:
-        try:
-            sc = replace(sc, cfg=replace(sc.cfg, variant=Variant(variant)))
-        except ValueError as exc:
-            raise ConfigError(f"--variant: {exc}") from exc
+    sc = sc if variant is None else _with_variant(sc, variant, "--variant")
     model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
     traj = integrate(model, sc.scenario)
     artifacts = _emit_timeseries({"": traj}, out, fmt)
@@ -186,6 +190,8 @@ def _settling_time(times, series, final_row) -> float:
 
 def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     sc, out = _open_run(config_path, out_dir)
+    for variant in COMPARISON_VARIANTS:  # exit 2 before any file, not a traceback mid-run
+        _with_variant(sc, variant, f"compare {variant.value}")
     results = compare_variants(sc.net, sc.areas, sc.cfg, sc.scenario)
     artifacts = _emit_timeseries({f"{v.value}__": traj for v, traj in results.items()}, out, fmt)
     summary_rows = []

@@ -8,10 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdcsim as m
-from mtdcsim.analysis import spectral_abscissa
+from mtdcsim.analysis import lyapunov_matrix, spectral_abscissa
 from mtdcsim.netgraph import laplacian
 
 from conftest import random_stable_config, single_gen_system
+from test_assembly import multi_gen_system
+
+ASSEMBLERS = {"resistive": m.assemble_resistive, "pi_link": m.assemble_pi_link}
+
+
+def _assert_p_decreases(model):
+    """The quadratic certificate as a matrix inequality on the reduced model:
+    the symmetric part of A^T P + P A is negative semidefinite to 1e-12 of
+    its largest entry, and P is positive definite."""
+    p = lyapunov_matrix(model)
+    q = model.a.T @ p + p @ model.a
+    assert np.linalg.eigvalsh(0.5 * (q + q.T)).max() <= 1e-12 * np.abs(q).max()
+    assert np.linalg.eigvalsh(p).min() > 0.0
 
 
 class TestAssumption1:
@@ -196,27 +209,45 @@ class TestStabilityReport:
         assert calls == dict.fromkeys(calls, 1)
 
     @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(m.Variant)),
-           offset=st.sampled_from([-1e-6, 0.0, 1e-12, 1e-6]), zero_droop=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_one_verdict_near_the_damping_bound(self, seed, variant, offset, zero_droop):
+           offset=st.sampled_from([-1e-6, 0.0, 1e-12, 1e-6]), zero_droop=st.booleans(),
+           plant=st.sampled_from(list(ASSEMBLERS)))
+    @settings(max_examples=60, deadline=None)
+    def test_one_verdict_near_the_damping_bound(self, seed, variant, offset, zero_droop, plant):
         """Random grids with gamma below, at, within the tolerance above and
-        above the bound: a proven loop is Hurwitz with the Schur tests and
-        Assumption 2 passed, and Assumption 2 is the Schur test whenever
-        every converter droop is positive."""
+        above the bound, with resistive or pi-link lines: a proven loop is
+        Hurwitz with the Schur tests and Assumption 2 passed and P
+        decreasing, and Assumption 2 is the Schur test whenever every
+        converter droop is positive."""
         net, areas, cfg = random_stable_config(np.random.default_rng(seed))
         a1 = m.check_assumption1(laplacian(cfg.comm_phi), laplacian(net.conductance_graph()))
         k_droop = ((0.0,),) + cfg.k_droop[1:] if zero_droop else cfg.k_droop
         cfg = replace(cfg, variant=variant, k_droop=k_droop,
                       gamma=a1.k_phi / (4.0 * net.v_nom) * (1.0 + offset))
-        model = m.assemble_resistive(net, areas, cfg, reduced=True)
+        model = ASSEMBLERS[plant](net, areas, cfg, reduced=True)
         rep = m.stability_report(model)
         cert = m.lyapunov_certificate(net, cfg)
         assert (rep.assumption2 is None) == (not variant.distributed_conv)
         if rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN:
             assert m.hurwitz(model)[1] and cert.schur_ok
             assert rep.assumption2 is None or rep.assumption2.holds
+            _assert_p_decreases(model)
         if variant.distributed_conv and not zero_droop:
             assert rep.assumption2.holds == cert.schur_ok
+
+    @pytest.mark.parametrize("plant", list(ASSEMBLERS))
+    @pytest.mark.parametrize("variant", list(m.Variant))
+    def test_multi_generator_areas_follow_the_same_rule(self, plant, variant):
+        """Areas of several machines, damped above the bound of 1.75: proven
+        with P decreasing unless pi-link lines meet the distributed converter
+        law, which is only Hurwitz."""
+        net, areas, cfg = multi_gen_system(variant=variant, gamma=2.0)
+        model = ASSEMBLERS[plant](net, areas, cfg, reduced=True)
+        rep = m.stability_report(model)
+        if plant == "pi_link" and variant.distributed_conv:
+            assert rep.certificate is m.CertificateClass.HURWITZ_ONLY
+        else:
+            assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+            _assert_p_decreases(model)
 
 
 class TestEquilibrium:

@@ -1,5 +1,6 @@
 """Closed-loop assembly: block equations, layout, reduction, disturbance map."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import mtdcsim as m
 from mtdcsim.analysis import lyapunov_matrix
+from mtdcsim.assembly import SERIES_FAMILIES
 
 from conftest import mixed_relative_error, random_stable_config, single_gen_system
 from direct_rhs import direct_rhs, flatten, unflatten
@@ -128,12 +130,23 @@ class TestAssemblePiLink:
         assert model.a[cur.start, vdc.start] == pytest.approx(1.0 / 2e-3)
         assert model.a[cur.start, vdc.start + 1] == pytest.approx(-1.0 / 2e-3)
 
-    def test_multi_generator_rejected_by_default(self):
-        net, areas, cfg = multi_gen_system()
-        with pytest.raises(ValueError, match="single-generator"):
-            m.assemble_pi_link(net, areas, cfg)
-        with pytest.warns(UserWarning, match="certificate"):
-            m.assemble_pi_link(net, areas, cfg, allow_multi_gen=True)
+    def test_multi_generator_areas_assemble_without_warning(self, paper_sc):
+        """Areas of several machines assemble as pi-link models the way
+        resistive ones do. On the reference at gamma 4 the class follows the
+        converter law: only Hurwitz under the distributed law, proven under
+        the decentralised one."""
+        damped = replace(paper_sc.cfg, gamma=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            multi = m.assemble_pi_link(*multi_gen_system())
+            dist, dec = (m.assemble_pi_link(paper_sc.net, paper_sc.areas, replace(damped, variant=v))
+                         for v in (m.Variant.DIST_GEN_DIST_CONV, m.Variant.DIST_GEN_DEC_CONV))
+        assert multi.layout.has("angle0") and multi.layout.has("line_current1")
+        assert dist.dim == 179 + 10  # the resistive reference plus one current per line
+        rep = m.stability_report(dist)
+        assert rep.certificate is m.CertificateClass.HURWITZ_ONLY
+        assert rep.spectral_abscissa == pytest.approx(-0.4499, abs=5e-5)
+        assert m.stability_report(dec).certificate is m.CertificateClass.LYAPUNOV_PROVEN
 
     def test_zero_inductance_rejected(self):
         net, areas, cfg = trivial_system()
@@ -278,6 +291,77 @@ class TestReduce:
         red = m.assemble_resistive(net, areas, cfg, reduced=True)
         with pytest.raises(ValueError, match="already reduced"):
             m.reduce_model(red)
+
+
+def _relabel(net, areas, cfg, order):
+    """The same system with converter ``k`` of the result converter
+    ``order[k]`` of the given one: nodes, line endpoints, areas, gains and
+    both communication graphs move together. Returns the new index of each
+    old converter too."""
+    new = np.argsort(order)
+
+    def graph(g):
+        return None if g is None else m.WeightedGraph(
+            g.n_nodes, tuple((int(new[i]), int(new[j]), w) for i, j, w in g.edges))
+
+    def pick(values):
+        return tuple(values[k] for k in order)
+
+    net2 = m.MtdcNetwork(
+        cap=pick(net.cap), v_nom=net.v_nom, v_ref=pick(net.v_ref),
+        lines=tuple(replace(ln, i=int(new[ln.i]), j=int(new[ln.j])) for ln in net.lines))
+    cfg2 = replace(cfg, k_droop=pick(cfg.k_droop), k_droop_i=pick(cfg.k_droop_i),
+                   k_omega=pick(cfg.k_omega), k_v=pick(cfg.k_v),
+                   comm_eta=graph(cfg.comm_eta), comm_phi=graph(cfg.comm_phi))
+    return net2, pick(areas), cfg2, new
+
+
+def _assert_relabeling_permutes(assemble, net, areas, cfg, order, scenario):
+    """Relabeling the converters keeps the certificate class, the spectral
+    abscissa and the equilibrium costs, and permutes every series column."""
+    net2, areas2, cfg2, new = _relabel(net, areas, cfg, order)
+    model, model2 = assemble(net, areas, cfg), assemble(net2, areas2, cfg2)
+    rep, rep2 = m.stability_report(model), m.stability_report(model2)
+    assert rep2.certificate is rep.certificate
+    assert abs(rep2.spectral_abscissa - rep.spectral_abscissa) <= 1e-9
+    scenario2 = replace(scenario, disturbances=tuple(
+        replace(ev, area=int(new[ev.area])) for ev in scenario.disturbances))
+    if m.hurwitz(model)[1]:
+        events = [(ev.area, ev.bus, ev.magnitude) for ev in scenario.disturbances]
+        events2 = [(ev.area, ev.bus, ev.magnitude) for ev in scenario2.disturbances]
+        eq = m.equilibrium(model, m.disturbance_map(model, events))
+        eq2 = m.equilibrium(model2, m.disturbance_map(model2, events2))
+        for cost in ("cost_generation", "cost_voltage"):
+            want = getattr(eq, cost)
+            assert abs(getattr(eq2, cost) - want) <= 1e-9 * abs(want)
+    series = m.integrate(model, scenario).series
+    series2 = m.integrate(model2, scenario2).series
+    columns = np.concatenate([f * net.n + np.asarray(order) for f in range(len(SERIES_FAMILIES))])
+    scale = np.abs(series - model.series_offset).max()
+    assert np.abs(series2 - series[:, columns]).max() <= 1e-9 * scale
+
+
+class TestConverterRelabeling:
+    @pytest.mark.parametrize("assemble", [m.assemble_resistive, m.assemble_pi_link],
+                             ids=["resistive", "pi_link"])
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(m.Variant)))
+    @settings(max_examples=15, deadline=None)
+    def test_random_grids(self, assemble, seed, variant):
+        rng = np.random.default_rng(seed)
+        net, areas, cfg = random_stable_config(rng)
+        event = m.DisturbanceEvent(0.1, int(rng.integers(net.n)), 0, float(rng.uniform(-0.5, 0.5)))
+        scenario = m.Scenario(t_end=0.5, dt=1e-3, record_every=10, disturbances=(event,))
+        _assert_relabeling_permutes(assemble, net, areas, replace(cfg, variant=variant),
+                                    rng.permutation(net.n), scenario)
+
+    @pytest.mark.parametrize("assemble", [m.assemble_resistive, m.assemble_pi_link],
+                             ids=["resistive", "pi_link"])
+    def test_damped_reference(self, paper_sc, assemble):
+        """The reference's 14-bus areas at gamma 4, where the two plants
+        differ in class."""
+        _assert_relabeling_permutes(assemble, paper_sc.net, paper_sc.areas,
+                                    replace(paper_sc.cfg, gamma=4.0), [3, 0, 5, 1, 4, 2],
+                                    replace(paper_sc.scenario, t_end=2.0, record_every=10))
 
 
 class TestDisturbanceMap:

@@ -602,6 +602,33 @@ class TestCompareCommand:
             assert float(r["gen_spread"]) == 0.0
             assert float(r["settling_time_inj"]) == 0.0
 
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--variant", "dist_gen_dist_conv"],
+         "configuration error: --variant: distributed generation law needs a comm_eta graph "
+         "over the areas"),
+        (["compare"],
+         "configuration error: compare dist_gen_dec_conv: distributed generation law needs a "
+         "comm_eta graph over the areas"),
+    ], ids=["simulate_variant", "compare"])
+    def test_pairing_without_its_graph(self, paper_doc, tmp_path, argv, line):
+        """A decentralised config without communication graphs: a pairing
+        that needs one is exit 2 with one line naming the graph, before any
+        file is written."""
+        doc = json.loads(json.dumps(paper_doc))
+        doc["controller"]["variant"] = "dec_gen_dec_conv"
+        del doc["controller"]["comm_eta"], doc["controller"]["comm_phi"]
+        doc["scenario"]["t_end"] = 2.0
+        cfg = tmp_path / "dec.cfg"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+            code = main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert (code, err.getvalue()) == (2, line + "\n")
+        assert list(out.iterdir()) == []
+
 
 class TestOneModelPerCommand:
     @pytest.mark.parametrize("command, n_models", [(cmd_simulate, 1), (cmd_compare, 3)],
