@@ -11,14 +11,15 @@ Kernels return -1 on success or the failing step index when the state
 stops being finite (or, for the nonlinear kernel, when a DC voltage drops
 below 0.5 p.u.).
 
-Cost of the linear kernel: one n x n matrix-vector product per block of
-recorded samples, the samples inside a block from matrix-matrix products;
-it stays within 1e-10 of the largest state of one product per sample. A
-sample that its product leaves non-finite is stepped again one step at a
-time before the run aborts there. The powers of the one-step propagator it
-needs are kept by the ``Propagator``, which forms each once; what depends
-on the input costs O(log k) matrix-vector products per segment and
-interval length k.
+Cost of the linear kernel, per run of r recorded samples k steps apart:
+a chain of min(r, 32) products of two rows by the n x n phi^k, then
+one product of up to 32 rows by (phi^k)^32 per later block of
+``LINEAR_BLOCK`` = 32 samples; it stays within 1e-10 of the largest state
+of one product per sample. A sample that its product leaves non-finite is
+stepped again one step at a time before the run aborts there. The powers
+of the one-step propagator it needs are kept by the ``Propagator``, which
+forms each once; what depends on the input costs O(log k) matrix-vector
+products per segment and interval length k.
 
 Cost of the nonlinear kernel, with m converters and q = 2m outputs (the DC
 voltages and the converter injections, through which alone the voltage
@@ -35,7 +36,6 @@ of the same Heun step taken one full step at a time with numpy arrays
 
 from bisect import bisect
 from itertools import groupby
-from math import isqrt
 
 import numpy as np
 
@@ -45,6 +45,14 @@ import numpy as np
 # the kept matrices grow with it: (b + 1) q n + b m n + b (m + 1) q floats,
 # 0.9 MB at 32.
 HEUN_BLOCK = 32
+
+# Rows per block of the linear kernel. On the 186-state reference (2-vCPU
+# x86 host, one BLAS thread) a product of b rows by an n x n matrix costs
+# about 1.6 us a row for b from 24 to 64 and about 3 us below 24, while each
+# of the b - 1 products of the chain that starts a run costs about 5 us; a
+# warm 5 s run of 400 to 490 samples is fastest, and flat, from 24 to 48.
+# Whatever b is, a run keeps one block power per stride.
+LINEAR_BLOCK = 32
 
 
 class Propagator:
@@ -144,12 +152,13 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     Over k steps of segment s, x <- phi^k x + S_k c_s with
     S_k = phi^(k-1) + ... + I; S_k c_s is formed once per call, segment and
     k. In a run of recorded intervals at the record stride in one segment,
-    the first row of each block of b rows comes from that of the block
-    before by ``prop.power(k, b)``, the other rows from the row above; any
-    other run goes sample by sample through ``prop.advance``. The state is
-    checked for finiteness at the recorded samples only.
+    the first b = ``LINEAR_BLOCK`` rows come one from the other by a chain of
+    products by phi^k, whose second row forms the block forcing
+    f = sum_(i<b) (phi^k)^i S_k c_s; each later block of up to b rows comes
+    from the b rows before it by one product with ``prop.power(k, b)``,
+    plus f. Any other run goes sample by sample through ``prop.advance``.
+    The state is checked for finiteness at the recorded samples only.
     """
-    dim = prop.phi.shape[0]
     stride = int(rec_steps[1]) if len(rec_steps) > 2 else 0
     sums = {}
     x = x0.copy()
@@ -171,23 +180,23 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
         n = len(list(run))
         rows = out[ri:ri + n]
         if k == stride:
-            rows[0] = prop.advance(k, x, stride) + c_k
-            b = block_size(n, dim)
-            if b < n:
-                phi_b, c_b = prop.power(k, b), c_k
-                for _ in range(b - 1):
-                    c_b = np.dot(prop.power(k), c_b) + c_k
-                for j in range(b, n, b):
-                    rows[j] = np.dot(phi_b, rows[j - b]) + c_b
-            for r in range(1, b):
-                fine = rows[r::b]
-                np.matmul(rows[r - 1::b][:fine.shape[0]], prop.power(k).T, out=fine)
-                fine += c_k
+            size, phi_k = LINEAR_BLOCK, prop.power(k)
+            pair = np.stack([x, np.zeros_like(x)])
+            for j in range(min(n, size)):
+                pair = np.matmul(pair, phi_k.T)
+                pair += c_k
+                rows[j] = pair[0]
+            if n > size:
+                phi_b, c_b = prop.power(k, size), pair[1]
+                for j in range(size, n, size):
+                    block = rows[j:j + size]
+                    np.matmul(rows[j - size:j - size + block.shape[0]], phi_b.T, out=block)
+                    block += c_b
         if k != stride or not np.isfinite(rows).all():
             # sample by sample through advance: so a run off the stride (an
             # interval cut by an event, the last, shorter one, or both) keeps
             # no power, and a second pass locates an abort: near overflow a
-            # product by the b-th power, or one summed in another order, can
+            # product by the block power, or one summed in another order, can
             # overflow a sample before or after the state does; a product by
             # the stride's power can overflow in its partial sums while the
             # state stays finite, so such a sample is stepped again one step
@@ -205,17 +214,6 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
         x = rows[-1]
         ri += n
     return -1
-
-
-def block_size(n_rec, dim):
-    """Rows per block of a run of ``n_rec`` samples of ``dim`` states, about
-    sqrt(4 n_rec / dim). The trade-off: the first rows of the n_rec / b
-    blocks are memory-bound matrix-vector products by the b-th power (about
-    6 us each at 186 states), and the forcing of b steps takes b - 1 more;
-    the other rows come from b - 1 fill calls of n_rec / b rows each. The
-    b-th power costs a run nothing: the ``Propagator`` forms it once per
-    model, stride and b."""
-    return max(1, min(n_rec, isqrt(4 * n_rec // dim)))
 
 
 def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):

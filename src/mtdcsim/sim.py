@@ -2,16 +2,17 @@
 
 The linear mode propagates with the exact zero-order-hold discretization
 of the closed loop: the state jumps from one recorded sample or input
-change to the next with a power of the one-step propagator, one
-matrix-vector product per block of recorded samples, the samples inside a
-block from matrix-matrix products. It is exact for piecewise-constant
-disturbances regardless of stiffness: the DC subsystem carries eigenvalues
-around 1e5 1/s, the dynamics of interest last tens of seconds. Against
-stepping one step at a time it agrees to 1e-8 of the largest state
-(1.2e-9 on the reference scenario), and to 1e-10 of one product per
-recorded sample (5e-13 there). The exponential, ``expm``, is scaling and
-squaring with the degree-13 Pade approximant in plain numpy (Al-Mohy &
-Higham 2009), so the package needs no scipy at run time.
+change to the next with a power of the one-step propagator. In a run of
+equally spaced samples the first 32 come by a chain of products by that
+power, each later block of 32 from the 32 before it by one matrix-matrix
+product. It is exact for piecewise-constant disturbances regardless of
+stiffness: the DC subsystem carries eigenvalues around 1e5 1/s, the
+dynamics of interest last tens of seconds. Against stepping one step at a
+time it agrees to 1e-8 of the largest state (1.2e-9 on the reference
+scenario), and to 1e-10 of one product per recorded sample (5.6e-13
+there). The exponential, ``expm``, is scaling and squaring with the
+degree-13 Pade approximant in plain numpy (Al-Mohy & Higham 2009), so the
+package needs no scipy at run time.
 
 A model is discretized once per step size. The first ``integrate`` at a
 ``dt`` computes one exponential, on the top rows of the Van Loan matrix of
@@ -19,13 +20,13 @@ the state matrix, every disturbance column and the unit DC-voltage
 columns, and keeps phi and those columns of gamma with the model as one
 ``_kernels.Propagator`` (``replace`` starts afresh). That also keeps the
 powers of phi runs use: the powers of two, each record stride's power and
-its block powers. A later run at that ``dt`` forms its forcing from thin
-products and O(log k) matrix-vector products per interval length k; apart
-from the fill of its blocks, its only O(n^3) work is a power of phi that
-no earlier run needed. What is kept depends only on the model and ``dt``,
-so a run gives bit-identical states whatever ran on the model before; they
-agree with one exponential of the run's own input columns to 7.2e-12 of
-the largest state on the reference scenario.
+its one block power, the 32nd. A later run at that ``dt`` forms its
+forcing from thin products and O(log k) matrix-vector products per
+interval length k; apart from the fill of its blocks, its only O(n^3) work
+is a power of phi that no earlier run needed. What is kept depends only on
+the model and ``dt``, so a run gives bit-identical states whatever ran on
+the model before; they agree with one exponential of the run's own input
+columns to 7.2e-12 of the largest state on the reference scenario.
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a

@@ -560,7 +560,7 @@ class TestDiscretizationMemo:
 
     def test_event_offsets_keep_no_new_powers(self, two_area):
         """Events at every offset inside a stride of 10 keep only the powers
-        of two, the stride's power and its block powers; so does an event
+        of two, the stride's power and its block power; so does an event
         5 steps before the last, 5-step-long recorded interval, which makes
         a run of two recorded 5-step intervals in one segment."""
         net, areas, cfg = two_area
@@ -657,10 +657,11 @@ _EVENT_CASES = [(stride, offsets) for stride in (1, 2, 7, 10, 13)
 
 
 class TestBlockedPropagation:
-    """Runs of recorded samples computed in blocks: one matrix-vector
-    product per block, the other rows of a block from matrix-matrix
-    products. The sample-by-sample loop it replaced is kept above as
-    ``_strided_exact``."""
+    """Runs of recorded samples computed in blocks of b =
+    ``_kernels.LINEAR_BLOCK`` rows: the first b rows by a chain of
+    products by the stride's power, each later block from the b rows before
+    it by one matrix-matrix product. The sample-by-sample loop it replaced
+    is kept above as ``_strided_exact``."""
 
     @pytest.mark.parametrize("block", [3, 8])
     @pytest.mark.parametrize("stride, offsets", _EVENT_CASES)
@@ -671,7 +672,7 @@ class TestBlockedPropagation:
         follows the run."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
-        monkeypatch.setattr(_kernels, "block_size", lambda n_rec, dim: min(n_rec, block))
+        monkeypatch.setattr(_kernels, "LINEAR_BLOCK", block)
         events = tuple(m.DisturbanceEvent((3 * stride + off) * 1e-3, i % 2, 0, -0.1 / (i + 1))
                        for i, off in enumerate(offsets))
         first = -(-(3 * stride + offsets[-1]) // stride) * stride  # record step at or after them
@@ -688,24 +689,39 @@ class TestBlockedPropagation:
             assert np.abs(got - want).max() <= 1e-8 * scale
 
     def test_matches_strided_loop_on_reference_scenario(self, paper_sc, paper_model_full):
-        """Blocks of 1 on the 100 samples before the event, of 9 on the 4400
-        after it."""
-        assert [_kernels.block_size(n, paper_model_full.dim) for n in (100, 4400)] == [1, 9]
+        """The 100 samples before the event: the chain of 32, two blocks
+        and a partial one of 4 rows; the 4400 after it: the chain, 136 blocks
+        and a partial one of 16 rows."""
         old_status, want = _kernel_run(paper_model_full, paper_sc.scenario, _strided_exact)
         status, got = _kernel_run(paper_model_full, paper_sc.scenario, _kernels.exact_linear)
         assert status == old_status == -1
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
+    def test_one_block_power_per_stride(self, paper_sc, paper_model_full):
+        """Runs of any length at one stride share one block power, so a run
+        on a shared model gives the states of the same run on a fresh one."""
+        model = replace(paper_model_full)
+        event = paper_sc.scenario.disturbances[0]
+        for n_rec in (20, 33, 100, 450, 490):
+            scen = replace(paper_sc.scenario, t_end=event.time + n_rec * 1e-2, record_every=10)
+            got = m.integrate(model, scen).states
+            np.testing.assert_array_equal(got, m.integrate(replace(model), scen).states)
+        powers = model.zoh_memo[paper_sc.scenario.dt]._powers
+        assert [key for key in powers if key[1] > 1] == [(10, 32)]
+
     @pytest.mark.parametrize("stride, magnitude, n_steps, position", [
-        (1, -1.0, 1668, "coarse"), (1, -1.0, 1003, "fine"), (1, -1.0, 997, "last partial block"),
-        (7, -1e-2, 1057, "coarse"), (7, -1.0, 1001, "fine"), (7, -1e-2, 1008, "last partial block"),
-        (10, -1e-2, 1060, "coarse"), (10, -1.0, 1000, "fine"),
-        (10, -1e-2, 1010, "last partial block"),
+        (1, -1e302, 1100, "leading chain"), (1, -1.0, 1100, "first row of a block"),
+        (1, -1e-2, 1100, "inside a block"), (1, -1e-2, 1003, "last partial block"),
+        (7, -1e250, 1300, "leading chain"), (7, -1e-2, 1300, "first row of a block"),
+        (7, -1e-10, 1300, "inside a block"), (7, -1e-10, 1029, "last partial block"),
+        (10, -1e250, 1300, "leading chain"), (10, -1e-22, 1400, "first row of a block"),
+        (10, -1.0, 1100, "inside a block"), (10, -1e-2, 1010, "last partial block"),
     ])
     def test_abort_inside_a_block(self, two_area, stride, magnitude, n_steps, position):
-        """The first non-finite sample on the first row of a block, on
-        another row, and in the last, partial block of the run after the
-        event: the same abort time as the per-step stepper, and no warning."""
+        """The first non-finite sample in the leading chain, on the first
+        row of a block, on another row, and in the last, partial block of the
+        run after the event: the same abort time as the per-step stepper,
+        and no warning."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         unstable = replace(model, a=model.a + 800.0 * np.eye(model.dim))
@@ -715,12 +731,13 @@ class TestBlockedPropagation:
             status, _, _ = _reference_exact(unstable, scen)
         start = -(-100 // stride) * stride  # the run after the event at step 100
         n_rec = (n_steps - start) // stride
-        block = _kernels.block_size(n_rec, model.dim)
+        block = _kernels.LINEAR_BLOCK
         row = (status - start) // stride - 1
-        tail = n_rec % block
-        where = ("last partial block" if tail and row >= n_rec - tail
-                 else "coarse" if row % block == 0 else "fine")
-        assert block > 1 and where == position, "the horizon no longer puts the abort there"
+        tail = max(n_rec - block, 0) % block
+        where = ("leading chain" if row < block
+                 else "last partial block" if tail and row >= n_rec - tail
+                 else "first row of a block" if row % block == 0 else "inside a block")
+        assert row < n_rec and where == position, "the horizon no longer puts the abort there"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(m.IntegrationError, match="non-finite") as err:
@@ -762,9 +779,9 @@ class TestBlockedPropagation:
 
     def test_working_memory_of_reference_run(self, paper_sc, paper_model_full):
         """Beyond the states and series it returns, the 45 s reference run on
-        a fresh model allocates at most 3 MB at its peak (about 2.2 MB, of
+        a fresh model allocates at most 3 MB at its peak (about 2.5 MB, of
         which the model keeps 1.8 MB: phi, gamma's columns and the powers of
-        phi); a second run on the same model at most 0.5 MB (about 0.15 MB)."""
+        phi); a second run on the same model at most 0.5 MB (about 0.3 MB)."""
         model = replace(paper_model_full)
         for bound in (3e6, 0.5e6):
             tracemalloc.start()
@@ -777,12 +794,12 @@ class TestBlockedPropagation:
 
     def test_working_memory_of_nonlinear_reference_run(self, paper_sc, paper_model_full):
         """The 5 s nonlinear reference run on a fresh model allocates at most
-        3.5 MB beyond what it returns (about 2.9 MB, mostly the exponential's
+        3.5 MB beyond what it returns (about 3.2 MB, mostly the exponential's
         work arrays) and leaves the model keeping at most 2.8 MB, 1 MB more
         than the 45 s linear run keeps (about 2.4 MB: phi and four of its
         powers, gamma's columns, and the nonlinear kernel's block matrices,
         themselves at most 1 MB, about 0.9 MB); a second run on the same
-        model allocates at most 0.5 MB (about 0.1 MB) and keeps at most
+        model allocates at most 0.5 MB (about 0.07 MB) and keeps at most
         0.1 MB."""
         model = replace(paper_model_full)
         scen = replace(paper_sc.scenario, t_end=5.0, mode=m.CouplingMode.NONLINEAR)
