@@ -194,8 +194,10 @@ def _array_etd2(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
 
 def _kernel_run(model, scenario, kernel, x0=None):
     """``integrate`` with ``kernel`` as the kernel of the scenario's mode;
-    returns the kernel's status and the rows it recorded (all of them, or
-    those up to the abort)."""
+    returns the step of the abort (-1 for none) and the rows the run
+    recorded (all of them, or those up to the abort). A run at rest hands
+    the kernel the rows from its last record at or before the first input,
+    in steps counted from that record; under no input it calls no kernel."""
     seen = []
 
     def spy(*args):
@@ -205,14 +207,35 @@ def _kernel_run(model, scenario, kernel, x0=None):
     key = "exact_linear" if scenario.mode is m.CouplingMode.LINEAR else "etd2_nonlinear"
     with mock.patch.dict(_kernels.KERNELS, {key: spy}):
         try:
-            m.integrate(model, scenario, x0)
+            states = m.integrate(model, scenario, x0).states
         except m.IntegrationError:
-            pass
-    (status, out), = seen
+            states = None
+    if not seen:
+        return -1, states
+    (status, tail), = seen
+    rows = tail.base  # the tail is a view of all the rows integrate records
     if status < 0:
-        return status, out
+        return status, rows
     rec_steps = _record_steps(int(round(scenario.t_end / scenario.dt)), scenario.record_every)
-    return status, out[:np.searchsorted(rec_steps, status, side="right")]
+    status += int(rec_steps[rows.shape[0] - tail.shape[0]])
+    return status, rows[:np.searchsorted(rec_steps, status, side="right")]
+
+
+def _whole_run(model, scenario, x0=None, kernel=None):
+    """One call of ``kernel`` (the shipped kernel of the scenario's mode by
+    default) over the whole run from step 0, with the inputs ``integrate``
+    forms; returns its status and all the rows."""
+    n_steps = scenario.n_steps
+    bounds, inputs = _segments(model, scenario, n_steps)
+    rec_steps = _record_steps(n_steps, scenario.record_every)
+    prop = m.sim._propagator(model, scenario.dt)
+    if kernel is None:
+        linear = scenario.mode is m.CouplingMode.LINEAR
+        kernel = _kernels.KERNELS["exact_linear" if linear else "etd2_nonlinear"]
+    x0 = np.zeros(model.dim) if x0 is None else x0
+    out = np.empty((rec_steps.shape[0], model.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kernel(prop, inputs @ prop.c_map, bounds, x0, rec_steps, out), out
 
 
 def _array_kernel(model):
@@ -427,6 +450,94 @@ class TestIntegrate:
         for shape in ((model.dim, 1), (model.dim, 2), (model.dim + 1,)):
             with pytest.raises(ValueError, match="x0 length does not match the model"):
                 m.integrate(model, scen, np.zeros(shape))
+
+    @pytest.mark.parametrize("mode", list(m.CouplingMode))
+    def test_non_finite_x0_refused(self, two_area, mode):
+        """A NaN or infinite entry of x0 is refused by name before any step,
+        in both modes, not reported as an abort at the first sample."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        scen = m.Scenario(t_end=0.1, dt=1e-3, record_every=10, mode=mode,
+                          disturbances=(m.DisturbanceEvent(0.05, 0, 0, -0.1),))
+        for value in (np.nan, np.inf, -np.inf):
+            x0 = np.zeros(model.dim)
+            x0[3] = value
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                m.integrate(model, scen, x0)
+
+    @pytest.mark.parametrize("mode", list(m.CouplingMode))
+    def test_overflowed_phi_aborts_at_rest(self, two_area, mode):
+        """A DC-voltage state cut off from the rest of the loop and growing at
+        1e6 1/s overflows phi in its last squaring, while gamma's columns stay
+        finite: a run at rest aborts at its first record, where stepping from
+        t = 0 multiplies the zero state by phi, not after its first event."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        i = model.layout.offset("vdc")
+        a = model.a.copy()
+        a[i, :] = a[:, i] = 0.0
+        a[i, i] = 1e6
+        scen = m.Scenario(t_end=1.0, dt=1e-3, record_every=10, mode=mode,
+                          disturbances=(m.DisturbanceEvent(0.5, 0, 0, -0.1),))
+        with pytest.raises(m.IntegrationError, match="non-finite") as err:
+            m.integrate(replace(model, a=a), scen)
+        assert "aborted at t = 0.01 s" in str(err.value)
+
+    @given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans(),
+           mode=st.sampled_from(list(m.CouplingMode)), every=st.sampled_from([1, 7, 10]),
+           n_steps=st.integers(20, 300), start=st.sampled_from(["rest", "-0.0", "nonzero", "p_m"]),
+           events=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=2))
+    # no input at all; a run from a nonzero x0, from -0.0 and under a
+    # baseline p_m; an event on the record before the last, at the end, and
+    # off the grid in the last interval
+    @example(seed=1, reduced=True, mode=m.CouplingMode.NONLINEAR, every=10, n_steps=200,
+             start="rest", events=[])
+    @example(seed=2, reduced=False, mode=m.CouplingMode.LINEAR, every=7, n_steps=200,
+             start="nonzero", events=[(0.5, True)])
+    @example(seed=2, reduced=True, mode=m.CouplingMode.LINEAR, every=7, n_steps=200,
+             start="-0.0", events=[(0.5, True)])
+    @example(seed=2, reduced=True, mode=m.CouplingMode.NONLINEAR, every=7, n_steps=200,
+             start="p_m", events=[(0.5, True)])
+    @example(seed=3, reduced=False, mode=m.CouplingMode.LINEAR, every=10, n_steps=200,
+             start="rest", events=[(0.95, True)])
+    @example(seed=3, reduced=True, mode=m.CouplingMode.NONLINEAR, every=10, n_steps=200,
+             start="rest", events=[(0.95, True)])
+    @example(seed=4, reduced=True, mode=m.CouplingMode.LINEAR, every=10, n_steps=200,
+             start="rest", events=[(1.0, True)])
+    @example(seed=5, reduced=False, mode=m.CouplingMode.NONLINEAR, every=10, n_steps=205,
+             start="rest", events=[(0.99, False)])
+    @settings(max_examples=30, deadline=None)
+    def test_equals_one_kernel_call_from_step_zero(self, seed, reduced, mode, every, n_steps,
+                                                   start, events):
+        """A run at rest that starts at its first input records what one call
+        of the same kernel over the whole run from step 0 records, bit for
+        bit and with the same signs of zero: +0.0 throughout under no input.
+        A run from a nonzero x0, from -0.0 or under a baseline input starts
+        at step 0."""
+        rng = np.random.default_rng(seed)
+        net, areas, cfg = random_stable_config(rng)
+        if start == "p_m":
+            areas = (replace(areas[0], p_m=(-0.1,)),) + areas[1:]
+        model = m.assemble_resistive(net, areas, cfg, reduced=reduced)
+        steps = [every * round(frac * (n_steps // every)) if on_grid else round(frac * n_steps)
+                 for frac, on_grid in events]
+        scen = m.Scenario(t_end=n_steps * 1e-3, dt=1e-3, record_every=every, mode=mode,
+                          disturbances=tuple(m.DisturbanceEvent(
+                              step * 1e-3, int(rng.integers(net.n)), 0, float(rng.uniform(-0.3, 0.3)))
+                              for step in steps))
+        x0 = {"-0.0": -np.zeros(model.dim), "nonzero": np.zeros(model.dim)}.get(start)
+        if start == "nonzero":
+            x0[rng.integers(model.dim)] = 1e-3
+        status, want = _whole_run(model, scen, x0)
+        if status >= 0:
+            with pytest.raises(m.IntegrationError, match=f"t = {status * scen.dt:.6g} s"):
+                m.integrate(model, scen, x0)
+            return
+        got = m.integrate(model, scen, x0).states
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if start == "rest" and all(step == n_steps for step in steps):  # no input in the run
+            assert not got.any() and not np.signbit(got).any()
 
 
 def _solve_ivp_records(model, scenario, times):
@@ -766,6 +877,7 @@ class TestBlockedPropagation:
 
     @pytest.mark.parametrize("stride", [1, 7, 10])
     def test_nan_initial_state_aborts_at_first_sample(self, two_area, stride):
+        """The kernel itself, since ``integrate`` refuses a non-finite x0."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         x0 = np.zeros(model.dim)
@@ -773,9 +885,8 @@ class TestBlockedPropagation:
         scen = m.Scenario(t_end=1.0, dt=1e-3, record_every=stride)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(m.IntegrationError, match="non-finite") as err:
-                m.integrate(model, scen, x0)
-        assert f"t = {stride * scen.dt:.6g} s" in str(err.value)
+            status, _ = _whole_run(model, scen, x0)
+        assert status == stride
 
     def test_working_memory_of_reference_run(self, paper_sc, paper_model_full):
         """Beyond the states and series it returns, the 45 s reference run on
@@ -912,11 +1023,27 @@ class TestNonlinearMode:
                           disturbances=(m.DisturbanceEvent(0.1, 0, 0, -0.1),))
         with np.errstate(over="ignore", invalid="ignore"):
             assert _assert_close_to_array_form(unstable, scen) > 0
-            # a NaN voltage passes the floor test; the finiteness check at
-            # the first recorded sample reports it
-            x0 = np.zeros(model.dim)
-            x0[model.layout.offset("gen_integral")] = np.nan
-            assert _assert_close_to_array_form(model, scen, x0) == 7
+        # a NaN voltage passes the floor test; the finiteness check at the
+        # first recorded sample reports it (the kernels themselves, since
+        # integrate refuses a non-finite x0)
+        x0 = np.zeros(model.dim)
+        x0[model.layout.offset("gen_integral")] = np.nan
+        for kernel in (_array_kernel(model), _kernels.etd2_nonlinear):
+            assert _whole_run(model, scen, x0, kernel)[0] == 7
+
+    @pytest.mark.parametrize("v_ref", [(0.4, 0.4), (1.0, 0.4)], ids=["all", "one"])
+    @pytest.mark.parametrize("events", [(), (m.DisturbanceEvent(0.5, 0, 0, -0.1),)],
+                             ids=["no_event", "one_event"])
+    def test_reference_below_floor_aborts_at_rest(self, two_area, v_ref, events):
+        """A run at rest with a DC reference voltage below the 0.5 p.u. floor
+        aborts at its first step, t = 0, whether or not an input follows."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(replace(net, v_ref=v_ref), areas, cfg, reduced=False)
+        scen = m.Scenario(t_end=1.0, dt=1e-3, record_every=10, disturbances=events,
+                          mode=m.CouplingMode.NONLINEAR)
+        with pytest.raises(m.IntegrationError, match="DC voltage below 0.5") as err:
+            m.integrate(model, scen)
+        assert "aborted at t = 0 s" in str(err.value)
 
     def test_reference_scenario_five_percent_band(self, paper_sc, paper_trajs):
         """Reference voltages stay close to nominal, so the two couplings
