@@ -23,7 +23,9 @@ block; those directions are unobservable from the (frequency, DC voltage)
 output and, for the phase block, marginally stable, so removing them
 leaves the input/output behavior unchanged. A reduced model carries T, and
 its state matrix, input map, selectors and series map are the full ones
-projected by it.
+projected by it. T is applied one block of the layout at a time, never as a
+dense product; the dense T stays, as the ``projection`` field, for the
+callers that read it (``analysis.lyapunov_matrix`` among them).
 """
 
 from __future__ import annotations
@@ -340,26 +342,55 @@ def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
     the converter phase block, so its rows are orthonormal. The kept
     directions evolve independently of the dropped ones, so the reduced
     model reproduces the output of the full model exactly.
+
+    T is applied one block of the full layout at a time, never as a dense
+    product: identity blocks are copied, angle and phase blocks multiplied
+    by their basis, and the output map, both selectors and the series map
+    projected together as one stacked matrix. The dense T is still kept,
+    as ``projection``, for the callers that read it.
     """
     if model.reduced:
         raise ValueError("model is already reduced")
     red_layout = _build_layout(model.areas, model.cfg, True, model.chain)
     t_mat = np.zeros((red_layout.dim, model.dim))
+    bases = {}  # block length -> its ones-complement basis
+    blocks = []  # (full rows, reduced rows, basis or None for the identity)
     for name, start, length in model.layout.blocks:
-        block = slice(start, start + length)
+        full, red = slice(start, start + length), red_layout.sl(name)
+        basis = None
         if name.startswith("angle") or name == "conv_phase":
-            t_mat[red_layout.sl(name), block] = ones_complement(length).T
+            if length not in bases:
+                bases[length] = ones_complement(length)
+            basis = bases[length]
+            t_mat[red, full] = basis.T
         else:
-            t_mat[red_layout.sl(name), block] = np.eye(length)
+            t_mat[red, full] = np.eye(length)
+        blocks.append((full, red, basis))
+
+    def rows(x):  # T x
+        out = np.empty((red_layout.dim, x.shape[1]))
+        for full, red, basis in blocks:
+            out[red] = x[full] if basis is None else basis.T @ x[full]
+        return out
+
+    def cols(x):  # x T^T
+        out = np.empty((x.shape[0], red_layout.dim))
+        for full, red, basis in blocks:
+            out[:, red] = x[:, full] if basis is None else x[:, full] @ basis
+        return out
+
+    maps = (model.output, model.p_gen_selector, model.p_inj_selector, model.series_map)
+    output, p_gen, p_inj, series_map = np.split(
+        cols(np.vstack(maps)), np.cumsum([x.shape[0] for x in maps[:-1]]))
     return replace(
         model,
-        a=t_mat @ model.a @ t_mat.T,
-        b_dist=t_mat @ model.b_dist,
-        output=model.output @ t_mat.T,
+        a=cols(rows(model.a)),
+        b_dist=rows(model.b_dist),
+        output=output,
         layout=red_layout,
-        p_gen_selector=model.p_gen_selector @ t_mat.T,
-        p_inj_selector=model.p_inj_selector @ t_mat.T,
-        series_map=model.series_map @ t_mat.T,
+        p_gen_selector=p_gen,
+        p_inj_selector=p_inj,
+        series_map=series_map,
         projection=t_mat,
     )
 
@@ -368,19 +399,23 @@ def disturbance_map(model: ClosedLoopModel, disturbances) -> np.ndarray:
     """Constant input vector from (area, bus, magnitude) power deviations.
 
     Multiple entries on one bus add up. A generation loss maps to a
-    negative magnitude at that bus.
+    negative magnitude at that bus. Only ``model.areas`` is read, so the
+    ``SystemConfig`` a model is assembled from gives the same vector.
     """
-    u = np.zeros(model.total_buses)
-    offsets = model.bus_offsets()
+    sizes = [area.n_buses for area in model.areas]
+    u = np.zeros(sum(sizes))
     for area, bus, magnitude in disturbances:
-        if not (0 <= area < model.n_areas):
+        if not (0 <= area < len(sizes)):
             raise ValueError(f"unknown area {area}")
-        if not (0 <= bus < model.areas[area].n_buses):
+        if not (0 <= bus < sizes[area]):
             raise ValueError(f"unknown bus {bus} in area {area}")
-        u[offsets[area] + bus] += float(magnitude)
+        u[sum(sizes[:area]) + bus] += float(magnitude)
     return u
 
 
 def baseline_disturbance(model: ClosedLoopModel) -> np.ndarray:
-    """Constant per-bus power deviations configured on the areas themselves."""
+    """Constant per-bus power deviations configured on the areas themselves.
+
+    Reads only ``model.areas``, as ``disturbance_map`` does.
+    """
     return np.concatenate([np.array(area.p_m) for area in model.areas])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -140,16 +141,17 @@ def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
     return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
 
 
-def _total_disturbance(sc: SystemConfig, model):
+def _total_disturbance(sc: SystemConfig):
+    """Baseline plus every scenario event: the input the equilibrium is taken under."""
     events = [(ev.area, ev.bus, ev.magnitude) for ev in sc.scenario.disturbances]
-    return baseline_disturbance(model) + disturbance_map(model, events)
+    return baseline_disturbance(sc) + disturbance_map(sc, events)
 
 
 def _analysis_pair(sc: SystemConfig, model):
     """Stability and equilibrium reports of the reduced ``model``."""
     stability = stability_report(model)
     try:
-        equil = equilibrium(model, _total_disturbance(sc, model), costs=sc.costs)
+        equil = equilibrium(model, _total_disturbance(sc), costs=sc.costs)
     except UnstableSystemError:
         equil = None
     return stability, equil
@@ -226,8 +228,7 @@ def cmd_sweep(config_path, out_dir, scales) -> RunReport:
                           "(undamped phase dynamics have no high-gain limit point)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
-    rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg, _total_disturbance(sc, model), scales)
+    rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg, _total_disturbance(sc), scales)
     sweep_path = out / "sweep.csv"
     # "%.17g" % True is "1": is_hurwitz needs no cell of its own
     _write_csv(sweep_path, [f.name for f in fields(SweepRow)],
@@ -235,6 +236,7 @@ def cmd_sweep(config_path, out_dir, scales) -> RunReport:
     return RunReport(stability=None, equilibrium=None, artifacts=((SWEEP_CSV, str(sweep_path)),))
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtdcsim",

@@ -37,13 +37,16 @@ class SystemConfig:
 _REQUIRED = object()
 
 
+def _type_name(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
 def _check(value, name, kind):
     """``value`` as ``kind``: float (a finite number), int (not a bool), str,
     list or dict. JSON ``NaN``/``Infinity`` and ``null`` are wrong values."""
-    got = "null" if value is None else type(value).__name__
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name}: expected a number, got {got}")
+            raise ConfigError(f"{name}: expected a number, got {_type_name(value)}")
         try:
             value = float(value)
         except OverflowError:  # an integer beyond the float range
@@ -51,7 +54,7 @@ def _check(value, name, kind):
         if not math.isfinite(value):
             raise ConfigError(f"{name}: expected a finite number, got {value}")
     elif isinstance(value, bool) or not isinstance(value, kind):  # JSON true is no int
-        raise ConfigError(f"{name}: expected {kind.__name__}, got {got}")
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {_type_name(value)}")
     return value
 
 

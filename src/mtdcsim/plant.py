@@ -81,15 +81,18 @@ class MtdcNetwork:
                 if not (v > 0.0 and np.isfinite(v)):
                     raise ValueError(f"v_ref[{k}]: must be finite and > 0")
         object.__setattr__(self, "v_ref", v_ref)
-        if not connectivity(self.conductance_graph()):
+        graph = WeightedGraph(len(cap), tuple((ln.i, ln.j, 1.0 / ln.r) for ln in lines))
+        if not connectivity(graph):
             raise ValueError("DC grid must be connected")
+        object.__setattr__(self, "_graph", graph)  # no field: equality and replace ignore it
 
     @property
     def n(self) -> int:
         return len(self.cap)
 
     def conductance_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n, tuple((ln.i, ln.j, 1.0 / ln.r) for ln in self.lines))
+        """Line conductances 1/r as edge weights, validated once on construction."""
+        return self._graph
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,7 @@ class AcArea:
         object.__setattr__(self, "ac_lines", graph.edges)
         if len(inertia) > 1 and not connectivity(graph):
             raise ValueError("AC line graph must be connected")
+        object.__setattr__(self, "_graph", graph)  # no field: equality and replace ignore it
         p_m = self.p_m
         if p_m is None:
             p_m = tuple(0.0 for _ in inertia)
@@ -135,7 +139,8 @@ class AcArea:
         return len(self.inertia)
 
     def line_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n_buses, self.ac_lines)
+        """The ``ac_lines`` stiffness graph, validated once on construction."""
+        return self._graph
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,9 @@ class TestConfigFuzz:
         ([(("scenario", "disturbances", 0, "magnitude"), None)],
          "scenario.disturbances[0].magnitude: expected a number, got null"),
         ([(("mtdc", "nodes", 0, "cap"), None)], "mtdc.nodes[0].cap: expected a number, got null"),
+        ([(("mtdc", "nodes", 0, "cap"), True)], "mtdc.nodes[0].cap: expected a number, got bool"),
+        ([(("controller", "variant"), 3)], "controller.variant: expected str, got int"),
+        ([(("areas",), None)], "areas: expected list, got null"),
         ([(("scenario", "t_end"), 1e308)],
          "scenario: t_end is inf steps of dt = 0.001 s, more than MAX_STEPS = 9007199254740992"),
         ([(("areas", 5), _DELETE), (("controller", "variant"), "dec_gen_dec_conv"),
@@ -288,7 +291,8 @@ class TestConfigFuzz:
           (("scenario", "record_every"), 1)],
          "scenario: t_end records 1.13e+15 samples at record_every = 1, "
          "more than MAX_SAMPLES = 1000000"),
-    ], ids=["omega_ref_null", "magnitude_null", "cap_null", "t_end_1e308",
+    ], ids=["omega_ref_null", "magnitude_null", "cap_null", "cap_bool", "variant_int",
+            "areas_null", "t_end_1e308",
             "event_in_missing_area", "v_ref_negative", "certificate_overflow",
             "equilibrium_overflow", "t_end_beyond_max_steps", "t_end_beyond_max_samples"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
@@ -631,6 +635,17 @@ class TestCompareCommand:
 
 
 class TestOneModelPerCommand:
+    @staticmethod
+    def _count_models(monkeypatch) -> dict:
+        """Live counts of the models assembled and reduced from here on."""
+        calls = {"_assemble": 0, "reduce_model": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(assembly, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(assembly, name, counted)
+        return calls
+
     @pytest.mark.parametrize("command, n_models", [(cmd_simulate, 1), (cmd_compare, 3)],
                              ids=["simulate", "compare"])
     def test_integrates_the_analysed_model(self, short_cfg_path, tmp_path, monkeypatch, command,
@@ -638,12 +653,7 @@ class TestOneModelPerCommand:
         """``simulate`` assembles one model and ``compare`` one per pairing,
         each reduced once inside ``assemble_resistive``; the analysis gets a
         model that was integrated, so it shares that run's memos."""
-        calls = {"_assemble": 0, "reduce_model": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(assembly, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(assembly, name, counted)
+        calls = self._count_models(monkeypatch)
         analysed = []
         real_pair = cli._analysis_pair
         monkeypatch.setattr(cli, "_analysis_pair",
@@ -653,6 +663,19 @@ class TestOneModelPerCommand:
         assert not hasattr(cli, "reduce_model")
         (model,) = analysed
         assert model.reduced and list(model.zoh_memo) == [1e-3]
+
+    @pytest.mark.parametrize("command, n_models", [
+        (cmd_analyze, 1),
+        (lambda config, out: cmd_sweep(config, out, [1.0, 10.0]), 2),
+    ], ids=["analyze", "sweep"])
+    def test_assembles_only_the_analysed_models(self, damped_cfg_path, tmp_path, monkeypatch,
+                                                command, n_models):
+        """``analyze`` assembles the one model it analyses and ``sweep`` one
+        per scale: the sweep's input comes from the configuration, not from
+        a model of its own."""
+        calls = self._count_models(monkeypatch)
+        command(damped_cfg_path, tmp_path / "o")
+        assert calls == {"_assemble": n_models, "reduce_model": n_models}
 
 
 class TestSweepCommand:
@@ -768,9 +791,8 @@ class TestWriterOracles:
         assert main(["sweep", "--config", str(damped_cfg_path), "--out", str(out),
                      "--scales", "1,1e300"]) == 0
         sc = m.load_config(damped_cfg_path)
-        model = m.assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
-        rows = m.gain_limit_sweep(sc.net, sc.areas, sc.cfg,
-                                  cli._total_disturbance(sc, model), [1.0, 1e300])
+        rows = m.gain_limit_sweep(sc.net, sc.areas, sc.cfg, cli._total_disturbance(sc),
+                                  [1.0, 1e300])
         assert [r.is_hurwitz for r in rows] == [True, False]
         _old_sweep_csv(tmp_path / "want.csv", rows)
         got = (out / "sweep.csv").read_bytes()

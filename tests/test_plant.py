@@ -1,5 +1,7 @@
 """Plant constructors: DC network, swing areas, pi-link segmentation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ class TestMtdcNetwork:
         assert e.tolist() == [[2.0]]
         assert l_r.tolist() == [[0.0]]
 
+    def test_conductance_graph_kept_outside_equality(self):
+        """The graph validated on construction, the same object on each
+        call; equality and ``replace`` see only the declared fields."""
+        net = reference_network()
+        assert net.conductance_graph() is net.conductance_graph()
+        assert net.conductance_graph() == m.WeightedGraph(
+            6, tuple((ln.i, ln.j, 1.0 / ln.r) for ln in net.lines))
+        assert replace(net) == net and hash(replace(net)) == hash(net)
+        assert replace(net, lines=net.lines[:-1]).conductance_graph().edges == \
+            net.conductance_graph().edges[:-1]
+
     def test_zero_injection_steady_state_is_uniform(self):
         _, l_r = mtdc_resistive_matrices(reference_network())
         eigs, vecs = np.linalg.eigh(l_r)
@@ -65,6 +78,14 @@ class TestAcArea:
     def test_two_bus(self):
         area = m.AcArea(inertia=(1.0, 2.0), ac_lines=((0, 1, 1.0),))
         np.testing.assert_array_equal(laplacian(area.line_graph()), [[1.0, -1.0], [-1.0, 1.0]])
+
+    def test_line_graph_kept_outside_equality(self):
+        """As ``MtdcNetwork.conductance_graph``: built and validated once."""
+        area = m.AcArea(inertia=(1.0, 2.0), ac_lines=((0, 1, 1.0),))
+        assert area.line_graph() is area.line_graph()
+        assert area.line_graph() == m.WeightedGraph(2, ((0, 1, 1.0),))
+        assert replace(area) == area and hash(replace(area)) == hash(area)
+        assert replace(area, ac_lines=((1, 0, 2.0),)).line_graph().edges == ((1, 0, 2.0),)
 
     def test_fourteen_bus_psd_nullity_one(self, paper_sc):
         area = paper_sc.areas[0]
