@@ -42,9 +42,7 @@ from .sim import (
     IntegrationError,
     Scenario,
     Trajectory,
-    compare_variants,
     integrate,
-    lyapunov_trace,
 )
 
 __version__ = "0.1.0"

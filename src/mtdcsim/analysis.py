@@ -216,12 +216,13 @@ def lyapunov_certificate(net: MtdcNetwork, cfg: ControllerConfig) -> Certificate
 def lyapunov_matrix(model: ClosedLoopModel) -> np.ndarray:
     """Quadratic form P with W(x) = x^T P x for the model's layout.
 
-    P is built once, on the assembled coordinates; for a reduced model it
-    is T P T^T with the model's projection T. The pi-link terms weight the
-    line currents by the segment inductances and the line voltages by the
-    segment capacitances, the stored energy of the chain.
+    P is built once, on the assembled coordinates; for a reduced model it is
+    T P T^T, applied block by block by the model's ``projection``. The pi-link
+    terms weight the line currents by the segment inductances and the line
+    voltages by the segment capacitances, the stored energy of the chain.
     """
-    layout = model.assembled_layout
+    proj = model.projection
+    layout = model.layout if proj is None else proj.layout
     p = np.zeros((layout.dim, layout.dim))
     for i, area in enumerate(model.areas):
         weight = model.cfg.k_omega[i] / (2.0 * model.cfg.k_v[i])
@@ -246,8 +247,7 @@ def lyapunov_matrix(model: ClosedLoopModel) -> np.ndarray:
         for q in range(1, chain.n_segments):
             sl = layout.sl(f"line_voltage{q}")
             p[sl, sl] += 0.5 * model.net.v_nom * np.diag(chain.c_seg)
-    t_mat = model.projection
-    return p if t_mat is None else t_mat @ p @ t_mat.T
+    return p if proj is None else proj.cols(proj.rows(p))
 
 
 def _cost_weights_per_bus(model: ClosedLoopModel, costs=None):
@@ -371,7 +371,7 @@ def gain_limit_sweep(net: MtdcNetwork, areas, cfg: ControllerConfig,
             k_omega=tuple(k * scale for k in cfg.k_omega),
             k_droop_i=tuple(tuple(k * scale for k in area) for area in cfg.k_droop_i),
         )
-        model = assemble_resistive(net, areas, scaled, reduced=True)
+        model = assemble_resistive(net, areas, scaled)
         try:
             rep = equilibrium(model, u)
         except UnstableSystemError:

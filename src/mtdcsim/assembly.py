@@ -21,15 +21,15 @@ projection T A T^T (see ``reduce_model``): reduced coordinates drop the
 uniform component of each rotor-angle block and of the converter phase
 block; those directions are unobservable from the (frequency, DC voltage)
 output and, for the phase block, marginally stable, so removing them
-leaves the input/output behavior unchanged. A reduced model carries T, and
-its state matrix, input map, selectors and series map are the full ones
-projected by it. T is applied one block of the layout at a time, never as a
-dense product; the dense T stays, as the ``projection`` field, for the
-callers that read it (``analysis.lyapunov_matrix`` among them).
+leaves the input/output behavior unchanged. A reduced model carries T as a
+block map, its ``projection``, and its state matrix, input map, selectors
+and series map are the full ones projected by it. T is applied one block of
+the assembled layout at a time and never formed as a dense matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,6 +88,32 @@ class StateLayout:
 
 
 @dataclass(frozen=True, eq=False)
+class Projection:
+    """The map T from assembled to reduced coordinates, one block at a time.
+
+    ``layout`` is the assembled layout and ``blocks`` holds, per block of
+    it, (assembled slice, reduced slice, basis): T is the transpose of the
+    block's ones-complement basis, or the identity where basis is None.
+    """
+
+    layout: StateLayout
+    dim: int
+    blocks: tuple
+
+    def rows(self, x: np.ndarray) -> np.ndarray:  # T x
+        out = np.empty((self.dim, x.shape[1]))
+        for full, red, basis in self.blocks:
+            out[red] = x[full] if basis is None else basis.T @ x[full]
+        return out
+
+    def cols(self, x: np.ndarray) -> np.ndarray:  # x T^T
+        out = np.empty((x.shape[0], self.dim))
+        for full, red, basis in self.blocks:
+            out[:, red] = x[:, full] if basis is None else x[:, full] @ basis
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class ClosedLoopModel:
     """Assembled linear dynamics dx/dt = a x + b_dist u.
 
@@ -112,7 +138,7 @@ class ClosedLoopModel:
     series_map: np.ndarray
     series_offset: np.ndarray
     chain: PiLinkChain = None
-    projection: np.ndarray = None
+    projection: Projection = None
     # (spectral abscissa, verdict), filled by the first ``analysis.hurwitz``
     # call; ``a`` is never modified in place, and ``replace`` starts afresh
     hurwitz_memo: tuple = field(default=None, init=False, repr=False)
@@ -128,11 +154,6 @@ class ClosedLoopModel:
     def reduced(self) -> bool:
         return self.projection is not None
 
-    @property
-    def assembled_layout(self) -> StateLayout:
-        """Layout of the coordinates ``projection`` maps from."""
-        return _build_layout(self.areas, self.cfg, False, self.chain)
-
     def series_block(self, family: str) -> slice:
         """Rows of ``series_map`` (columns of ``Trajectory.series``) of one family."""
         k = SERIES_FAMILIES.index(family)
@@ -145,13 +166,6 @@ class ClosedLoopModel:
     @property
     def total_buses(self) -> int:
         return sum(area.n_buses for area in self.areas)
-
-    def bus_offsets(self) -> list:
-        out, off = [], 0
-        for area in self.areas:
-            out.append(off)
-            off += area.n_buses
-        return out
 
 
 def _build_layout(areas, cfg: ControllerConfig, reduced: bool, chain: PiLinkChain = None) -> StateLayout:
@@ -274,16 +288,10 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
         a_mat[ph.start + np.arange(n), conv_freq] += np.array(cfg.k_omega) / np.array(cfg.k_v)
         a_mat[ph, ph] -= cfg.gamma * np.eye(n)
 
+    # y = [per-bus frequencies; DC voltages], a selection of state columns
+    picked = np.r_[tuple(layout.sl(f"freq{i}") for i in range(n)) + (vdc,)]
     out = np.zeros((total_buses + n, dim))
-    row = 0
-    for i in range(n):
-        fq = layout.sl(f"freq{i}")
-        for k in range(fq.stop - fq.start):
-            out[row, fq.start + k] = 1.0
-            row += 1
-    for i in range(n):
-        out[row, vdc.start + i] = 1.0
-        row += 1
+    out[np.arange(total_buses + n), picked] = 1.0
 
     # derived series: area-mean frequency, absolute DC voltage, per-area
     # generation total, converter injection
@@ -343,55 +351,33 @@ def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
     directions evolve independently of the dropped ones, so the reduced
     model reproduces the output of the full model exactly.
 
-    T is applied one block of the full layout at a time, never as a dense
-    product: identity blocks are copied, angle and phase blocks multiplied
-    by their basis, and the output map, both selectors and the series map
-    projected together as one stacked matrix. The dense T is still kept,
-    as ``projection``, for the callers that read it.
+    T is kept as a block map, the model's ``projection``, and never formed
+    as a dense matrix: identity blocks are copied, angle and phase blocks
+    multiplied by their basis, and the output map, both selectors and the
+    series map projected together as one stacked matrix.
     """
     if model.reduced:
         raise ValueError("model is already reduced")
     red_layout = _build_layout(model.areas, model.cfg, True, model.chain)
-    t_mat = np.zeros((red_layout.dim, model.dim))
-    bases = {}  # block length -> its ones-complement basis
-    blocks = []  # (full rows, reduced rows, basis or None for the identity)
-    for name, start, length in model.layout.blocks:
-        full, red = slice(start, start + length), red_layout.sl(name)
-        basis = None
-        if name.startswith("angle") or name == "conv_phase":
-            if length not in bases:
-                bases[length] = ones_complement(length)
-            basis = bases[length]
-            t_mat[red, full] = basis.T
-        else:
-            t_mat[red, full] = np.eye(length)
-        blocks.append((full, red, basis))
-
-    def rows(x):  # T x
-        out = np.empty((red_layout.dim, x.shape[1]))
-        for full, red, basis in blocks:
-            out[red] = x[full] if basis is None else basis.T @ x[full]
-        return out
-
-    def cols(x):  # x T^T
-        out = np.empty((x.shape[0], red_layout.dim))
-        for full, red, basis in blocks:
-            out[:, red] = x[:, full] if basis is None else x[:, full] @ basis
-        return out
+    basis = functools.cache(ones_complement)  # one basis per block length
+    proj = Projection(model.layout, red_layout.dim, tuple(
+        (slice(start, start + length), red_layout.sl(name),
+         basis(length) if name.startswith("angle") or name == "conv_phase" else None)
+        for name, start, length in model.layout.blocks))
 
     maps = (model.output, model.p_gen_selector, model.p_inj_selector, model.series_map)
     output, p_gen, p_inj, series_map = np.split(
-        cols(np.vstack(maps)), np.cumsum([x.shape[0] for x in maps[:-1]]))
+        proj.cols(np.vstack(maps)), np.cumsum([x.shape[0] for x in maps[:-1]]))
     return replace(
         model,
-        a=cols(rows(model.a)),
-        b_dist=rows(model.b_dist),
+        a=proj.cols(proj.rows(model.a)),
+        b_dist=proj.rows(model.b_dist),
         output=output,
         layout=red_layout,
         p_gen_selector=p_gen,
         p_inj_selector=p_inj,
         series_map=series_map,
-        projection=t_mat,
+        projection=proj,
     )
 
 

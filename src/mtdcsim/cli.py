@@ -1,10 +1,11 @@
-"""Command-line surface: analyze | simulate | compare | sweep.
+"""Command-line surface: analyze | simulate | compare | sweep. ``compare``
+runs the pairings of ``COMPARISON_VARIANTS``, each on its own reduced model.
 
-Exit codes are a stable contract: 0 success, 2 configuration error,
-3 numerical abort during integration. Every CSV (the time series, one
-file per quantity family, ``summary.csv`` and ``sweep.csv``) has a header
-line, a first column (``t``, ``variant`` or ``scale``) and then floats
-printed with 17 significant digits, so files round-trip bit-exactly.
+Exit codes are a stable contract: 0 success, 2 configuration or usage
+error, 3 numerical abort during integration. Every CSV (the time series,
+one file per quantity family, ``summary.csv`` and ``sweep.csv``) has a
+header line, a first column (``t``, ``variant`` or ``scale``) and then
+floats printed with 17 significant digits, so files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -33,12 +34,19 @@ from .assembly import (SERIES_FAMILIES, NonFiniteModelError, assemble_resistive,
                        baseline_disturbance, disturbance_map)
 from .config import ConfigError, SystemConfig, load_config
 from .control import Variant
-from .sim import COMPARISON_VARIANTS, IntegrationError, Trajectory, compare_variants, integrate
+from .sim import IntegrationError, Trajectory, integrate
 
 TIMESERIES_CSV = "TIMESERIES_CSV"
 TIMESERIES_JSON = "TIMESERIES_JSON"
 REPORT_JSON = "REPORT_JSON"
 SWEEP_CSV = "SWEEP_CSV"
+
+# the controller pairings ``compare`` runs side by side, in this order
+COMPARISON_VARIANTS = (Variant.DEC_GEN_DEC_CONV, Variant.DIST_GEN_DEC_CONV, Variant.DIST_GEN_DIST_CONV)
+
+
+class _UsageError(Exception):
+    """A command-line argument the command cannot use: exit 2."""
 
 
 @dataclass(frozen=True)
@@ -108,10 +116,14 @@ def _jsonable(obj):
 
 
 def _open_run(config_path, out_dir):
-    """The loaded config and the created output directory of one command."""
-    sc = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """The loaded config and the created output directory of one command; an
+    output directory that cannot be created is a usage error."""
+    sc, out = load_config(config_path), Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--out {out_dir}: cannot create the output directory "
+                          f"({exc.strerror})") from None
     return sc, out
 
 
@@ -159,14 +171,14 @@ def _analysis_pair(sc: SystemConfig, model):
 
 def cmd_analyze(config_path, out_dir) -> RunReport:
     sc, out = _open_run(config_path, out_dir)
-    model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+    model = assemble_resistive(sc.net, sc.areas, sc.cfg)
     return _finish_run(out, (), *_analysis_pair(sc, model))
 
 
 def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") -> RunReport:
     sc, out = _open_run(config_path, out_dir)
     sc = sc if variant is None else _with_variant(sc, variant, "--variant")
-    model = assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True)
+    model = assemble_resistive(sc.net, sc.areas, sc.cfg)
     traj = integrate(model, sc.scenario)
     artifacts = _emit_timeseries({"": traj}, out, fmt)
     return _finish_run(out, artifacts, *_analysis_pair(sc, model))
@@ -190,11 +202,17 @@ def _settling_time(times, series, final_row) -> float:
     return float(times[last + 1]) if last + 1 < times.shape[0] else float(times[-1])
 
 
+def compare_variants(sc: SystemConfig) -> dict:
+    """The scenario under each pairing of ``COMPARISON_VARIANTS``, on its reduced
+    model; a pairing the config cannot run is a ``ConfigError`` before any run."""
+    configs = {v: _with_variant(sc, v, f"compare {v.value}") for v in COMPARISON_VARIANTS}
+    return {v: integrate(assemble_resistive(c.net, c.areas, c.cfg), c.scenario)
+            for v, c in configs.items()}
+
+
 def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     sc, out = _open_run(config_path, out_dir)
-    for variant in COMPARISON_VARIANTS:  # exit 2 before any file, not a traceback mid-run
-        _with_variant(sc, variant, f"compare {variant.value}")
-    results = compare_variants(sc.net, sc.areas, sc.cfg, sc.scenario)
+    results = compare_variants(sc)
     artifacts = _emit_timeseries({f"{v.value}__": traj for v, traj in results.items()}, out, fmt)
     summary_rows = []
     k_v = np.array(sc.cfg.k_v)
@@ -217,17 +235,15 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
                [list(row.values())[1:] for row in summary_rows])
     artifacts.append((TIMESERIES_CSV, str(summary_path)))
     model = (results[sc.cfg.variant].model if sc.cfg.variant in results
-             else assemble_resistive(sc.net, sc.areas, sc.cfg, reduced=True))
+             else assemble_resistive(sc.net, sc.areas, sc.cfg))
     return _finish_run(out, artifacts, *_analysis_pair(sc, model), comparison=summary_rows)
 
 
 def cmd_sweep(config_path, out_dir, scales) -> RunReport:
-    sc = load_config(config_path)
+    sc, out = _open_run(config_path, out_dir)
     if sc.cfg.gamma <= 0.0:
         raise ConfigError("controller.gamma: the gain sweep needs gamma > 0 "
                           "(undamped phase dynamics have no high-gain limit point)")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg, _total_disturbance(sc), scales)
     sweep_path = out / "sweep.csv"
     # "%.17g" % True is "1": is_hurwitz needs no cell of its own
@@ -284,10 +300,11 @@ def main(argv=None) -> int:
             except ValueError:
                 scales = []
             if not scales or not all(0.0 < s < np.inf for s in scales):
-                print("error: --scales must be comma-separated positive finite numbers",
-                      file=sys.stderr)
-                return 2
+                raise _UsageError("--scales must be comma-separated positive finite numbers")
             cmd_sweep(args.config, args.out, scales)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, NonFiniteModelError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

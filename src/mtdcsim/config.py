@@ -132,6 +132,10 @@ def parse_config(doc: dict) -> SystemConfig:
                c=_get(ln, "c", path, float, 0.0),
                segments=_get(ln, "segments", path, int, 1))
         for ln, path in _objects(mtdc, "lines", "mtdc"))
+    for k, ln in enumerate(lines):
+        for key in ("i", "j"):
+            if not 0 <= getattr(ln, key) < len(cap):
+                raise ConfigError(f"mtdc.lines[{k}].{key}: no such node")
     net = _build("mtdc", MtdcNetwork, cap=cap, lines=lines, v_nom=v_nom, v_ref=v_ref)
 
     areas, k_droop, k_droop_i = [], [], []

@@ -53,9 +53,11 @@ product per recorded sample, which moves the full state. It agrees with
 the same Heun step taken one full step at a time to 1e-10 of the largest
 state (1.2e-12 over the 45 s reference run) and aborts at the same step.
 
-Only states are propagated. The derived series of a trajectory (area-mean
-frequencies, DC voltages, generation totals, injections) are the model's
-affine ``series_map`` applied to the recorded states.
+The module only propagates: it reads a model's state matrix, input map,
+selectors and series map, and builds, analyses or compares no model. The
+derived series of a trajectory (area-mean frequencies, DC voltages,
+generation totals, injections) are the model's affine ``series_map``
+applied to the recorded states.
 
 ``discretize`` and ``integrate`` run their linear algebra on one BLAS
 thread and restore the caller's thread count on return, so their outputs
@@ -65,7 +67,7 @@ Python threads calling them concurrently share that setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil, factorial, log2
 from numbers import Integral
 
@@ -73,9 +75,8 @@ import numpy as np
 
 from . import _kernels
 from ._blas import one_thread
-from .assembly import ClosedLoopModel, assemble_resistive, baseline_disturbance, disturbance_map
-from .analysis import equilibrium, lyapunov_matrix
-from .control import ControllerConfig, CouplingMode, Variant
+from .assembly import ClosedLoopModel, baseline_disturbance, disturbance_map
+from .control import CouplingMode
 
 DT_CAP = 0.01
 # Bounds on a run's size: step indices stay exact in a float and far inside
@@ -152,17 +153,6 @@ class Trajectory:
     states: np.ndarray
     model: ClosedLoopModel
     series: np.ndarray
-
-    def outputs(self) -> np.ndarray:
-        """y = [frequency deviations, DC voltage deviations] per sample."""
-        return self.states @ self.model.output.T
-
-
-@dataclass(frozen=True, eq=False)
-class LyapunovTrace:
-    times: np.ndarray
-    values: np.ndarray
-    max_step_increase: float
 
 
 def _event_step(time: float, dt: float, n_steps: int) -> int:
@@ -406,40 +396,3 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     series += model.series_offset
     return Trajectory(times=rec_steps.astype(float) * scenario.dt, states=out, model=model,
                       series=series)
-
-
-COMPARISON_VARIANTS = (
-    Variant.DEC_GEN_DEC_CONV,
-    Variant.DIST_GEN_DEC_CONV,
-    Variant.DIST_GEN_DIST_CONV,
-)
-
-
-def compare_variants(net, areas, cfg: ControllerConfig, scenario: Scenario) -> dict:
-    """Run the same plant and scenario under the three controller pairings,
-    each on its reduced model."""
-    results = {}
-    for variant in COMPARISON_VARIANTS:
-        model = assemble_resistive(net, areas, replace(cfg, variant=variant), reduced=True)
-        results[variant] = integrate(model, scenario)
-    return results
-
-
-def lyapunov_trace(model: ClosedLoopModel, scenario: Scenario) -> LyapunovTrace:
-    """Candidate-function values along a simulated trajectory of the reduced
-    ``model``.
-
-    The state is measured relative to the equilibrium under the final
-    constant input, so a single step disturbance from rest yields a series
-    that the certificate (when it applies) guarantees to be nonincreasing.
-    With multiple events only the part after the last event carries that
-    guarantee.
-    """
-    traj = integrate(model, scenario)
-    u_final = _segments(model, scenario, scenario.n_steps)[1][-1]
-    x_ref = equilibrium(model, u_final).x_star if np.any(u_final != 0.0) else np.zeros(model.dim)
-    p = lyapunov_matrix(model)
-    rel = traj.states - x_ref
-    values = np.einsum("ij,jk,ik->i", rel, p, rel)
-    max_inc = float(np.diff(values).max()) if values.shape[0] > 1 else 0.0
-    return LyapunovTrace(times=traj.times, values=values, max_step_increase=max_inc)

@@ -1,9 +1,15 @@
-"""Shared fixtures: the bundled six-terminal setup plus small synthetic grids."""
+"""Shared fixtures: the bundled six-terminal setup plus small synthetic grids,
+and helpers that read trajectories and reduced models."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import mtdcsim as m
+from mtdcsim.analysis import lyapunov_matrix
+from mtdcsim.cli import compare_variants
+from mtdcsim.sim import _segments
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +29,50 @@ def paper_model_full(paper_sc):
 
 @pytest.fixture(scope="session")
 def paper_trajs(paper_sc):
-    """The configured scenario under all three controller pairings."""
-    return m.compare_variants(paper_sc.net, paper_sc.areas, paper_sc.cfg, paper_sc.scenario)
+    """The configured scenario under all three controller pairings, run as
+    ``compare`` runs them."""
+    return compare_variants(paper_sc)
+
+
+def outputs(traj):
+    """y = [frequency deviations, DC voltage deviations] per sample."""
+    return traj.states @ traj.model.output.T
+
+
+def dense_projection(model):
+    """The dense T of a reduced model, filled from its block map."""
+    proj = model.projection
+    t_mat = np.zeros((proj.dim, proj.layout.dim))
+    for full, red, basis in proj.blocks:
+        t_mat[red, full] = np.eye(full.stop - full.start) if basis is None else basis.T
+    return t_mat
+
+
+@dataclass(frozen=True, eq=False)
+class LyapunovTrace:
+    times: np.ndarray
+    values: np.ndarray
+    max_step_increase: float
+
+
+def lyapunov_trace(model, scenario):
+    """Candidate-function values along a simulated trajectory of the reduced
+    ``model``.
+
+    The state is measured relative to the equilibrium under the final
+    constant input, so a single step disturbance from rest yields a series
+    that the certificate (when it applies) guarantees to be nonincreasing.
+    With multiple events only the part after the last event carries that
+    guarantee.
+    """
+    traj = m.integrate(model, scenario)
+    u_final = _segments(model, scenario, scenario.n_steps)[1][-1]
+    x_ref = m.equilibrium(model, u_final).x_star if np.any(u_final != 0.0) else np.zeros(model.dim)
+    p = lyapunov_matrix(model)
+    rel = traj.states - x_ref
+    values = np.einsum("ij,jk,ik->i", rel, p, rel)
+    max_inc = float(np.diff(values).max()) if values.shape[0] > 1 else 0.0
+    return LyapunovTrace(times=traj.times, values=values, max_step_increase=max_inc)
 
 
 def single_gen_system(n_areas=2, gamma=0.0, variant=m.Variant.DIST_GEN_DIST_CONV,

@@ -14,7 +14,8 @@ import pytest
 import mtdcsim as m
 from mtdcsim.netgraph import laplacian
 
-from conftest import mixed_relative_error, random_stable_config, single_gen_system
+from conftest import (lyapunov_trace, mixed_relative_error, outputs, random_stable_config,
+                      single_gen_system)
 from test_assembly import _oracle_check, multi_gen_system
 
 
@@ -128,11 +129,11 @@ def test_criterion_07_lyapunov_monotonicity(paper_sc):
     cfg = replace(paper_sc.cfg, gamma=4.0)
     model = m.assemble_resistive(paper_sc.net, paper_sc.areas, cfg, reduced=True)
     scen = replace(paper_sc.scenario, record_every=10)
-    trace_res = m.lyapunov_trace(model, scen)
+    trace_res = lyapunov_trace(model, scen)
     net_pi, areas_pi, cfg_pi = _single_gen_reference(paper_sc, gamma=4.0)
     model_pi = m.assemble_pi_link(net_pi, areas_pi, cfg_pi, reduced=True)
     scen_pi = replace(scen, disturbances=(m.DisturbanceEvent(1.0, 0, 0, -0.2),))
-    trace_pi = m.lyapunov_trace(model_pi, scen_pi)
+    trace_pi = lyapunov_trace(model_pi, scen_pi)
     ok = trace_res.max_step_increase <= 1e-8 and trace_pi.max_step_increase <= 1e-8
     _report(7, "candidate function nonincreasing along damped trajectories", ok,
             f"max_increase resistive={trace_res.max_step_increase:.2g}, "
@@ -142,8 +143,8 @@ def test_criterion_07_lyapunov_monotonicity(paper_sc):
 def test_criterion_08_model_equivalences(paper_sc, paper_model_full):
     # (a) full vs reduced output trajectories
     red = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True)
-    y_full = m.integrate(paper_model_full, paper_sc.scenario).outputs()
-    y_red = m.integrate(red, paper_sc.scenario).outputs()
+    y_full = outputs(m.integrate(paper_model_full, paper_sc.scenario))
+    y_red = outputs(m.integrate(red, paper_sc.scenario))
     out_gap = np.abs(y_full - y_red).max()
 
     # (b) pi-link equilibrium voltages match the resistive model

@@ -12,7 +12,8 @@ import mtdcsim as m
 from mtdcsim.analysis import lyapunov_matrix
 from mtdcsim.assembly import SERIES_FAMILIES
 
-from conftest import mixed_relative_error, random_stable_config, single_gen_system
+from conftest import (dense_projection, lyapunov_trace, mixed_relative_error, outputs,
+                      random_stable_config, single_gen_system)
 from direct_rhs import direct_rhs, flatten, unflatten
 
 
@@ -176,7 +177,7 @@ def _oracle_check(net, areas, cfg, model, rng, n_states=25, mode="linear"):
             full = m.assemble_resistive(net, areas, cfg, reduced=False) \
                 if model.chain is None else \
                 m.assemble_pi_link(net, areas, cfg, reduced=False)
-            t_mat = model.projection
+            t_mat = dense_projection(model)
             x_full = t_mat.T @ x
             state = unflatten(full.layout, x_full)
             got = model.a @ x + model.b_dist @ p_m_flat
@@ -230,10 +231,11 @@ class TestReduce:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_full_and_reduced_agree(self, assemble, seed):
-        """Each reduced map is the dense product with T to 1e-15 of its
-        largest entry; same outputs and derived series on a short run in
-        either coupling mode, same equilibrium DC voltages and Lyapunov
-        trace; the projected form is positive definite."""
+        """Each reduced map and the reduced Lyapunov form are the dense
+        product with T to 1e-15 of their largest entry; same outputs and
+        derived series on a short run in either coupling mode, same
+        equilibrium DC voltages and Lyapunov trace; the projected form is
+        positive definite."""
         rng = np.random.default_rng(seed)
         net, areas, cfg = random_stable_config(rng)
         full = assemble(net, areas, cfg, reduced=False)
@@ -244,20 +246,22 @@ class TestReduce:
                           disturbances=(m.DisturbanceEvent(0.1, area, 0, magnitude),))
         np.testing.assert_array_equal(full.series_offset, red.series_offset)
         # the block-by-block projection against the dense product with T
-        t = red.projection
+        t = dense_projection(red)
+        p_red = lyapunov_matrix(red)
         for got, want in [(red.a, t @ full.a @ t.T), (red.b_dist, t @ full.b_dist),
+                          (p_red, t @ lyapunov_matrix(full) @ t.T),
                           *((getattr(red, f), getattr(full, f) @ t.T) for f in
                             ("output", "p_gen_selector", "p_inj_selector", "series_map"))]:
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         for mode in m.CouplingMode:
             scen_mode = replace(scen, mode=mode)
             traj_full, traj_red = m.integrate(full, scen_mode), m.integrate(red, scen_mode)
-            y_full = traj_full.outputs()
-            assert np.abs(y_full - traj_red.outputs()).max() <= 1e-9 * np.abs(y_full).max()
+            y_full = outputs(traj_full)
+            assert np.abs(y_full - outputs(traj_red)).max() <= 1e-9 * np.abs(y_full).max()
             scale = np.abs(traj_full.series - full.series_offset).max()
             assert np.abs(traj_full.series - traj_red.series).max() <= 1e-9 * scale
 
-        p_red = lyapunov_matrix(red)  # T P T^T: symmetric up to rounding
+        # T P T^T: symmetric up to rounding
         assert np.abs(p_red - p_red.T).max() <= 1e-14 * np.abs(p_red).max()
         assert np.linalg.eigvalsh(p_red).min() > 0.0
 
@@ -270,9 +274,9 @@ class TestReduce:
             assert np.abs(v_full - equil.v_hat_star).max() <= 1e-9 * np.abs(v_full).max()
             # oracle: W of the full form along the full linear run, about
             # the reduced equilibrium lifted back by T^T
-            rel = m.integrate(full, scen).states - red.projection.T @ equil.x_star
+            rel = m.integrate(full, scen).states - t.T @ equil.x_star
             w_full = np.einsum("ij,jk,ik->i", rel, lyapunov_matrix(full), rel)
-            w_red = m.lyapunov_trace(red, scen).values
+            w_red = lyapunov_trace(red, scen).values
             assert np.abs(w_full - w_red).max() <= 1e-9 * np.abs(w_full).max()
 
     def test_block_sizes(self):

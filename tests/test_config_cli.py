@@ -455,11 +455,12 @@ class TestSimulateCommand:
         (("mtdc", "lines", 1, "l"), -1e-3, r"mtdc\.lines\[1\]: .*l and c"),
         (("mtdc", "lines", 2, "c"), -1e-3, r"mtdc\.lines\[2\]: .*l and c"),
         (("mtdc", "lines", 0, "j"), 0, r"mtdc\.lines\[0\]: .*endpoints"),
+        (("mtdc", "lines", 0, "j"), 6, r"^configuration error: mtdc\.lines\[0\]\.j: no such node$"),
         (("mtdc", "lines", 0, "segments"), 0, r"mtdc\.lines\[0\]: .*segments"),
     ], ids=["t_end_inf", "t_end_off_grid", "t_end_max_steps", "t_end_max_samples", "gamma_nan",
             "gamma_huge_int", "k_omega_inf", "k_droop_inf", "magnitude_inf", "p_m_nan",
             "cost_inf", "line_r_zero", "line_l_negative", "line_c_negative", "line_self_loop",
-            "line_no_segments"])
+            "line_to_missing_node", "line_no_segments"])
     def test_malformed_number_exit_code(self, paper_doc, tmp_path, capsys, field, value, path):
         """JSON NaN/Infinity or an off-grid horizon is a configuration error
         naming the field, never a traceback or a warning."""
@@ -705,6 +706,21 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --scales ") and len(err.splitlines()) == 1
         assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate"], ["compare"],
+                                  ["sweep", "--scales", "1,10"]],
+                         ids=["analyze", "simulate", "compare", "sweep"])
+def test_out_that_cannot_be_a_directory(damped_cfg_path, tmp_path, capsys, argv):
+    """An ``--out`` that is an existing file, or lies below one, is exit 2
+    with one stderr line naming ``--out``, not a traceback; the file stays."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    for out in (blocker, blocker / "sub"):
+        assert main([*argv, "--config", str(damped_cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and len(err.splitlines()) == 1, err
+    assert blocker.read_text() == "keep\n"
 
 
 class TestWriters:

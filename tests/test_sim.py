@@ -1,5 +1,7 @@
 """Integration: steppers, event handling, determinism, mode equivalences."""
 
+import ast
+import inspect
 import sys
 import threading
 import time
@@ -17,9 +19,11 @@ from scipy.linalg import expm
 
 import mtdcsim as m
 from mtdcsim import _blas, _kernels
+from mtdcsim.cli import compare_variants
+from mtdcsim.config import SystemConfig
 from mtdcsim.sim import MAX_SAMPLES, MAX_STEPS, _record_steps, _segments, discretize
 
-from conftest import random_stable_config, single_gen_system
+from conftest import lyapunov_trace, outputs, random_stable_config, single_gen_system
 from direct_rhs import direct_controls, direct_rhs, flatten, unflatten
 
 
@@ -386,8 +390,8 @@ class TestIntegrate:
         red = m.assemble_resistive(net, areas, cfg, reduced=True)
         scen = m.Scenario(t_end=5.0, dt=1e-3,
                           disturbances=(m.DisturbanceEvent(0.5, 1, 0, -0.2),))
-        y_full = m.integrate(full, scen).outputs()
-        y_red = m.integrate(red, scen).outputs()
+        y_full = outputs(m.integrate(full, scen))
+        y_red = outputs(m.integrate(red, scen))
         assert np.abs(y_full - y_red).max() < 1e-9
 
     def test_halving_dt_changes_terminal_state_negligibly(self, two_area):
@@ -415,8 +419,9 @@ class TestIntegrate:
         x = traj.states[k]
         p_gen, p_inj = direct_controls(areas, cfg, unflatten(model.layout, x))
         np.testing.assert_allclose(model.p_gen_selector @ x, p_gen, atol=1e-13)
+        bus_offsets = np.cumsum([0, *(area.n_buses for area in areas[:-1])])
         np.testing.assert_allclose(traj.series[k, model.series_block("generation")],
-                                   np.add.reduceat(p_gen, model.bus_offsets()), atol=1e-13)
+                                   np.add.reduceat(p_gen, bus_offsets), atol=1e-13)
         np.testing.assert_allclose(traj.series[k, model.series_block("injections")], p_inj,
                                    atol=1e-13)
 
@@ -1055,8 +1060,8 @@ class TestNonlinearMode:
         non = m.integrate(model, scen)
         band = np.abs(non.series[:, model.series_block("dc_voltages")] - paper_sc.net.v_nom).max()
         assert band < 0.05
-        scale = np.abs(lin.outputs()).max()
-        assert np.abs(lin.outputs() - non.outputs()).max() <= 0.05 * scale
+        scale = np.abs(outputs(lin)).max()
+        assert np.abs(outputs(lin) - outputs(non)).max() <= 0.05 * scale
 
     def test_close_to_linear_within_small_band(self, two_area):
         net, areas, cfg = two_area
@@ -1065,8 +1070,8 @@ class TestNonlinearMode:
         lin = m.integrate(model, m.Scenario(t_end=5.0, dt=1e-3, disturbances=ev))
         non = m.integrate(model, m.Scenario(t_end=5.0, dt=1e-3, disturbances=ev,
                                             mode=m.CouplingMode.NONLINEAR))
-        scale = np.abs(lin.outputs()).max()
-        assert np.abs(lin.outputs() - non.outputs()).max() <= 0.05 * scale
+        scale = np.abs(outputs(lin)).max()
+        assert np.abs(outputs(lin) - outputs(non)).max() <= 0.05 * scale
 
 
 class TestCompareVariants:
@@ -1093,22 +1098,22 @@ class TestCompareVariants:
 
     def test_three_pairings(self, two_area):
         net, areas, cfg = two_area
-        out = m.compare_variants(net, areas, cfg, m.Scenario(t_end=1.0, dt=1e-3))
+        out = compare_variants(SystemConfig(net, areas, cfg, None, m.Scenario(t_end=1.0, dt=1e-3)))
         assert set(out) == {m.Variant.DEC_GEN_DEC_CONV, m.Variant.DIST_GEN_DEC_CONV,
                             m.Variant.DIST_GEN_DIST_CONV}
 
     def test_zero_disturbance_identical(self, two_area):
         net, areas, cfg = two_area
-        out = m.compare_variants(net, areas, cfg, m.Scenario(t_end=1.0, dt=1e-3))
+        out = compare_variants(SystemConfig(net, areas, cfg, None, m.Scenario(t_end=1.0, dt=1e-3)))
         for traj in out.values():
-            np.testing.assert_array_equal(traj.outputs(), np.zeros_like(traj.outputs()))
+            np.testing.assert_array_equal(outputs(traj), np.zeros_like(outputs(traj)))
 
 
 class TestLyapunovTrace:
     def test_zero_scenario_zero_trace(self, two_area):
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
-        trace = m.lyapunov_trace(model, m.Scenario(t_end=1.0, dt=1e-3))
+        trace = lyapunov_trace(model, m.Scenario(t_end=1.0, dt=1e-3))
         np.testing.assert_array_equal(trace.values, np.zeros_like(trace.values))
 
     def test_event_at_t_end_zero_trace(self, two_area):
@@ -1117,7 +1122,7 @@ class TestLyapunovTrace:
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
         scen = m.Scenario(t_end=1.0, dt=1e-3, disturbances=(m.DisturbanceEvent(1.0, 0, 0, -0.2),))
-        trace = m.lyapunov_trace(model, scen)
+        trace = lyapunov_trace(model, scen)
         np.testing.assert_array_equal(trace.values, np.zeros_like(trace.values))
 
     def test_damped_configuration_monotone(self):
@@ -1125,7 +1130,7 @@ class TestLyapunovTrace:
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
         scen = m.Scenario(t_end=30.0, dt=1e-3, record_every=10,
                           disturbances=(m.DisturbanceEvent(1.0, 0, 0, -0.2),))
-        trace = m.lyapunov_trace(model, scen)
+        trace = lyapunov_trace(model, scen)
         assert trace.max_step_increase <= 1e-8
         assert trace.values[0] > trace.values[-1]
 
@@ -1134,8 +1139,22 @@ class TestLyapunovTrace:
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
         scen = m.Scenario(t_end=5.0, dt=1e-3, record_every=10,
                           disturbances=(m.DisturbanceEvent(1.0, 0, 0, -0.2),))
-        trace = m.lyapunov_trace(model, scen)
+        trace = lyapunov_trace(model, scen)
         assert np.all(np.isfinite(trace.values))
+
+
+def test_sim_only_propagates():
+    """``sim`` builds, analyses and compares no model: it imports nothing
+    from ``analysis`` or ``cli`` and no ``assemble_*`` constructor."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(m.sim))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"analysis", "cli"}, sorted(names)
+    assert not any(part.startswith("assemble_") for part in parts), sorted(names)
 
 
 class TestOneBlasThread:
