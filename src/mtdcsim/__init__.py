@@ -28,15 +28,9 @@ from .assembly import (
     reduce_model,
 )
 from .config import ConfigError, SystemConfig, load_config, parse_config
-from .control import (
-    ControllerConfig,
-    CostWeights,
-    CouplingMode,
-    Variant,
-    gains_from_costs,
-)
+from .control import ControllerConfig, CostWeights, CouplingMode, Variant
 from .netgraph import WeightedGraph, connectivity, laplacian, line_incidence, ones_complement
-from .plant import AcArea, DcLine, MtdcNetwork, mtdc_resistive_matrices, pi_link_matrices
+from .plant import AcArea, DcLine, MtdcNetwork, pi_link_matrices
 from .sim import (
     DisturbanceEvent,
     IntegrationError,

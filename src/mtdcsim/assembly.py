@@ -37,12 +37,7 @@ import numpy as np
 from ._blas import one_thread
 from .control import ControllerConfig
 from .netgraph import laplacian, ones_complement
-from .plant import (
-    MtdcNetwork,
-    PiLinkChain,
-    mtdc_resistive_matrices,
-    pi_link_matrices,
-)
+from .plant import MtdcNetwork, PiLinkChain, pi_link_matrices
 
 # row blocks of ``series_map``, one row per converter/area each, in this order
 SERIES_FAMILIES = ("frequencies", "dc_voltages", "generation", "injections")
@@ -64,7 +59,8 @@ class StateLayout:
     blocks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {b[0]: (b[1], b[2]) for b in self.blocks})
+        object.__setattr__(self, "_index", {name: slice(start, start + length)
+                                            for name, start, length in self.blocks})
 
     @property
     def dim(self) -> int:
@@ -73,18 +69,8 @@ class StateLayout:
     def has(self, name: str) -> bool:
         return name in self._index
 
-    def offset(self, name: str) -> int:
-        return self._index[name][0]
-
-    def length(self, name: str) -> int:
-        return self._index[name][1]
-
     def sl(self, name: str) -> slice:
-        start, length = self._index[name]
-        return slice(start, start + length)
-
-    def names(self) -> tuple:
-        return tuple(b[0] for b in self.blocks)
+        return self._index[name]
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +203,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     p_inj = np.zeros((n, dim))
     area_sum = np.zeros((n, total_buses))
 
-    e_mat, l_r = mtdc_resistive_matrices(net)
-    e_diag = np.diag(e_mat)
+    e_diag = 1.0 / np.array(net.cap)  # the elastance E = diag(1/C)
     vdc = layout.sl("vdc")
     l_phi = laplacian(cfg.comm_phi) if cfg.variant.distributed_conv else None
 
@@ -255,7 +240,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     # DC nodes: injected current p_inj / v_nom, line coupling per plant model
     a_mat[vdc] += e_diag[:, None] * p_inj / net.v_nom
     if chain is None:
-        a_mat[vdc, vdc] -= e_diag[:, None] * l_r
+        a_mat[vdc, vdc] -= e_diag[:, None] * laplacian(net.conductance_graph())
     else:
         ell = chain.n_segments
         cur = [layout.sl(f"line_current{q}") for q in range(1, ell + 1)]
@@ -284,7 +269,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
 
     if cfg.variant.distributed_conv:
         ph = layout.sl("conv_phase")
-        conv_freq = [layout.offset(f"freq{i}") for i in range(n)]
+        conv_freq = [layout.sl(f"freq{i}").start for i in range(n)]
         a_mat[ph.start + np.arange(n), conv_freq] += np.array(cfg.k_omega) / np.array(cfg.k_v)
         a_mat[ph, ph] -= cfg.gamma * np.eye(n)
 

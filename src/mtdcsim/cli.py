@@ -1,5 +1,7 @@
 """Command-line surface: analyze | simulate | compare | sweep. ``compare``
 runs the pairings of ``COMPARISON_VARIANTS``, each on its own reduced model.
+``simulate`` and ``compare`` analyse before they integrate, so an
+equilibrium beyond the float range ends them before any series file.
 
 Exit codes are a stable contract: 0 success, 2 configuration or usage
 error, 3 numerical abort during integration. Every CSV (the time series,
@@ -179,9 +181,9 @@ def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") ->
     sc, out = _open_run(config_path, out_dir)
     sc = sc if variant is None else _with_variant(sc, variant, "--variant")
     model = assemble_resistive(sc.net, sc.areas, sc.cfg)
-    traj = integrate(model, sc.scenario)
-    artifacts = _emit_timeseries({"": traj}, out, fmt)
-    return _finish_run(out, artifacts, *_analysis_pair(sc, model))
+    analysis = _analysis_pair(sc, model)  # an equilibrium beyond the float range stops the run here
+    artifacts = _emit_timeseries({"": integrate(model, sc.scenario)}, out, fmt)
+    return _finish_run(out, artifacts, *analysis)
 
 
 def _settling_time(times, series, final_row) -> float:
@@ -202,17 +204,21 @@ def _settling_time(times, series, final_row) -> float:
     return float(times[last + 1]) if last + 1 < times.shape[0] else float(times[-1])
 
 
-def compare_variants(sc: SystemConfig) -> dict:
-    """The scenario under each pairing of ``COMPARISON_VARIANTS``, on its reduced
-    model; a pairing the config cannot run is a ``ConfigError`` before any run."""
+def comparison_models(sc: SystemConfig) -> dict:
+    """The reduced model of each pairing of ``COMPARISON_VARIANTS``; a pairing
+    the config cannot run is a ``ConfigError`` before any model is assembled."""
     configs = {v: _with_variant(sc, v, f"compare {v.value}") for v in COMPARISON_VARIANTS}
-    return {v: integrate(assemble_resistive(c.net, c.areas, c.cfg), c.scenario)
-            for v, c in configs.items()}
+    return {v: assemble_resistive(c.net, c.areas, c.cfg) for v, c in configs.items()}
 
 
 def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     sc, out = _open_run(config_path, out_dir)
-    results = compare_variants(sc)
+    models = comparison_models(sc)
+    # the configured pairing's model if it is compared; analysed before any run,
+    # so an equilibrium beyond the float range stops the command here
+    analysis = _analysis_pair(sc, models[sc.cfg.variant] if sc.cfg.variant in models
+                              else assemble_resistive(sc.net, sc.areas, sc.cfg))
+    results = {v: integrate(model, sc.scenario) for v, model in models.items()}
     artifacts = _emit_timeseries({f"{v.value}__": traj for v, traj in results.items()}, out, fmt)
     summary_rows = []
     k_v = np.array(sc.cfg.k_v)
@@ -234,9 +240,7 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     _write_csv(summary_path, list(summary_rows[0]), [row["variant"] + "," for row in summary_rows],
                [list(row.values())[1:] for row in summary_rows])
     artifacts.append((TIMESERIES_CSV, str(summary_path)))
-    model = (results[sc.cfg.variant].model if sc.cfg.variant in results
-             else assemble_resistive(sc.net, sc.areas, sc.cfg))
-    return _finish_run(out, artifacts, *_analysis_pair(sc, model), comparison=summary_rows)
+    return _finish_run(out, artifacts, *analysis, comparison=summary_rows)
 
 
 def cmd_sweep(config_path, out_dir, scales) -> RunReport:

@@ -143,11 +143,12 @@ def parse_config(doc: dict) -> SystemConfig:
         gens = list(_objects(area, "generators", path))
         if not gens:
             raise ConfigError(f"{path}.generators: at least one generator required")
+        if _get(area, "converter_bus", path, int, 0) != 0:
+            raise ConfigError(f"{path}: converter attaches at bus 0 by convention")
         areas.append(_build(
             path, AcArea,
             inertia=tuple(_get(gen, "inertia", gpath, float) for gen, gpath in gens),
             ac_lines=_edges(area, "ac_lines", path, "k", ()),
-            converter_bus=_get(area, "converter_bus", path, int, 0),
             p_m=_numbers(area, "p_m", path, None),
         ))
         k_droop.append(tuple(_get(gen, "k_droop", gpath, float) for gen, gpath in gens))
@@ -251,7 +252,6 @@ def config_to_dict(sc: SystemConfig) -> dict:
                 for m, kd, kdi in zip(area.inertia, sc.cfg.k_droop[i], sc.cfg.k_droop_i[i])
             ],
             "ac_lines": [{"i": a, "j": b, "k": w} for a, b, w in area.ac_lines],
-            "converter_bus": area.converter_bus,
             "p_m": list(area.p_m),
         })
     if sc.cfg.comm_eta is not None:
@@ -271,6 +271,7 @@ def load_config(path) -> SystemConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8 text, or arrays nested beyond the decoder's recursion limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(doc)

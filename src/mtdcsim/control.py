@@ -3,9 +3,9 @@
 ``Variant`` picks the generation/converter law pair, ``ControllerConfig``
 holds the gains and communication graphs and validates them,
 ``CouplingMode`` picks the power/current conversion at the converters, and
-``gains_from_costs`` maps quadratic cost weights to matching gains. The
-laws themselves are stated once, as the selectors of the assembled model
-(``assembly._assemble``).
+``CostWeights`` holds the quadratic cost weights the equilibrium is judged
+by. The laws themselves are stated once, as the selectors of the assembled
+model (``assembly._assemble``).
 """
 
 from __future__ import annotations
@@ -123,60 +123,3 @@ class CostWeights:
             raise ValueError("cost weights must be > 0")
         object.__setattr__(self, "f_p", f_p)
         object.__setattr__(self, "f_v", f_v)
-
-
-@dataclass(frozen=True)
-class GainSolution:
-    """Result of matching controller gains to cost weights.
-
-    The optimality condition ties the gains to the generation weights via
-    k_v * k_droop_i / k_omega = 1 / f_p per area, with k_v = f_v. When all
-    three gain families are supplied the residual is the worst per-area
-    violation; otherwise the free family is solved for and residual is 0.
-    """
-
-    k_v: tuple
-    k_omega: tuple
-    k_droop_i: tuple
-    residual: float
-    implied_f_p: tuple
-    implied_f_v: tuple
-
-
-def gains_from_costs(costs: CostWeights, k_omega=None, k_droop_i=None) -> GainSolution:
-    """Derive converter/integral gains from cost weights (or check them).
-
-    ``k_v`` always equals ``f_v``. Exactly one of ``k_omega`` / ``k_droop_i``
-    may be omitted (per-area scalars expected); it is then solved from
-    k_v * k_droop_i = k_omega / f_p. Raises on non-positive implied gains.
-    """
-    n = len(costs.f_p)
-    k_v = costs.f_v
-    if k_omega is None and k_droop_i is None:
-        raise ValueError("supply at least one of k_omega, k_droop_i")
-    if k_omega is not None and len(tuple(k_omega)) != n:
-        raise ValueError("k_omega length mismatch")
-    if k_droop_i is not None and len(tuple(k_droop_i)) != n:
-        raise ValueError("k_droop_i length mismatch")
-    if k_droop_i is None:
-        k_omega = tuple(float(v) for v in k_omega)
-        k_droop_i = tuple(ko / (fp * fv) for ko, fp, fv in zip(k_omega, costs.f_p, k_v))
-    elif k_omega is None:
-        k_droop_i = tuple(float(v) for v in k_droop_i)
-        k_omega = tuple(fp * fv * kdi for kdi, fp, fv in zip(k_droop_i, costs.f_p, k_v))
-    else:
-        k_omega = tuple(float(v) for v in k_omega)
-        k_droop_i = tuple(float(v) for v in k_droop_i)
-    if any(v <= 0.0 for v in k_omega) or any(v <= 0.0 for v in k_droop_i):
-        raise ValueError("implied gains are not positive; cost weights infeasible")
-    implied_f_p = tuple(ko / (kv * kdi) for ko, kv, kdi in zip(k_omega, k_v, k_droop_i))
-    residual = max(abs(1.0 / fp - kv * kdi / ko)
-                   for fp, kv, kdi, ko in zip(costs.f_p, k_v, k_droop_i, k_omega))
-    return GainSolution(
-        k_v=k_v,
-        k_omega=k_omega,
-        k_droop_i=k_droop_i,
-        residual=residual,
-        implied_f_p=implied_f_p,
-        implied_f_v=k_v,
-    )

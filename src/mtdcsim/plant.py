@@ -1,5 +1,10 @@
 """Physical models: capacitive DC nodes with resistive or RLC pi-link lines,
-and swing-equation AC areas of one or more generator buses."""
+and swing-equation AC areas of one or more generator buses.
+
+The resistive line model is read off the network itself: the elastance
+1/``cap`` per node and the Laplacian of ``conductance_graph()``.
+``pi_link_matrices`` splits the lines into segments for the dynamic model.
+Each area's HVDC converter attaches at its bus 0."""
 
 from __future__ import annotations
 
@@ -7,12 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgraph import (
-    WeightedGraph,
-    connectivity,
-    laplacian,
-    line_incidence,
-)
+from .netgraph import WeightedGraph, connectivity, line_incidence
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,12 @@ class AcArea:
 
     ``inertia`` gives one entry per generator bus (p.u. s^2). ``ac_lines``
     are (i, j, weight) stiffness couplings; empty for a single-bus area.
-    The HVDC converter attaches at bus 0 by convention. ``p_m`` is the
-    constant uncontrolled power deviation per bus (p.u.).
+    The HVDC converter attaches at bus 0. ``p_m`` is the constant
+    uncontrolled power deviation per bus (p.u.), finite.
     """
 
     inertia: tuple
     ac_lines: tuple = field(default=())
-    converter_bus: int = 0
     p_m: tuple = None
 
     def __post_init__(self):
@@ -118,8 +117,6 @@ class AcArea:
             if not (m > 0.0 and np.isfinite(m)):
                 raise ValueError(f"inertia[{k}]: must be finite and > 0")
         object.__setattr__(self, "inertia", inertia)
-        if self.converter_bus != 0:
-            raise ValueError("converter attaches at bus 0 by convention")
         graph = WeightedGraph(len(inertia), tuple(self.ac_lines))
         object.__setattr__(self, "ac_lines", graph.edges)
         if len(inertia) > 1 and not connectivity(graph):
@@ -132,6 +129,9 @@ class AcArea:
             p_m = tuple(float(p) for p in p_m)
             if len(p_m) != len(inertia):
                 raise ValueError("p_m length must match bus count")
+            for k, p in enumerate(p_m):
+                if not np.isfinite(p):
+                    raise ValueError(f"p_m[{k}]: must be finite")
         object.__setattr__(self, "p_m", p_m)
 
     @property
@@ -162,12 +162,6 @@ class PiLinkChain:
     @property
     def n_lines(self) -> int:
         return self.r_seg.shape[0]
-
-
-def mtdc_resistive_matrices(net: MtdcNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Elastance matrix E = diag(1/C_i) and the conductance Laplacian."""
-    e = np.diag([1.0 / c for c in net.cap])
-    return e, laplacian(net.conductance_graph())
 
 
 def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:

@@ -87,17 +87,26 @@ MAX_SAMPLES = 10**6
 
 
 class IntegrationError(RuntimeError):
-    """Integration aborted: non-finite state or DC voltage collapse."""
+    """Integration aborted: non-finite state or derived series, or DC voltage collapse."""
 
 
 @dataclass(frozen=True)
 class DisturbanceEvent:
-    """Step change of the uncontrolled power at one generator bus."""
+    """Step change of the uncontrolled power at one generator bus: integer
+    ``area`` and ``bus`` indices, a finite ``magnitude``."""
 
     time: float
     area: int
     bus: int
     magnitude: float
+
+    def __post_init__(self):
+        for name in ("area", "bus"):
+            index = getattr(self, name)
+            if isinstance(index, bool) or not isinstance(index, Integral):
+                raise ValueError(f"event {name} must be an integer, got {index!r}")
+        if not np.isfinite(self.magnitude):
+            raise ValueError(f"event magnitude must be finite, got {self.magnitude!r}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +357,9 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     """Run one deterministic simulation and return the recorded trajectory.
 
     Step events take effect at the first integration step boundary at or
-    after their event time. ``x0`` (rest by default) must be finite.
+    after their event time. ``x0`` (rest by default) must be finite. A
+    record whose derived series is not finite aborts the run, as a
+    non-finite state does.
 
     A run at rest, x0 +0.0 and no input before the first event, stays
     exactly at zero until that event: the records up to the last one at or
@@ -392,7 +403,14 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
                 f"integration aborted at t = {(off + status) * scenario.dt:.6g} s "
                 "(non-finite state or DC voltage below 0.5 p.u.)")
 
-    series = out @ model.series_map.T
-    series += model.series_offset
+    # finite states can still overflow the series; that is an abort too
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = out @ model.series_map.T
+        series += model.series_offset
+    finite = np.isfinite(series).all(axis=1)
+    if not finite.all():
+        first = rec_steps[finite.argmin()]  # the first record that is not finite
+        raise IntegrationError(f"integration aborted at t = {first * scenario.dt:.6g} s "
+                               "(non-finite derived series)")
     return Trajectory(times=rec_steps.astype(float) * scenario.dt, states=out, model=model,
                       series=series)

@@ -8,7 +8,7 @@ import pytest
 
 import mtdcsim as m
 from mtdcsim.analysis import lyapunov_matrix
-from mtdcsim.cli import compare_variants
+from mtdcsim.cli import comparison_models
 from mtdcsim.sim import _segments
 
 
@@ -32,6 +32,11 @@ def paper_trajs(paper_sc):
     """The configured scenario under all three controller pairings, run as
     ``compare`` runs them."""
     return compare_variants(paper_sc)
+
+
+def compare_variants(sc):
+    """The scenario run on each pairing's model, as ``cmd_compare`` runs it."""
+    return {v: m.integrate(model, sc.scenario) for v, model in comparison_models(sc).items()}
 
 
 def outputs(traj):

@@ -159,6 +159,8 @@ class TestConfigParsing:
         sc1 = parse_config(paper_doc)
         sc2 = parse_config(config_to_dict(sc1))
         assert sc1 == sc2
+        # the converter sits at bus 0 of every area: nothing to write back
+        assert all("converter_bus" not in area for area in config_to_dict(sc1)["areas"])
 
     def test_missing_field_path(self, paper_doc):
         doc = json.loads(json.dumps(paper_doc))
@@ -279,6 +281,7 @@ class TestConfigFuzz:
           (("scenario", "disturbances", 0, "area"), 5)],
          "areas: expected 6 areas (one per converter), got 5"),
         ([(("mtdc", "nodes", 0, "v_ref"), -1)], "mtdc: v_ref[0]: must be finite and > 0"),
+        ([(("areas", 1, "converter_bus"), 1)], "areas[1]: converter attaches at bus 0 by convention"),
         ([(("areas", 0, "generators", 0, "k_droop"), 1e308)],
          "certificate: non-finite entries (a gain or voltage beyond the float range)"),
         ([(("scenario", "disturbances", 0, "magnitude"), 1e308)],
@@ -292,9 +295,9 @@ class TestConfigFuzz:
          "scenario: t_end records 1.13e+15 samples at record_every = 1, "
          "more than MAX_SAMPLES = 1000000"),
     ], ids=["omega_ref_null", "magnitude_null", "cap_null", "cap_bool", "variant_int",
-            "areas_null", "t_end_1e308",
-            "event_in_missing_area", "v_ref_negative", "certificate_overflow",
-            "equilibrium_overflow", "t_end_beyond_max_steps", "t_end_beyond_max_samples"])
+            "areas_null", "t_end_1e308", "event_in_missing_area", "v_ref_negative",
+            "converter_bus_nonzero", "certificate_overflow", "equilibrium_overflow",
+            "t_end_beyond_max_steps", "t_end_beyond_max_samples"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
         doc = json.loads(json.dumps(paper_doc))
         for place, value in edits:
@@ -336,12 +339,27 @@ class TestAnalyzeCommand:
         rep = cmd_analyze(path, tmp_path / "out")
         assert rep.stability.certificate is m.CertificateClass.LYAPUNOV_PROVEN
 
-    def test_malformed_config_exit_code(self, paper_doc, tmp_path):
+    def test_malformed_config_exit_code(self, paper_doc, tmp_path, capsys):
+        """A malformed field, a file that is not UTF-8 text and one nested past
+        the JSON decoder's recursion limit: each is exit 2 with one stderr
+        line (naming the file when it is not JSON), not a traceback."""
         doc = json.loads(json.dumps(paper_doc))
         doc["mtdc"]["nodes"][0]["cap"] = -0.1
-        path = tmp_path / "bad.cfg"
-        path.write_text(json.dumps(doc))
-        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        cases = {
+            "bad.cfg": (json.dumps(doc).encode(), "mtdc.nodes[0].cap: must be > 0"),
+            "not_utf8.cfg": (b'{"mtdc": "\xff"}', "invalid JSON ('utf-8' codec can't decode byte 0xff"),
+            "nested.cfg": (b"[" * 100_000 + b"]" * 100_000,
+                           "invalid JSON (maximum recursion depth exceeded"),
+        }
+        for name, (text, message) in cases.items():
+            path = tmp_path / name
+            path.write_bytes(text)
+            assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and message in err, err
+            assert len(err.splitlines()) == 1, err
+            if name != "bad.cfg":
+                assert err.startswith(f"configuration error: {path}: ")
 
     @pytest.mark.parametrize("variant", list(m.Variant))
     def test_single_terminal_report(self, tmp_path, variant):
@@ -502,6 +520,29 @@ class TestSimulateCommand:
         assert err == ["configuration error: state matrix: non-finite entries "
                        "(a gain, inertia or capacitance beyond the float range)"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_overflowing_series_write_nothing(self, paper_doc, tmp_path, capsys, command, fmt):
+        """A finite disturbance of 1e308 keeps the states finite but overflows
+        the series and the equilibrium: the analysis runs first, so the
+        command ends at exit 2 with one line and no warning, and no file in
+        ``--out`` holds a non-finite value."""
+        doc = json.loads(json.dumps(paper_doc))
+        doc["scenario"]["t_end"] = 5.0
+        doc["scenario"]["disturbances"][0]["magnitude"] = 1e308
+        cfg = tmp_path / "huge_event.cfg"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg), "--out", str(out), "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: equilibrium: non-finite values "
+            "(a disturbance or gain beyond the float range)"]
+        for path in out.iterdir():
+            assert not re.search(r"inf|nan", path.read_text(), re.IGNORECASE), path
+
     def test_numerical_abort_exit_code(self, tmp_path):
         doc = {
             "mtdc": {"v_nom": 1.0, "nodes": [{"cap": 1.0, "v_ref": 1.0}], "lines": []},
@@ -652,8 +693,8 @@ class TestOneModelPerCommand:
     def test_integrates_the_analysed_model(self, short_cfg_path, tmp_path, monkeypatch, command,
                                            n_models):
         """``simulate`` assembles one model and ``compare`` one per pairing,
-        each reduced once inside ``assemble_resistive``; the analysis gets a
-        model that was integrated, so it shares that run's memos."""
+        each reduced once inside ``assemble_resistive``; the analysis and the
+        run share one model, and so its memos."""
         calls = self._count_models(monkeypatch)
         analysed = []
         real_pair = cli._analysis_pair

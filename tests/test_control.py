@@ -1,4 +1,4 @@
-"""Controller laws as assembled (selectors and A rows), and the cost mapping."""
+"""Controller laws as assembled: selectors and state-matrix rows."""
 
 import numpy as np
 import pytest
@@ -129,42 +129,10 @@ class TestPowerToCurrent:
         net = m.MtdcNetwork(cap=(0.5, 0.25), lines=net0.lines, v_nom=0.8)
         model = two_area_model(net=net, k_omega=10.0, k_v=4.0)
         vdc = model.layout.sl("vdc")
-        freq0 = model.layout.offset("freq0")
+        freq0 = model.layout.sl("freq0").start
         assert model.a[vdc.start, freq0] == pytest.approx(10.0 / (0.5 * 0.8))
         assert model.a[vdc.start + 1, freq0] == 0.0
         phase = model.layout.sl("conv_phase")
         np.testing.assert_allclose(model.a[vdc, phase],
                                    model.p_inj_selector[:, phase] / (np.array(net.cap)[:, None] * 0.8))
 
-
-class TestGainsFromCosts:
-    def test_implied_weights_from_reference_gains(self):
-        costs = m.CostWeights(f_p=(1.0,) * 6, f_v=(80.0,) * 6)
-        sol = m.gains_from_costs(costs, k_omega=(1501.0,) * 6, k_droop_i=(3.35,) * 6)
-        assert sol.implied_f_p[0] == pytest.approx(1501.0 / (80.0 * 3.35))
-        assert sol.implied_f_p[0] == pytest.approx(5.600746268656716)
-        assert sol.implied_f_v == (80.0,) * 6
-
-    def test_uniform_costs_give_uniform_kv(self):
-        costs = m.CostWeights(f_p=(2.0, 2.0), f_v=(5.0, 5.0))
-        sol = m.gains_from_costs(costs, k_omega=(10.0, 10.0))
-        assert sol.k_v == (5.0, 5.0)
-        assert len(set(sol.k_droop_i)) == 1
-
-    def test_exact_identity_zero_residual(self):
-        costs = m.CostWeights(f_p=(2.0,), f_v=(4.0,))
-        sol = m.gains_from_costs(costs, k_omega=(8.0,))
-        # k_droop_i solved as k_omega / (f_p f_v) = 1; forward check
-        assert sol.k_droop_i == (1.0,)
-        assert sol.residual == 0.0
-
-    def test_round_trip(self):
-        costs = m.CostWeights(f_p=(1.5, 2.5, 4.0), f_v=(3.0, 1.0, 2.0))
-        sol = m.gains_from_costs(costs, k_omega=(12.0, 7.0, 9.0))
-        again = m.gains_from_costs(costs, k_omega=sol.k_omega, k_droop_i=sol.k_droop_i)
-        assert again.residual < 1e-12
-        np.testing.assert_allclose(again.implied_f_p, costs.f_p, rtol=1e-12)
-
-    def test_requires_one_gain_family(self):
-        with pytest.raises(ValueError):
-            m.gains_from_costs(m.CostWeights(f_p=(1.0,), f_v=(1.0,)))

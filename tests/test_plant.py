@@ -7,7 +7,7 @@ import pytest
 
 import mtdcsim as m
 from mtdcsim.netgraph import laplacian
-from mtdcsim.plant import mtdc_resistive_matrices, pi_link_matrices
+from mtdcsim.plant import pi_link_matrices
 
 from test_netgraph import DC_GRID_EDGES
 
@@ -39,17 +39,18 @@ class TestMtdcNetwork:
         assert net.v_ref == (1.05,)
 
     def test_resistive_matrices_terminal_capacitance(self):
-        e, l_r = mtdc_resistive_matrices(reference_network())
-        np.testing.assert_allclose(np.diag(e), np.full(6, 2666.6666666666665))
+        """The elastance 1/cap and the conductance Laplacian, as the assembly reads them."""
+        net = reference_network()
+        l_r = laplacian(net.conductance_graph())
+        np.testing.assert_allclose(1.0 / np.array(net.cap), np.full(6, 2666.6666666666665))
         np.testing.assert_allclose(l_r.sum(axis=1), np.zeros(6), atol=1e-12)
         # converters 1 and 2 (0-based 0 and 1) are joined by the 0.0586 line
         assert l_r[0, 1] == -1.0 / 0.0586
 
     def test_single_node(self):
         net = m.MtdcNetwork(cap=(0.5,), lines=())
-        e, l_r = mtdc_resistive_matrices(net)
-        assert e.tolist() == [[2.0]]
-        assert l_r.tolist() == [[0.0]]
+        assert (1.0 / np.array(net.cap)).tolist() == [2.0]
+        assert laplacian(net.conductance_graph()).tolist() == [[0.0]]
 
     def test_conductance_graph_kept_outside_equality(self):
         """The graph validated on construction, the same object on each
@@ -63,7 +64,7 @@ class TestMtdcNetwork:
             net.conductance_graph().edges[:-1]
 
     def test_zero_injection_steady_state_is_uniform(self):
-        _, l_r = mtdc_resistive_matrices(reference_network())
+        l_r = laplacian(reference_network().conductance_graph())
         eigs, vecs = np.linalg.eigh(l_r)
         assert abs(eigs[0]) < 1e-10 and eigs[1] > 1e-10
         null = vecs[:, 0]
@@ -93,10 +94,6 @@ class TestAcArea:
         eigs = np.sort(np.linalg.eigvalsh(laplacian(area.line_graph())))
         assert abs(eigs[0]) < 1e-9
         assert eigs[1] > 1e-9
-
-    def test_converter_bus_convention(self):
-        with pytest.raises(ValueError, match="bus 0"):
-            m.AcArea(inertia=(1.0, 1.0), ac_lines=((0, 1, 1.0),), converter_bus=1)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
@@ -137,7 +134,7 @@ class TestPiLink:
         """At zero frequency the chain reduces to the total line resistance."""
         net = reference_network(segments=segments)
         chain = pi_link_matrices(net)
-        _, l_r = mtdc_resistive_matrices(net)
+        l_r = laplacian(net.conductance_graph())
         inj = np.array([0.4, -0.1, -0.1, -0.1, -0.05, -0.05])
         v_res = np.linalg.lstsq(l_r, inj, rcond=None)[0]
         # chain steady state: uniform segment current (v_i - v_j) / r_total

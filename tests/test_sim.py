@@ -19,11 +19,10 @@ from scipy.linalg import expm
 
 import mtdcsim as m
 from mtdcsim import _blas, _kernels
-from mtdcsim.cli import compare_variants
 from mtdcsim.config import SystemConfig
 from mtdcsim.sim import MAX_SAMPLES, MAX_STEPS, _record_steps, _segments, discretize
 
-from conftest import lyapunov_trace, outputs, random_stable_config, single_gen_system
+from conftest import compare_variants, lyapunov_trace, outputs, random_stable_config, single_gen_system
 from direct_rhs import direct_controls, direct_rhs, flatten, unflatten
 
 
@@ -135,7 +134,7 @@ def _reference_etd2(model, scenario):
     gam = np.zeros((model.dim, model.dim))
     gam[:, vdc] = gc[:, n_seg:]
     args = (model.p_inj_selector, 1.0 / np.array(model.net.cap),
-            np.array(model.net.v_ref, dtype=float), model.net.v_nom, model.layout.offset("vdc"))
+            np.array(model.net.v_ref, dtype=float), model.net.v_nom, model.layout.sl("vdc").start)
     out = np.empty((rec_steps.shape[0], model.dim))
     x = np.zeros(model.dim)
     g1 = np.zeros(model.dim)
@@ -302,7 +301,8 @@ class TestMatrixExponential:
         m.integrate(model, scen)
         m.integrate(model, replace(scen, mode=m.CouplingMode.NONLINEAR))
         monkeypatch.undo()
-        n_vdc = model.layout.length("vdc")
+        vdc = model.layout.sl("vdc")
+        n_vdc = vdc.stop - vdc.start
         assert [a.shape for a in seen] == [(model.dim, model.dim + model.b_dist.shape[1] + n_vdc)]
         _assert_expm_matches_scipy(seen[0])
 
@@ -446,6 +446,37 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="1e\\+06 samples .* more than MAX_SAMPLES = 1000000$"):
             m.Scenario(t_end=MAX_SAMPLES * dt, dt=dt)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: m.DisturbanceEvent(0.5, 0, 0, float("nan")), "event magnitude must be finite"),
+        (lambda: m.DisturbanceEvent(0.5, 0, 0, float("-inf")), "event magnitude must be finite"),
+        (lambda: m.DisturbanceEvent(0.5, 0.0, 0, -0.1), "event area must be an integer"),
+        (lambda: m.DisturbanceEvent(0.5, 0, True, -0.1), "event bus must be an integer"),
+        (lambda: m.Scenario(t_end=1.0, disturbances=((0.5, 1.0, 0, -0.1),)),
+         "event area must be an integer"),
+        (lambda: m.AcArea(inertia=(1.0, 2.0), ac_lines=((0, 1, 1.0),), p_m=(0.0, float("nan"))),
+         r"p_m\[1\]: must be finite"),
+    ], ids=["magnitude_nan", "magnitude_inf", "area_float", "bus_bool", "event_tuple",
+            "p_m_nan"])
+    def test_non_finite_or_non_integer_input_refused(self, build, message):
+        """Inputs built through the library are refused where they are built,
+        not reported later as a numerical abort or a raw ``TypeError``."""
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_overflowing_series_abort_at_their_first_record(self, paper_sc, paper_model_reduced):
+        """An event of 1e308 keeps the states finite, but the series overflow:
+        the run aborts at the first such record, without a warning, and the
+        run one record shorter is finite throughout."""
+        event = replace(paper_sc.scenario.disturbances[0], magnitude=1e308)
+        scen = replace(paper_sc.scenario, t_end=5.0, disturbances=(event,))
+        with pytest.raises(m.IntegrationError, match=r"^integration aborted at t = \d\.\d+ s "
+                                                     r"\(non-finite derived series\)$") as exc:
+            m.integrate(paper_model_reduced, scen)
+        t_abort = float(str(exc.value).split()[5])
+        assert t_abort > event.time
+        traj = m.integrate(paper_model_reduced, replace(scen, t_end=round(t_abort - 0.01, 2)))
+        assert np.isfinite(traj.series).all()
+
     def test_x0_shape_checked(self, two_area):
         """An initial state of the model's length but not 1-D is refused by
         name, not by a broadcast error inside the kernel."""
@@ -478,7 +509,7 @@ class TestIntegrate:
         t = 0 multiplies the zero state by phi, not after its first event."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
-        i = model.layout.offset("vdc")
+        i = model.layout.sl("vdc").start
         a = model.a.copy()
         a[i, :] = a[:, i] = 0.0
         a[i, i] = 1e6
@@ -1032,7 +1063,7 @@ class TestNonlinearMode:
         # first recorded sample reports it (the kernels themselves, since
         # integrate refuses a non-finite x0)
         x0 = np.zeros(model.dim)
-        x0[model.layout.offset("gen_integral")] = np.nan
+        x0[model.layout.sl("gen_integral").start] = np.nan
         for kernel in (_array_kernel(model), _kernels.etd2_nonlinear):
             assert _whole_run(model, scen, x0, kernel)[0] == 7
 
