@@ -61,12 +61,13 @@ class Propagator:
 
     ``phi`` is the one-step propagator, ``u @ c_map`` the one-step forcing
     gamma b_dist u of an input u. The nonlinear voltage correction reads the
-    state through C = ``out_map`` = [I[vdc]; p_inj_selector] (q x n),
-    enters it through G = ``gam_v`` = gamma[:, vdc] (n x m) and takes the
-    converters' ``cap_inv``, ``v_ref`` and ``v_nom``. The powers of phi and
-    the block matrices are formed at their first use and kept; each depends
-    on phi, C, G and its key alone, never on which calls came first (nor on
-    which of two threads formed it).
+    state through C = ``out_map`` (q x n), the ``dc_voltages`` and
+    ``injections`` rows of the model's ``outputs``, enters it through
+    G = ``gam_v`` = gamma[:, vdc] (n x m) and takes the converters'
+    ``cap_inv``, ``v_ref`` and ``v_nom``. The powers of phi and the block
+    matrices are formed at their first use and kept; each depends on phi,
+    C, G and its key alone, never on which calls came first (nor on which
+    of two threads formed it).
     """
 
     def __init__(self, phi, c_map, out_map, gam_v, cap_inv, v_ref, v_nom):
@@ -222,7 +223,7 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     The correction h = cap_inv * p_inj * (1/v - 1/v_nom) (true minus
     nominal-voltage current injection) enters the state through G, the
     DC-voltage columns of gamma, and reads it through the q = 2m outputs
-    z = C x = [x[vdc]; pinj_sel x] (``prop.out_map``). Per step:
+    z = C x = [x[vdc]; P_inj x] (``prop.out_map``). Per step:
     x* = phi x + c + G h(x), then x+ = phi x + c + G hbar with
     hbar = (h(x) + h(x*)) / 2.
 

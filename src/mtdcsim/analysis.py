@@ -285,14 +285,13 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
     u = np.asarray(u, dtype=float)
     x_star = np.linalg.solve(model.a, -model.b_dist @ u)
     layout = model.layout
-    y = model.output @ x_star
-    omega_hat, v_hat = y[:model.total_buses], y[model.total_buses:]
+    omega_hat, v_hat, p_gen, p_inj, area_gen = (
+        model.outputs[model.rows(name)] @ x_star
+        for name in ("bus_frequencies", "dc_voltages", "bus_generation", "injections", "generation"))
     eta = x_star[layout.sl("gen_integral")] if layout.has("gen_integral") else None
     phi = None
     if layout.has("conv_phase"):
         phi = ones_complement(model.n_areas) @ x_star[layout.sl("conv_phase")]
-    p_gen = model.p_gen_selector @ x_star
-    p_inj = model.p_inj_selector @ x_star
     f_p, f_v = _cost_weights_per_bus(model, costs)
     weighted = f_p * p_gen
     kkt_gen = float(np.abs(weighted - weighted.mean()).max())
@@ -308,7 +307,7 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
         phi_star=phi,
         p_gen_star=p_gen,
         p_inj_star=p_inj,
-        area_gen_totals=model.series_map[model.series_block("generation")] @ x_star,
+        area_gen_totals=area_gen,
         kkt_gen_residual=kkt_gen,
         kkt_volt_residual=kkt_volt,
         avg_freq_residual=avg_freq,

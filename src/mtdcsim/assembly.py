@@ -10,11 +10,11 @@ segment currents and internal voltages.
 The controller laws are stated once, as the selectors P_gen and P_inj
 with p_gen = P_gen x and p_inj = P_inj x; the frequency rows are derived
 from them as M^-1 (p_gen - p_inj at each converter bus) and the DC rows as
-E p_inj / v_nom. The derived series written by the command line (area-mean
-frequencies, absolute DC voltages, per-area generation totals, converter
-injections) are one affine map of the state, ``series_map`` x +
-``series_offset``, whose generation and injection rows are the area sums
-of P_gen and P_inj themselves.
+E p_inj / v_nom. Each quantity read off the state is stated once, as a
+named row block of one output matrix (``ClosedLoopModel.rows``): the
+series families the command line writes, area-mean frequencies, DC
+voltages, area sums of P_gen and P_inj itself (with ``series_offset``, the
+derived series), then the per-bus frequencies and P_gen.
 
 Only the full-coordinate model is assembled. A reduced model is its
 projection T A T^T (see ``reduce_model``): reduced coordinates drop the
@@ -22,8 +22,8 @@ uniform component of each rotor-angle block and of the converter phase
 block; those directions are unobservable from the (frequency, DC voltage)
 output and, for the phase block, marginally stable, so removing them
 leaves the input/output behavior unchanged. A reduced model carries T as a
-block map, its ``projection``, and its state matrix, input map, selectors
-and series map are the full ones projected by it. T is applied one block of
+block map, its ``projection``, and its state matrix, input map and output
+matrix are the full ones projected by it. T is applied one block of
 the assembled layout at a time and never formed as a dense matrix.
 """
 
@@ -39,8 +39,10 @@ from .control import ControllerConfig
 from .netgraph import laplacian, ones_complement
 from .plant import MtdcNetwork, PiLinkChain, pi_link_matrices
 
-# row blocks of ``series_map``, one row per converter/area each, in this order
+# row blocks of ``outputs``, in this order: the series families, one row per
+# converter/area each, then the per-bus blocks, one row per generator bus each
 SERIES_FAMILIES = ("frequencies", "dc_voltages", "generation", "injections")
+BUS_BLOCKS = ("bus_frequencies", "bus_generation")
 
 
 class NonFiniteModelError(ValueError):
@@ -51,9 +53,10 @@ class NonFiniteModelError(ValueError):
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Named, contiguous state blocks: tuple of (name, offset, length).
+    """Named, contiguous blocks: tuple of (name, offset, length).
 
-    Built only by ``_build_layout``, which lays the blocks end to end.
+    Built only by ``end_to_end``: the state blocks by ``_build_layout``,
+    the row blocks of ``ClosedLoopModel.outputs`` by ``_output_rows``.
     """
 
     blocks: tuple
@@ -61,6 +64,12 @@ class StateLayout:
     def __post_init__(self):
         object.__setattr__(self, "_index", {name: slice(start, start + length)
                                             for name, start, length in self.blocks})
+
+    @classmethod
+    def end_to_end(cls, sized) -> StateLayout:
+        """(name, length) blocks, each starting where the one before ends."""
+        ends = np.cumsum([length for _, length in sized], dtype=int).tolist()
+        return cls(tuple((name, end - length, length) for (name, length), end in zip(sized, ends)))
 
     @property
     def dim(self) -> int:
@@ -104,24 +113,21 @@ class ClosedLoopModel:
     """Assembled linear dynamics dx/dt = a x + b_dist u.
 
     ``u`` carries one uncontrolled power deviation per generator bus
-    (area-major order). ``output`` selects y = [frequency deviations;
-    DC voltage deviations]. ``p_gen_selector`` / ``p_inj_selector``
-    reconstruct the controller outputs from the state, and
-    ``series_map`` x + ``series_offset`` gives the derived series, one
-    row block per entry of ``SERIES_FAMILIES``. ``projection`` is the
-    map T from the assembled coordinates, None on the assembled model.
+    (area-major order). ``outputs`` x gives every quantity read off the
+    state, one named row block each (``rows``): the first rows, one block
+    per entry of ``SERIES_FAMILIES``, plus ``series_offset`` are the
+    derived series; ``injections`` and ``bus_generation`` are the
+    controller selectors P_inj and P_gen. ``projection`` is the map T
+    from the assembled coordinates, None on the assembled model.
     """
 
     a: np.ndarray
     b_dist: np.ndarray
-    output: np.ndarray
+    outputs: np.ndarray
     layout: StateLayout
     net: MtdcNetwork
     areas: tuple
     cfg: ControllerConfig
-    p_gen_selector: np.ndarray
-    p_inj_selector: np.ndarray
-    series_map: np.ndarray
     series_offset: np.ndarray
     chain: PiLinkChain = None
     projection: Projection = None
@@ -140,10 +146,15 @@ class ClosedLoopModel:
     def reduced(self) -> bool:
         return self.projection is not None
 
-    def series_block(self, family: str) -> slice:
-        """Rows of ``series_map`` (columns of ``Trajectory.series``) of one family."""
-        k = SERIES_FAMILIES.index(family)
-        return slice(k * self.n_areas, (k + 1) * self.n_areas)
+    def rows(self, name: str) -> slice:
+        """Rows of ``outputs`` (a family's columns of ``Trajectory.series``) of one block."""
+        return _output_rows(self.n_areas, self.total_buses).sl(name)
+
+    # read only by perfbench's reference check; they go once it reads ``rows``
+    output = property(lambda self: self.outputs[np.r_[self.rows("bus_frequencies"),
+                                                      self.rows("dc_voltages")]])
+    p_gen_selector = property(lambda self: self.outputs[self.rows("bus_generation")])
+    p_inj_selector = property(lambda self: self.outputs[self.rows("injections")])
 
     @property
     def n_areas(self) -> int:
@@ -154,32 +165,28 @@ class ClosedLoopModel:
         return sum(area.n_buses for area in self.areas)
 
 
+def _output_rows(n_areas: int, n_buses: int) -> StateLayout:
+    return StateLayout.end_to_end([(name, n_areas) for name in SERIES_FAMILIES]
+                                  + [(name, n_buses) for name in BUS_BLOCKS])
+
+
 def _build_layout(areas, cfg: ControllerConfig, reduced: bool, chain: PiLinkChain = None) -> StateLayout:
     n = len(areas)
     blocks = []
-    off = 0
-
-    def add(name, length):
-        nonlocal off
-        blocks.append((name, off, length))
-        off += length
-
     for i, area in enumerate(areas):
         nb = area.n_buses
         if nb >= 2:
-            add(f"angle{i}", nb - 1 if reduced else nb)
-        add(f"freq{i}", nb)
-    add("vdc", n)
+            blocks.append((f"angle{i}", nb - 1 if reduced else nb))
+        blocks.append((f"freq{i}", nb))
+    blocks.append(("vdc", n))
     if cfg.variant.distributed_gen:
-        add("gen_integral", n)
+        blocks.append(("gen_integral", n))
     if cfg.variant.distributed_conv:
-        add("conv_phase", n - 1 if reduced else n)
+        blocks.append(("conv_phase", n - 1 if reduced else n))
     if chain is not None:
-        for q in range(1, chain.n_segments + 1):
-            add(f"line_current{q}", chain.n_lines)
-        for q in range(1, chain.n_segments):
-            add(f"line_voltage{q}", chain.n_lines)
-    return StateLayout(tuple(blocks))
+        blocks += [(f"line_current{q}", chain.n_lines) for q in range(1, chain.n_segments + 1)]
+        blocks += [(f"line_voltage{q}", chain.n_lines) for q in range(1, chain.n_segments)]
+    return StateLayout.end_to_end(blocks)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # reported once, by the final check
@@ -199,8 +206,11 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     total_buses = sum(a.n_buses for a in areas)
     a_mat = np.zeros((dim, dim))
     b_dist = np.zeros((dim, total_buses))
-    p_gen = np.zeros((total_buses, dim))
-    p_inj = np.zeros((n, dim))
+    rows = _output_rows(n, total_buses)
+    outputs = np.zeros((rows.dim, dim))
+    # the row blocks as views, filled in place: unit rows, area means and sums, the laws
+    area_mean, dc_volt, area_gen, p_inj, bus_freq, p_gen = (
+        outputs[rows.sl(name)] for name in SERIES_FAMILIES + BUS_BLOCKS)
     area_sum = np.zeros((n, total_buses))
 
     e_diag = 1.0 / np.array(net.cap)  # the elastance E = diag(1/C)
@@ -213,6 +223,8 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
         buses = slice(bus_off, bus_off + nb)
         area_sum[i, buses] = 1.0
         fq = layout.sl(f"freq{i}")
+        area_mean[i, fq] = 1.0 / nb
+        bus_freq[buses, fq] = np.eye(nb)
         # the controller laws, stated once: p_gen = P_gen x and p_inj = P_inj x
         p_gen[buses, fq] -= np.diag(cfg.k_droop[i])
         p_inj[i, fq.start] += cfg.k_omega[i]
@@ -273,16 +285,8 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
         a_mat[ph.start + np.arange(n), conv_freq] += np.array(cfg.k_omega) / np.array(cfg.k_v)
         a_mat[ph, ph] -= cfg.gamma * np.eye(n)
 
-    # y = [per-bus frequencies; DC voltages], a selection of state columns
-    picked = np.r_[tuple(layout.sl(f"freq{i}") for i in range(n)) + (vdc,)]
-    out = np.zeros((total_buses + n, dim))
-    out[np.arange(total_buses + n), picked] = 1.0
-
-    # derived series: area-mean frequency, absolute DC voltage, per-area
-    # generation total, converter injection
-    area_mean = area_sum / area_sum.sum(axis=1, keepdims=True)
-    series_map = np.vstack([area_mean @ out[:total_buses], out[total_buses:],
-                            area_sum @ p_gen, p_inj])
+    dc_volt[:, vdc] = np.eye(n)
+    area_gen[:] = area_sum @ p_gen
     series_offset = np.concatenate([np.full(n, cfg.omega_ref), np.array(net.v_ref, dtype=float),
                                     np.zeros(2 * n)])
 
@@ -292,14 +296,11 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     return ClosedLoopModel(
         a=a_mat,
         b_dist=b_dist,
-        output=out,
+        outputs=outputs,
         layout=layout,
         net=net,
         areas=tuple(areas),
         cfg=cfg,
-        p_gen_selector=p_gen,
-        p_inj_selector=p_inj,
-        series_map=series_map,
         series_offset=series_offset,
         chain=chain,
     )
@@ -338,8 +339,7 @@ def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
 
     T is kept as a block map, the model's ``projection``, and never formed
     as a dense matrix: identity blocks are copied, angle and phase blocks
-    multiplied by their basis, and the output map, both selectors and the
-    series map projected together as one stacked matrix.
+    multiplied by their basis, and the output matrix projected as a whole.
     """
     if model.reduced:
         raise ValueError("model is already reduced")
@@ -349,23 +349,17 @@ def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
         (slice(start, start + length), red_layout.sl(name),
          basis(length) if name.startswith("angle") or name == "conv_phase" else None)
         for name, start, length in model.layout.blocks))
-
-    maps = (model.output, model.p_gen_selector, model.p_inj_selector, model.series_map)
-    output, p_gen, p_inj, series_map = np.split(
-        proj.cols(np.vstack(maps)), np.cumsum([x.shape[0] for x in maps[:-1]]))
     return replace(
         model,
         a=proj.cols(proj.rows(model.a)),
         b_dist=proj.rows(model.b_dist),
-        output=output,
+        outputs=proj.cols(model.outputs),
         layout=red_layout,
-        p_gen_selector=p_gen,
-        p_inj_selector=p_inj,
-        series_map=series_map,
         projection=proj,
     )
 
 
+@np.errstate(over="ignore")  # an infinite sum is reported once, by the equilibrium or run
 def disturbance_map(model: ClosedLoopModel, disturbances) -> np.ndarray:
     """Constant input vector from (area, bus, magnitude) power deviations.
 

@@ -82,11 +82,11 @@ SERIES_COLUMNS = {"frequencies": "freq_area_", "dc_voltages": "v_dc_",
 
 
 def _series_families(traj: Trajectory):
-    """(column names, columns) per family: the row blocks of the series map."""
+    """(column names, columns) per family: the series row blocks of the output matrix."""
     n = traj.model.n_areas
     return {
         family: ([f"{SERIES_COLUMNS[family]}{i + 1}" for i in range(n)],
-                 traj.series[:, traj.model.series_block(family)])
+                 traj.series[:, traj.model.rows(family)])
         for family in SERIES_FAMILIES
     }
 
@@ -155,6 +155,7 @@ def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
     return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
 
 
+@np.errstate(over="ignore")  # a sum beyond the float range fails the equilibrium, once
 def _total_disturbance(sc: SystemConfig):
     """Baseline plus every scenario event: the input the equilibrium is taken under."""
     events = [(ev.area, ev.bus, ev.magnitude) for ev in sc.scenario.disturbances]
@@ -223,7 +224,7 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     summary_rows = []
     k_v = np.array(sc.cfg.k_v)
     for variant, traj in results.items():
-        block = traj.model.series_block
+        block = traj.model.rows
         freq_end = traj.series[-1, block("frequencies")]
         gen_end = traj.series[-1, block("generation")]
         inj = traj.series[:, block("injections")]

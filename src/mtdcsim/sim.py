@@ -44,20 +44,21 @@ below the 0.5 p.u. floor, which a run at rest fails at t = 0.
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
 second-order Heun treatment of the voltage correction term. The correction
-reads the state through q = 2m outputs (the m DC voltages and converter
-injections) and writes it through m columns of gamma, so inside a block of
-up to 32 steps the Heun recurrence runs on those q outputs alone: per step
-two q x O(32 m) products and a per-converter correction on Python floats;
-per block one product with the stacked [C; C phi; ...] and one n x n
-product per recorded sample, which moves the full state. It agrees with
-the same Heun step taken one full step at a time to 1e-10 of the largest
-state (1.2e-12 over the 45 s reference run) and aborts at the same step.
+reads the state through q = 2m outputs (the ``dc_voltages`` and
+``injections`` rows of the model) and writes it through m columns of
+gamma, so inside a block of up to 32 steps the Heun recurrence runs on
+those q outputs alone: per step two q x O(32 m) products and a
+per-converter correction on Python floats; per block one product with
+the stacked [C; C phi; ...] and one n x n product per recorded sample,
+which moves the full state. It agrees with the same Heun step taken one
+full step at a time to 1e-10 of the largest state (1.2e-12 over the 45 s
+reference run) and aborts at the same step.
 
-The module only propagates: it reads a model's state matrix, input map,
-selectors and series map, and builds, analyses or compares no model. The
-derived series of a trajectory (area-mean frequencies, DC voltages,
-generation totals, injections) are the model's affine ``series_map``
-applied to the recorded states.
+The module only propagates: it reads a model's state matrix, input map
+and output matrix, and builds, analyses or compares no model. The derived
+series of a trajectory (area-mean frequencies, DC voltages, generation
+totals, injections) are the series rows of the model's ``outputs`` applied
+to the recorded states, plus ``series_offset``.
 
 ``discretize`` and ``integrate`` run their linear algebra on one BLAS
 thread and restore the caller's thread count on return, so their outputs
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import _kernels
 from ._blas import one_thread
-from .assembly import ClosedLoopModel, baseline_disturbance, disturbance_map
+from .assembly import SERIES_FAMILIES, ClosedLoopModel, baseline_disturbance, disturbance_map
 from .control import CouplingMode
 
 DT_CAP = 0.01
@@ -152,10 +153,11 @@ class Scenario:
 class Trajectory:
     """Recorded samples plus the derived series of each sample.
 
-    ``series`` is ``states @ model.series_map.T + model.series_offset``:
-    nothing is integrated separately, and ``model.series_block(family)``
-    picks the columns of one family (area-mean frequencies, absolute DC
-    voltages, per-area generation totals, converter injections).
+    ``series`` is ``states @ model.outputs[:4 m].T + model.series_offset``
+    for m areas, the rows of the four ``SERIES_FAMILIES``. Nothing is
+    integrated separately, and ``model.rows(family)`` picks the columns of
+    one family (area-mean frequencies, absolute DC voltages, per-area
+    generation totals, converter injections).
     """
 
     times: np.ndarray
@@ -169,6 +171,7 @@ def _event_step(time: float, dt: float, n_steps: int) -> int:
     return min(max(step, 0), n_steps)
 
 
+@np.errstate(over="ignore")  # an input beyond the float range aborts the run, once
 def _segments(model: ClosedLoopModel, scenario: Scenario, n_steps: int):
     """Piecewise-constant input: boundaries in steps and u per segment."""
     u = baseline_disturbance(model)
@@ -317,10 +320,11 @@ def _propagator(model: ClosedLoopModel, dt: float) -> _kernels.Propagator:
     prop = model.zoh_memo.get(dt)
     if prop is None:
         n_dist = model.b_dist.shape[1]
-        vdc = np.eye(model.dim)[model.layout.sl("vdc")]
+        vdc = model.outputs[model.rows("dc_voltages")]  # unit rows: gamma's DC columns
         phi, g = discretize(model.a, np.hstack([model.b_dist, vdc.T]), dt)
+        out_map = model.outputs[np.r_[model.rows("dc_voltages"), model.rows("injections")]]
         prop = model.zoh_memo.setdefault(dt, _kernels.Propagator(
-            phi, np.ascontiguousarray(g[:, :n_dist].T), np.vstack([vdc, model.p_inj_selector]),
+            phi, np.ascontiguousarray(g[:, :n_dist].T), out_map,
             np.ascontiguousarray(g[:, n_dist:]), 1.0 / np.array(model.net.cap),
             np.array(model.net.v_ref, dtype=float), model.net.v_nom))
     return prop
@@ -405,7 +409,7 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
 
     # finite states can still overflow the series; that is an abort too
     with np.errstate(over="ignore", invalid="ignore"):
-        series = out @ model.series_map.T
+        series = out @ model.outputs[:len(SERIES_FAMILIES) * model.n_areas].T
         series += model.series_offset
     finite = np.isfinite(series).all(axis=1)
     if not finite.all():

@@ -39,9 +39,14 @@ def compare_variants(sc):
     return {v: m.integrate(model, sc.scenario) for v, model in comparison_models(sc).items()}
 
 
+def row_block(model, *names):
+    """The rows of ``model.outputs`` of the named blocks, in that order."""
+    return model.outputs[np.r_[tuple(model.rows(name) for name in names)]]
+
+
 def outputs(traj):
     """y = [frequency deviations, DC voltage deviations] per sample."""
-    return traj.states @ traj.model.output.T
+    return traj.states @ row_block(traj.model, "bus_frequencies", "dc_voltages").T
 
 
 def dense_projection(model):

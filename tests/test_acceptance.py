@@ -70,7 +70,7 @@ def test_criterion_03_frequency_restoration(paper_sc, paper_trajs):
     model = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=False)
     traj = m.integrate(model, paper_sc.scenario)
     elapsed = time.perf_counter() - start
-    freq = model.series_block("frequencies")
+    freq = model.rows("frequencies")
     final_dev = np.abs(traj.series[-1, freq] - paper_sc.cfg.omega_ref)
     dec_errors = {}
     for variant in (m.Variant.DIST_GEN_DEC_CONV, m.Variant.DEC_GEN_DEC_CONV):

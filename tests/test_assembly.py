@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import mtdcsim as m
 from mtdcsim.analysis import lyapunov_matrix
-from mtdcsim.assembly import SERIES_FAMILIES
+from mtdcsim.assembly import BUS_BLOCKS, SERIES_FAMILIES
 
-from conftest import (dense_projection, lyapunov_trace, mixed_relative_error, outputs,
+from conftest import (dense_projection, lyapunov_trace, mixed_relative_error, outputs, row_block,
                       random_stable_config, single_gen_system)
 from direct_rhs import direct_rhs, flatten, unflatten
 
@@ -251,8 +251,7 @@ class TestReduce:
         p_red = lyapunov_matrix(red)
         for got, want in [(red.a, t @ full.a @ t.T), (red.b_dist, t @ full.b_dist),
                           (p_red, t @ lyapunov_matrix(full) @ t.T),
-                          *((getattr(red, f), getattr(full, f) @ t.T) for f in
-                            ("output", "p_gen_selector", "p_inj_selector", "series_map"))]:
+                          (red.outputs, full.outputs @ t.T)]:
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         for mode in m.CouplingMode:
             scen_mode = replace(scen, mode=mode)
@@ -391,6 +390,37 @@ class TestDisturbanceMap:
         u = m.disturbance_map(paper_model_full, [(0, 1, -0.2), (0, 1, -0.1)])
         assert u[1] == pytest.approx(-0.3)
 
+    def test_overflowing_sum_is_infinite_without_warning(self, paper_model_full):
+        """Two events of 1e308 on one bus sum to inf, which the equilibrium
+        or the run reports; the sum itself raises no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = m.disturbance_map(paper_model_full, [(0, 1, 1e308), (0, 1, 1e308)])
+        assert u[1] == np.inf
+
     def test_unknown_bus(self, paper_model_full):
         with pytest.raises(ValueError, match="unknown bus"):
             m.disturbance_map(paper_model_full, [(0, 14, 1.0)])
+
+
+class TestOutputRows:
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("assemble", [m.assemble_resistive, m.assemble_pi_link],
+                             ids=["resistive", "pi_link"])
+    def test_named_views_are_row_blocks(self, paper_sc, assemble, reduced):
+        """``output``, ``p_gen_selector`` and ``p_inj_selector``, which the
+        reference check of ``perfbench`` reads, equal their row blocks of
+        ``outputs`` exactly, and the named row blocks tile ``outputs`` once."""
+        model = assemble(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=reduced)
+        n_bus, n_areas, dim = model.total_buses, model.n_areas, model.dim
+        assert model.output.shape == (n_bus + n_areas, dim)
+        assert model.p_gen_selector.shape == (n_bus, dim)
+        assert model.p_inj_selector.shape == (n_areas, dim)
+        np.testing.assert_array_equal(model.output,
+                                      row_block(model, "bus_frequencies", "dc_voltages"))
+        np.testing.assert_array_equal(model.p_gen_selector, row_block(model, "bus_generation"))
+        np.testing.assert_array_equal(model.p_inj_selector, row_block(model, "injections"))
+        hits = np.zeros(model.outputs.shape[0], dtype=int)
+        for name in SERIES_FAMILIES + BUS_BLOCKS:
+            hits[model.rows(name)] += 1
+        np.testing.assert_array_equal(hits, 1)

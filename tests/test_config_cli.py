@@ -543,6 +543,34 @@ class TestSimulateCommand:
         for path in out.iterdir():
             assert not re.search(r"inf|nan", path.read_text(), re.IGNORECASE), path
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("overflow", ["duplicate_event", "baseline_plus_event"])
+    def test_overflowing_input_sum_reports_once(self, paper_doc, tmp_path, capsys, command,
+                                                overflow):
+        """Finite inputs whose sum on one bus overflows, the event of 1e308
+        twice or a baseline p_m of 1e308 plus the event: the equilibrium
+        reports it as one configuration-error line, exit 2, and no numpy
+        warning reaches stderr."""
+        doc = json.loads(json.dumps(paper_doc))
+        doc["scenario"]["t_end"] = 5.0
+        event = doc["scenario"]["disturbances"][0]
+        event["magnitude"] = 1e308
+        if overflow == "duplicate_event":
+            doc["scenario"]["disturbances"].append(dict(event))
+        else:
+            area = doc["areas"][event["area"]]
+            area["p_m"] = [0.0] * len(area["generators"])
+            area["p_m"][event["bus"]] = 1e308
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: equilibrium: non-finite values "
+            "(a disturbance or gain beyond the float range)"]
+
     def test_numerical_abort_exit_code(self, tmp_path):
         doc = {
             "mtdc": {"v_nom": 1.0, "nodes": [{"cap": 1.0, "v_ref": 1.0}], "lines": []},

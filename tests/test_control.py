@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdcsim as m
-from conftest import single_gen_system
+from conftest import row_block, single_gen_system
 from direct_rhs import direct_controls, unflatten
 
 
@@ -33,7 +33,7 @@ class TestGenControl:
     def test_origin_is_fixed_point(self):
         model = two_area_model()
         x = np.zeros(model.dim)
-        np.testing.assert_array_equal(model.p_gen_selector @ x, np.zeros(2))
+        np.testing.assert_array_equal(row_block(model, "bus_generation") @ x, np.zeros(2))
         np.testing.assert_array_equal(block_rate(model, x, "gen_integral"), np.zeros(2))
 
     def test_uniform_integral_state(self):
@@ -44,7 +44,7 @@ class TestGenControl:
         x = state_of(model, gen_integral=k)
         np.testing.assert_array_equal(block_rate(model, x, "gen_integral"), np.zeros(2))
         expected = -k * (cfg.k_v[0] / cfg.k_omega[0]) * cfg.k_droop_i[0][0]
-        np.testing.assert_allclose(model.p_gen_selector @ x, np.full(2, expected))
+        np.testing.assert_allclose(row_block(model, "bus_generation") @ x, np.full(2, expected))
 
     def test_eta_coupling_hand_evaluated(self):
         cfg = m.ControllerConfig(
@@ -62,7 +62,7 @@ class TestGenControl:
     def test_decentralized_reference_gain(self):
         model = two_area_model(k_droop=9.0, variant=m.Variant.DEC_GEN_DEC_CONV)
         x = state_of(model, freq0=0.001)
-        p = model.p_gen_selector @ x
+        p = row_block(model, "bus_generation") @ x
         assert p[0] == pytest.approx(-0.009)
         assert p[1] == 0.0
         # swing row: M dw/dt = p_gen - p_inj with p_inj = k_omega * w
@@ -73,7 +73,8 @@ class TestGenControl:
 
     def test_decentralized_zero(self):
         model = two_area_model(variant=m.Variant.DEC_GEN_DEC_CONV)
-        np.testing.assert_array_equal(model.p_gen_selector @ np.zeros(model.dim), np.zeros(2))
+        p_gen = row_block(model, "bus_generation")
+        np.testing.assert_array_equal(p_gen @ np.zeros(model.dim), np.zeros(2))
 
 
 class TestConvControl:
@@ -82,14 +83,14 @@ class TestConvControl:
     def test_zero_state(self):
         model = two_area_model()
         x = np.zeros(model.dim)
-        np.testing.assert_array_equal(model.p_inj_selector @ x, np.zeros(2))
+        np.testing.assert_array_equal(row_block(model, "injections") @ x, np.zeros(2))
         np.testing.assert_array_equal(block_rate(model, x, "conv_phase"), np.zeros(2))
 
     def test_uniform_phase_annihilated(self):
         """A uniform phase injects nothing and, undamped, is an equilibrium."""
         model = two_area_model(gamma=0.0)
         x = state_of(model, conv_phase=3.3)
-        np.testing.assert_array_equal(model.p_inj_selector @ x, np.zeros(2))
+        np.testing.assert_array_equal(row_block(model, "injections") @ x, np.zeros(2))
         np.testing.assert_array_equal(model.a @ x, np.zeros(model.dim))
 
     def test_pure_integrator_with_zero_damping(self):
@@ -102,7 +103,7 @@ class TestConvControl:
 
     def test_decentralized_voltage_droop(self):
         model = two_area_model(k_v=80.0, variant=m.Variant.DEC_GEN_DEC_CONV)
-        p = model.p_inj_selector @ state_of(model, vdc=[-0.01, 0.0])
+        p = row_block(model, "injections") @ state_of(model, vdc=[-0.01, 0.0])
         assert p[0] == pytest.approx(0.8)
 
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
@@ -114,7 +115,7 @@ class TestConvControl:
         def p_inj(w, v):
             x = state_of(model, freq0=w, vdc=[v, 0.0])
             _, want = direct_controls(model.areas, model.cfg, unflatten(model.layout, x))
-            got = model.p_inj_selector @ x
+            got = row_block(model, "injections") @ x
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             return got
 
@@ -133,6 +134,7 @@ class TestPowerToCurrent:
         assert model.a[vdc.start, freq0] == pytest.approx(10.0 / (0.5 * 0.8))
         assert model.a[vdc.start + 1, freq0] == 0.0
         phase = model.layout.sl("conv_phase")
+        p_inj = row_block(model, "injections")
         np.testing.assert_allclose(model.a[vdc, phase],
-                                   model.p_inj_selector[:, phase] / (np.array(net.cap)[:, None] * 0.8))
+                                   p_inj[:, phase] / (np.array(net.cap)[:, None] * 0.8))
 

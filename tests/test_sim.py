@@ -22,7 +22,8 @@ from mtdcsim import _blas, _kernels
 from mtdcsim.config import SystemConfig
 from mtdcsim.sim import MAX_SAMPLES, MAX_STEPS, _record_steps, _segments, discretize
 
-from conftest import compare_variants, lyapunov_trace, outputs, random_stable_config, single_gen_system
+from conftest import (compare_variants, lyapunov_trace, outputs, random_stable_config, row_block,
+                      single_gen_system)
 from direct_rhs import direct_controls, direct_rhs, flatten, unflatten
 
 
@@ -133,7 +134,7 @@ def _reference_etd2(model, scenario):
     c_seg = gc[:, :n_seg].T
     gam = np.zeros((model.dim, model.dim))
     gam[:, vdc] = gc[:, n_seg:]
-    args = (model.p_inj_selector, 1.0 / np.array(model.net.cap),
+    args = (row_block(model, "injections"), 1.0 / np.array(model.net.cap),
             np.array(model.net.v_ref, dtype=float), model.net.v_nom, model.layout.sl("vdc").start)
     out = np.empty((rec_steps.shape[0], model.dim))
     x = np.zeros(model.dim)
@@ -246,8 +247,9 @@ def _array_kernel(model):
     vdc = model.layout.sl("vdc")
 
     def kernel(prop, c_seg, seg_bounds, x0, rec_steps, out):
-        return _array_etd2(prop.phi, prop.gam_v, c_seg, seg_bounds, x0, model.p_inj_selector,
-                           prop.cap_inv, prop.v_ref, prop.v_nom, vdc, rec_steps, out)
+        return _array_etd2(prop.phi, prop.gam_v, c_seg, seg_bounds, x0,
+                           row_block(model, "injections"), prop.cap_inv, prop.v_ref, prop.v_nom,
+                           vdc, rec_steps, out)
     return kernel
 
 
@@ -418,11 +420,11 @@ class TestIntegrate:
         k = traj.states.shape[0] // 2
         x = traj.states[k]
         p_gen, p_inj = direct_controls(areas, cfg, unflatten(model.layout, x))
-        np.testing.assert_allclose(model.p_gen_selector @ x, p_gen, atol=1e-13)
+        np.testing.assert_allclose(row_block(model, "bus_generation") @ x, p_gen, atol=1e-13)
         bus_offsets = np.cumsum([0, *(area.n_buses for area in areas[:-1])])
-        np.testing.assert_allclose(traj.series[k, model.series_block("generation")],
+        np.testing.assert_allclose(traj.series[k, model.rows("generation")],
                                    np.add.reduceat(p_gen, bus_offsets), atol=1e-13)
-        np.testing.assert_allclose(traj.series[k, model.series_block("injections")], p_inj,
+        np.testing.assert_allclose(traj.series[k, model.rows("injections")], p_inj,
                                    atol=1e-13)
 
     def test_scenario_validation(self):
@@ -476,6 +478,29 @@ class TestIntegrate:
         assert t_abort > event.time
         traj = m.integrate(paper_model_reduced, replace(scen, t_end=round(t_abort - 0.01, 2)))
         assert np.isfinite(traj.series).all()
+
+    @pytest.mark.parametrize("overflow, t_abort", [
+        ("same_time", "1.01"), ("two_times", "1.51"), ("baseline_plus_event", "1.01")])
+    def test_overflowing_input_sum_aborts_once(self, paper_sc, overflow, t_abort):
+        """Finite inputs whose sum on one bus overflows, the event of 1e308
+        twice (at one time or 0.5 s apart) or a baseline p_m of 1e308 plus
+        the event: the run aborts at the first record after the sum, with
+        ``IntegrationError`` and no warning."""
+        event = replace(paper_sc.scenario.disturbances[0], magnitude=1e308)
+        events = {"same_time": (event, event),
+                  "two_times": (event, replace(event, time=event.time + 0.5)),
+                  "baseline_plus_event": (event,)}[overflow]
+        areas = list(paper_sc.areas)
+        if overflow == "baseline_plus_event":
+            p_m = np.zeros(areas[event.area].n_buses)
+            p_m[event.bus] = 1e308
+            areas[event.area] = replace(areas[event.area], p_m=tuple(p_m))
+        model = m.assemble_resistive(paper_sc.net, areas, paper_sc.cfg)
+        scen = replace(paper_sc.scenario, t_end=5.0, disturbances=events)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(m.IntegrationError, match=rf"^integration aborted at t = {t_abort} s "):
+                m.integrate(model, scen)
 
     def test_x0_shape_checked(self, two_area):
         """An initial state of the model's length but not 1-D is refused by
@@ -1089,7 +1114,7 @@ class TestNonlinearMode:
         lin = paper_trajs[m.Variant.DIST_GEN_DIST_CONV]
         scen = replace(paper_sc.scenario, mode=m.CouplingMode.NONLINEAR)
         non = m.integrate(model, scen)
-        band = np.abs(non.series[:, model.series_block("dc_voltages")] - paper_sc.net.v_nom).max()
+        band = np.abs(non.series[:, model.rows("dc_voltages")] - paper_sc.net.v_nom).max()
         assert band < 0.05
         scale = np.abs(outputs(lin)).max()
         assert np.abs(outputs(lin) - outputs(non)).max() <= 0.05 * scale
@@ -1110,7 +1135,7 @@ class TestCompareVariants:
         """Only the fully distributed pairing equalizes the area totals."""
         spreads = {}
         for variant, traj in paper_trajs.items():
-            totals = traj.series[-1, traj.model.series_block("generation")]
+            totals = traj.series[-1, traj.model.rows("generation")]
             spreads[variant] = totals.max() - totals.min()
         assert spreads[m.Variant.DIST_GEN_DIST_CONV] < 1e-6
         assert spreads[m.Variant.DIST_GEN_DEC_CONV] > 1e-3
