@@ -9,7 +9,7 @@ one-step forcing per segment, the segment bounds and the record steps
 
 Kernels return -1 on success or the failing step index when the state
 stops being finite (or, for the nonlinear kernel, when a DC voltage drops
-below 0.5 p.u.).
+below ``DC_VOLTAGE_FLOOR``).
 
 Cost of the linear kernel, per run of r recorded samples k steps apart:
 a chain of min(r, 32) products of two rows by the n x n phi^k, then
@@ -39,6 +39,10 @@ from itertools import groupby
 
 import numpy as np
 
+
+# The lowest DC voltage (p.u.) a nonlinear run may reach: it converts power
+# at 1/v, so a collapsing voltage aborts the run here instead.
+DC_VOLTAGE_FLOOR = 0.5
 
 # Steps per block of the nonlinear kernel. On the 186-state reference the
 # kernel time is flat from 24 to 64 (2-vCPU x86 host, one BLAS thread), while
@@ -275,7 +279,7 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
             h1 = []
             for (ci, vr), xv, p in zip(conv, z[:m], z[m:]):
                 v = xv + vr
-                if v < 0.5:  # false for NaN, which the finiteness check reports
+                if v < DC_VOLTAGE_FLOOR:  # false for NaN, which the finiteness check reports
                     return start + i, None, ri
                 h1.append(ci * p * (1.0 / v - inv_nom))
             slots[i][:] = h1
@@ -283,7 +287,7 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
             h_mean = []
             for (ci, vr), xv, p, hv in zip(conv, z[:m], z[m:], h1):
                 v = xv + vr
-                if v < 0.5:
+                if v < DC_VOLTAGE_FLOOR:
                     return start + i, None, ri
                 h_mean.append(0.5 * (hv + ci * p * (1.0 / v - inv_nom)))
             slots[i][:] = h_mean

@@ -1,10 +1,13 @@
 """Configuration files: JSON documents describing the DC grid, the AC
 areas, the controller, optional cost weights, and the simulation scenario.
 
-Validation reports the path of the offending field (for example
-``mtdc.nodes[2].cap``) so configuration mistakes are quick to locate.
-Parsing and serialization round-trip: parse -> to_dict -> parse yields an
-equal in-memory configuration.
+The fields of each JSON object are listed once, in one table per object
+(``_TOP``, ``_MTDC``, ``_NODE`` and so on), which the parser, the writer
+and the unknown-key check all read. Validation reports the path of the
+offending field (for example ``mtdc.nodes[2].cap``) so configuration
+mistakes are quick to locate; a key that no table names is refused as an
+``unknown field``, never dropped. Parsing and serialization round-trip:
+parse -> to_dict -> parse yields an equal in-memory configuration.
 """
 
 from __future__ import annotations
@@ -34,7 +37,28 @@ class SystemConfig:
     scenario: Scenario
 
 
-_REQUIRED = object()
+# One table per JSON object: each key maps to its kind, or to (kind, default)
+# for an optional field. A kind is float, int or str, a table (a nested
+# object), [float] (a list of numbers) or [table] (a list of objects). The
+# parser, the writer and the unknown-key check all read these tables.
+_NODE = {"cap": float, "v_ref": (float, None)}
+_LINE = {"i": int, "j": int, "r": float, "l": (float, 0.0), "c": (float, 0.0),
+         "segments": (int, 1)}
+_MTDC = {"nodes": [_NODE], "v_nom": (float, 1.0), "lines": [_LINE]}
+_GENERATOR = {"inertia": float, "k_droop": float, "k_droop_i": float}
+_AC_LINE = {"i": int, "j": int, "k": float}
+_AREA = {"generators": [_GENERATOR], "converter_bus": (int, 0),
+         "ac_lines": ([_AC_LINE], ()), "p_m": ([float], None)}
+_EDGE = {"i": int, "j": int, "w": float}
+_CONTROLLER = {"variant": str, "comm_eta": ([_EDGE], None), "comm_phi": ([_EDGE], None),
+               "k_omega": [float], "k_v": [float], "gamma": (float, 0.0),
+               "omega_ref": (float, 1.0)}
+_COSTS = {"f_p": [float], "f_v": [float]}
+_EVENT = {"time": float, "area": int, "bus": int, "magnitude": float}
+_SCENARIO = {"disturbances": ([_EVENT], ()), "mode": (str, "linear"), "t_end": float,
+             "dt": (float, 1e-3), "record_every": (int, 1)}
+_TOP = {"mtdc": _MTDC, "areas": [_AREA], "controller": _CONTROLLER,
+        "costs": (_COSTS, None), "scenario": _SCENARIO}
 
 
 def _type_name(value) -> str:
@@ -58,39 +82,48 @@ def _check(value, name, kind):
     return value
 
 
-def _get(obj, key, path, kind, default=_REQUIRED):
-    """``obj[key]`` checked by ``_check``. A missing key gives ``default``, or
-    an error when there is none; a present ``null`` never stands for it."""
-    name = f"{path}.{key}" if path else key  # a top-level field has no parent
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ConfigError(f"{name}: missing required field")
-        return default
-    return _check(obj[key], name, kind)
-
-
-def _numbers(obj, key, path, default=_REQUIRED):
-    """A list of finite numbers, each checked under its own index path."""
-    values = _get(obj, key, path, list, default)
-    if values is None:
-        return None
-    return tuple(_check(v, f"{path}.{key}[{i}]", float) for i, v in enumerate(values))
-
-
-def _objects(obj, key, path, default=_REQUIRED):
-    """Yield ``(entry, entry_path)`` for each entry of a list of objects."""
-    name = f"{path}.{key}" if path else key
-    for idx, item in enumerate(_get(obj, key, path, list, default)):
+def _value(value, name, kind):
+    """``value`` checked as a table kind: a nested object read by its table,
+    a list (a tuple of its checked entries) or a ``_check`` kind."""
+    if isinstance(kind, type):
+        return _check(value, name, kind)
+    if isinstance(kind, dict):
+        return _fields(_check(value, name, dict), name, kind)
+    (item,), entries = kind, []
+    for idx, entry in enumerate(_check(value, name, list)):
         if not isinstance(item, dict):
+            entries.append(_check(entry, f"{name}[{idx}]", item))
+        elif isinstance(entry, dict):
+            entries.append(_fields(entry, f"{name}[{idx}]", item))
+        else:
             raise ConfigError(f"{name}[{idx}]: expected an object")
-        yield item, f"{name}[{idx}]"
+    return tuple(entries)
 
 
-def _edges(obj, key, path, weight_key, default=_REQUIRED):
-    """``(i, j, weight)`` triples from a list of edge objects."""
-    return tuple((_get(e, "i", epath, int), _get(e, "j", epath, int),
-                  _get(e, weight_key, epath, float))
-                 for e, epath in _objects(obj, key, path, default))
+def _fields(obj, path, table):
+    """The fields of the object ``obj`` at ``path``, in ``table`` order: each
+    present one checked, each absent optional one at its default. A key the
+    table does not name is refused, the first in document order; a missing
+    key without a default is too. A present ``null`` never stands for a
+    default."""
+    prefix = f"{path}." if path else ""  # a top-level field has no parent
+    if not obj.keys() <= table.keys():
+        raise ConfigError(f"{prefix}{next(k for k in obj if k not in table)}: unknown field")
+    fields = {}
+    for key, spec in table.items():
+        optional = type(spec) is tuple
+        if key in obj:
+            fields[key] = _value(obj[key], prefix + key, spec[0] if optional else spec)
+        elif optional:
+            fields[key] = spec[1]
+        else:
+            raise ConfigError(f"{prefix}{key}: missing required field")
+    return fields
+
+
+def _edges(entries):
+    """``(i, j, weight)`` triples from checked edge objects."""
+    return tuple(tuple(edge.values()) for edge in entries)
 
 
 def _build(path, factory, **fields):
@@ -108,158 +141,110 @@ def parse_config(doc: dict) -> SystemConfig:
     """Validate a parsed JSON document and build the domain objects."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
+    top = _fields(doc, "", _TOP)
 
-    mtdc = _get(doc, "mtdc", "", dict)
-    cap, v_ref = [], []
-    for node, path in _objects(mtdc, "nodes", "mtdc"):
-        cap.append(_get(node, "cap", path, float))
-        if cap[-1] <= 0.0:
-            raise ConfigError(f"{path}.cap: must be > 0")
-        v_ref.append(_get(node, "v_ref", path, float, None))
-    if not cap:
+    mtdc = top["mtdc"]
+    nodes = mtdc["nodes"]
+    for k, node in enumerate(nodes):
+        if node["cap"] <= 0.0:
+            raise ConfigError(f"mtdc.nodes[{k}].cap: must be > 0")
+    if not nodes:
         raise ConfigError("mtdc.nodes: at least one node required")
-    v_nom = _get(mtdc, "v_nom", "mtdc", float, 1.0)
+    v_ref = [node["v_ref"] for node in nodes]
     if None in v_ref:
         if any(v is not None for v in v_ref):
             raise ConfigError("mtdc.nodes: v_ref must be set on all nodes or none")
         v_ref = None
-    lines = tuple(
-        _build(path, DcLine,
-               i=_get(ln, "i", path, int),
-               j=_get(ln, "j", path, int),
-               r=_get(ln, "r", path, float),
-               l=_get(ln, "l", path, float, 0.0),
-               c=_get(ln, "c", path, float, 0.0),
-               segments=_get(ln, "segments", path, int, 1))
-        for ln, path in _objects(mtdc, "lines", "mtdc"))
+    lines = tuple(_build(f"mtdc.lines[{k}]", DcLine, **ln) for k, ln in enumerate(mtdc["lines"]))
     for k, ln in enumerate(lines):
         for key in ("i", "j"):
-            if not 0 <= getattr(ln, key) < len(cap):
+            if not 0 <= getattr(ln, key) < len(nodes):
                 raise ConfigError(f"mtdc.lines[{k}].{key}: no such node")
-    net = _build("mtdc", MtdcNetwork, cap=cap, lines=lines, v_nom=v_nom, v_ref=v_ref)
+    net = _build("mtdc", MtdcNetwork, cap=[node["cap"] for node in nodes], lines=lines,
+                 v_nom=mtdc["v_nom"], v_ref=v_ref)
 
-    areas, k_droop, k_droop_i = [], [], []
-    for area, path in _objects(doc, "areas", ""):
-        gens = list(_objects(area, "generators", path))
-        if not gens:
+    areas = []
+    for k, area in enumerate(top["areas"]):
+        path = f"areas[{k}]"
+        if not area["generators"]:
             raise ConfigError(f"{path}.generators: at least one generator required")
-        if _get(area, "converter_bus", path, int, 0) != 0:
+        if area["converter_bus"] != 0:
             raise ConfigError(f"{path}: converter attaches at bus 0 by convention")
-        areas.append(_build(
-            path, AcArea,
-            inertia=tuple(_get(gen, "inertia", gpath, float) for gen, gpath in gens),
-            ac_lines=_edges(area, "ac_lines", path, "k", ()),
-            p_m=_numbers(area, "p_m", path, None),
-        ))
-        k_droop.append(tuple(_get(gen, "k_droop", gpath, float) for gen, gpath in gens))
-        k_droop_i.append(tuple(_get(gen, "k_droop_i", gpath, float) for gen, gpath in gens))
+        areas.append(_build(path, AcArea, inertia=tuple(g["inertia"] for g in area["generators"]),
+                            ac_lines=_edges(area["ac_lines"]), p_m=area["p_m"]))
     if len(areas) != net.n:
         raise ConfigError(f"areas: expected {net.n} areas (one per converter), got {len(areas)}")
 
-    ctrl = _get(doc, "controller", "", dict)
-    variant_name = _get(ctrl, "variant", "controller", str)
+    ctrl = top["controller"]
     try:
-        variant = Variant(variant_name)
+        ctrl["variant"] = Variant(ctrl["variant"])
     except ValueError:
         raise ConfigError(
-            f"controller.variant: unknown value {variant_name!r}; expected one of "
+            f"controller.variant: unknown value {ctrl['variant']!r}; expected one of "
             + ", ".join(v.value for v in Variant)) from None
-    graphs = {key: _build(f"controller.{key}", WeightedGraph, n_nodes=net.n,
-                          edges=_edges(ctrl, key, "controller", "w"))
-              for key in ("comm_eta", "comm_phi") if key in ctrl}
-    cfg = _build(
-        "controller", ControllerConfig,
-        k_droop=tuple(k_droop),
-        k_droop_i=tuple(k_droop_i),
-        k_omega=_numbers(ctrl, "k_omega", "controller"),
-        k_v=_numbers(ctrl, "k_v", "controller"),
-        gamma=_get(ctrl, "gamma", "controller", float, 0.0),
-        omega_ref=_get(ctrl, "omega_ref", "controller", float, 1.0),
-        variant=variant,
-        **graphs,
-    )
+    for key in ("comm_eta", "comm_phi"):
+        if ctrl[key] is not None:
+            ctrl[key] = _build(f"controller.{key}", WeightedGraph, n_nodes=net.n,
+                               edges=_edges(ctrl[key]))
+    gens = [area["generators"] for area in top["areas"]]
+    cfg = _build("controller", ControllerConfig, **ctrl,
+                 k_droop=tuple(tuple(g["k_droop"] for g in area) for area in gens),
+                 k_droop_i=tuple(tuple(g["k_droop_i"] for g in area) for area in gens))
 
-    costs = None
-    if "costs" in doc:
-        section = _get(doc, "costs", "", dict)
-        costs = _build("costs", CostWeights, f_p=_numbers(section, "f_p", "costs"),
-                       f_v=_numbers(section, "f_v", "costs"))
+    costs = top["costs"]
+    if costs is not None:
+        costs = _build("costs", CostWeights, **costs)
         if len(costs.f_p) != net.n:
             raise ConfigError("costs.f_p: one weight per area required")
 
-    scen = _get(doc, "scenario", "", dict)
+    scen = top["scenario"]
     events = []
-    for ev, path in _objects(scen, "disturbances", "scenario", ()):
-        events.append(_build(
-            path, DisturbanceEvent,
-            time=_get(ev, "time", path, float),
-            area=_get(ev, "area", path, int),
-            bus=_get(ev, "bus", path, int),
-            magnitude=_get(ev, "magnitude", path, float),
-        ))
-        if not (0 <= events[-1].area < net.n):
+    for k, fields in enumerate(scen["disturbances"]):
+        path = f"scenario.disturbances[{k}]"
+        event = _build(path, DisturbanceEvent, **fields)
+        if not (0 <= event.area < net.n):
             raise ConfigError(f"{path}.area: no such area")
-        if not (0 <= events[-1].bus < areas[events[-1].area].n_buses):
-            raise ConfigError(f"{path}.bus: no such bus in area {events[-1].area}")
-    mode_name = _get(scen, "mode", "scenario", str, "linear")
+        if not (0 <= event.bus < areas[event.area].n_buses):
+            raise ConfigError(f"{path}.bus: no such bus in area {event.area}")
+        events.append(event)
+    scen["disturbances"] = tuple(events)
     try:
-        mode = CouplingMode(mode_name)
+        scen["mode"] = CouplingMode(scen["mode"])
     except ValueError:
-        raise ConfigError(f"scenario.mode: unknown value {mode_name!r}") from None
-    scenario = _build(
-        "scenario", Scenario,
-        t_end=_get(scen, "t_end", "scenario", float),
-        dt=_get(scen, "dt", "scenario", float, 1e-3),
-        disturbances=tuple(events),
-        mode=mode,
-        record_every=_get(scen, "record_every", "scenario", int, 1),
-    )
+        raise ConfigError(f"scenario.mode: unknown value {scen['mode']!r}") from None
+    scenario = _build("scenario", Scenario, **scen)
     return SystemConfig(net=net, areas=tuple(areas), cfg=cfg, costs=costs, scenario=scenario)
+
+
+def _record(table, obj):
+    """The JSON object of ``obj``: its attribute of each key of ``table``."""
+    return {key: getattr(obj, key) for key in table}
 
 
 def config_to_dict(sc: SystemConfig) -> dict:
     """Serialize back to the document shape accepted by ``parse_config``."""
+    cfg, scen = sc.cfg, sc.scenario
     doc = {
         "mtdc": {
             "v_nom": sc.net.v_nom,
-            "nodes": [{"cap": c, "v_ref": v} for c, v in zip(sc.net.cap, sc.net.v_ref)],
-            "lines": [{"i": ln.i, "j": ln.j, "r": ln.r, "l": ln.l, "c": ln.c,
-                       "segments": ln.segments} for ln in sc.net.lines],
+            "nodes": [dict(zip(_NODE, node)) for node in zip(sc.net.cap, sc.net.v_ref)],
+            "lines": [_record(_LINE, ln) for ln in sc.net.lines],
         },
-        "areas": [],
-        "controller": {
-            "variant": sc.cfg.variant.value,
-            "k_omega": list(sc.cfg.k_omega),
-            "k_v": list(sc.cfg.k_v),
-            "gamma": sc.cfg.gamma,
-            "omega_ref": sc.cfg.omega_ref,
-        },
-        "scenario": {
-            "t_end": sc.scenario.t_end,
-            "dt": sc.scenario.dt,
-            "mode": sc.scenario.mode.value,
-            "record_every": sc.scenario.record_every,
-            "disturbances": [
-                {"time": ev.time, "area": ev.area, "bus": ev.bus, "magnitude": ev.magnitude}
-                for ev in sc.scenario.disturbances
-            ],
-        },
-    }
-    for i, area in enumerate(sc.areas):
-        doc["areas"].append({
-            "generators": [
-                {"inertia": m, "k_droop": kd, "k_droop_i": kdi}
-                for m, kd, kdi in zip(area.inertia, sc.cfg.k_droop[i], sc.cfg.k_droop_i[i])
-            ],
-            "ac_lines": [{"i": a, "j": b, "k": w} for a, b, w in area.ac_lines],
+        "areas": [{
+            "generators": [dict(zip(_GENERATOR, gen))
+                           for gen in zip(area.inertia, cfg.k_droop[i], cfg.k_droop_i[i])],
+            "ac_lines": [dict(zip(_AC_LINE, edge)) for edge in area.ac_lines],
             "p_m": list(area.p_m),
-        })
-    if sc.cfg.comm_eta is not None:
-        doc["controller"]["comm_eta"] = [
-            {"i": i, "j": j, "w": w} for i, j, w in sc.cfg.comm_eta.edges]
-    if sc.cfg.comm_phi is not None:
-        doc["controller"]["comm_phi"] = [
-            {"i": i, "j": j, "w": w} for i, j, w in sc.cfg.comm_phi.edges]
+        } for i, area in enumerate(sc.areas)],
+        "controller": {"variant": cfg.variant.value, "k_omega": list(cfg.k_omega),
+                       "k_v": list(cfg.k_v), "gamma": cfg.gamma, "omega_ref": cfg.omega_ref},
+        "scenario": {"t_end": scen.t_end, "dt": scen.dt, "mode": scen.mode.value,
+                     "record_every": scen.record_every,
+                     "disturbances": [_record(_EVENT, ev) for ev in scen.disturbances]},
+    }
+    for key in ("comm_eta", "comm_phi"):
+        if getattr(cfg, key) is not None:
+            doc["controller"][key] = [dict(zip(_EDGE, edge)) for edge in getattr(cfg, key).edges]
     if sc.costs is not None:
         doc["costs"] = {"f_p": list(sc.costs.f_p), "f_v": list(sc.costs.f_v)}
     return doc

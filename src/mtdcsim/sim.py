@@ -39,7 +39,8 @@ kernel the rest of the run, counted in steps from that record: the states
 equal those of stepping from t = 0 bit for bit, and a run under no input
 at all calls no kernel. Such a run is stepped from t = 0 where that would
 abort: where phi is not finite, and in nonlinear mode where a ``v_ref`` is
-below the 0.5 p.u. floor, which a run at rest fails at t = 0.
+below the DC-voltage floor (``_kernels.DC_VOLTAGE_FLOOR``), which a run
+at rest fails at t = 0.
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
@@ -340,7 +341,7 @@ def _rest_records(prop: _kernels.Propagator, c_seg: np.ndarray, bounds: np.ndarr
     segment's forcing is zero. Stepping from t = 0 multiplies the zero state
     by phi, so a non-finite phi makes such a run abort at its first record;
     in nonlinear mode it aborts at t = 0 where a ``v_ref`` is below the
-    0.5 p.u. floor. Neither run is skipped. A first input at or after the
+    DC-voltage floor. Neither run is skipped. A first input at or after the
     last record but one leaves the kernel two records, which it steps as a
     run recording its end alone: its intervals are then shorter than the
     stride, stepped as before, or one stride from the zero state, which
@@ -348,7 +349,8 @@ def _rest_records(prop: _kernels.Propagator, c_seg: np.ndarray, bounds: np.ndarr
     """
     if x0.any() or np.signbit(x0).any() or c_seg[0].any():
         return 0
-    if not (linear or (prop.v_ref >= 0.5).all()) or not np.isfinite(prop.phi).all():
+    if (not (linear or (prop.v_ref >= _kernels.DC_VOLTAGE_FLOOR).all())
+            or not np.isfinite(prop.phi).all()):
         return 0
     if bounds.shape[0] == 2:
         return rec_steps.shape[0]
@@ -371,7 +373,7 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
     so the states equal those of stepping from t = 0 bit for bit. A run
     under no input at all calls no kernel. In nonlinear mode a run at rest
     is stepped from t = 0 unless every ``v_ref`` is at or above the
-    0.5 p.u. floor, so one below it still aborts at t = 0.
+    DC-voltage floor, so one below it still aborts at t = 0.
     """
     n_steps = scenario.n_steps
     bounds, inputs = _segments(model, scenario, n_steps)
@@ -405,7 +407,7 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
         if status >= 0:
             raise IntegrationError(
                 f"integration aborted at t = {(off + status) * scenario.dt:.6g} s "
-                "(non-finite state or DC voltage below 0.5 p.u.)")
+                f"(non-finite state or DC voltage below {_kernels.DC_VOLTAGE_FLOOR} p.u.)")
 
     # finite states can still overflow the series; that is an abort too
     with np.errstate(over="ignore", invalid="ignore"):

@@ -210,15 +210,18 @@ class TestStabilityReport:
 
     @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(m.Variant)),
            offset=st.sampled_from([-1e-6, 0.0, 1e-12, 1e-6]), zero_droop=st.booleans(),
-           plant=st.sampled_from(list(ASSEMBLERS)))
+           plant=st.sampled_from(list(ASSEMBLERS)), segments=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
-    def test_one_verdict_near_the_damping_bound(self, seed, variant, offset, zero_droop, plant):
+    def test_one_verdict_near_the_damping_bound(self, seed, variant, offset, zero_droop, plant,
+                                                segments):
         """Random grids with gamma below, at, within the tolerance above and
-        above the bound, with resistive or pi-link lines: a proven loop is
-        Hurwitz with the Schur tests and Assumption 2 passed and P
-        decreasing, and Assumption 2 is the Schur test whenever every
-        converter droop is positive."""
+        above the bound, with resistive lines or pi-link chains of 1-3
+        segments: a proven loop is Hurwitz with the Schur tests and
+        Assumption 2 passed and P decreasing, and Assumption 2 is the Schur
+        test whenever every converter droop is positive."""
         net, areas, cfg = random_stable_config(np.random.default_rng(seed))
+        if plant == "pi_link":  # more than one segment reaches the line-voltage terms of P
+            net = replace(net, lines=tuple(replace(ln, segments=segments) for ln in net.lines))
         a1 = m.check_assumption1(laplacian(cfg.comm_phi), laplacian(net.conductance_graph()))
         k_droop = ((0.0,),) + cfg.k_droop[1:] if zero_droop else cfg.k_droop
         cfg = replace(cfg, variant=variant, k_droop=k_droop,

@@ -294,10 +294,36 @@ class TestConfigFuzz:
           (("scenario", "record_every"), 1)],
          "scenario: t_end records 1.13e+15 samples at record_every = 1, "
          "more than MAX_SAMPLES = 1000000"),
+        ([(("controller", "gamma"), -1)], "controller: gamma must be >= 0"),
+        ([(("controller", "k_omega", 0), 0)], "controller: k_omega and k_v must be > 0"),
+        ([(("areas", 0, "generators", 3, "k_droop"), -1)],
+         "controller: area 0: droop gains must be >= 0"),
+        ([(("areas", 0, "generators", 3, "k_droop_i"), 0)],
+         "controller: area 0: integral droop gains must be > 0"),
+        ([(("controller", "comm_phi"), [{"i": 0, "j": 1, "w": 1.0}])],
+         "controller: comm_phi must be connected"),
+        ([(("scenario", "t_end"), -1)], "scenario: t_end must be finite and > 0"),
+        ([(("costs",), {"f_p": [0.0] * 6, "f_v": [1.0] * 6})], "costs: cost weights must be > 0"),
+        ([(("costs",), {"f_p": [1.0] * 5, "f_v": [1.0] * 5})],
+         "costs.f_p: one weight per area required"),
+        ([(("mtdc", "nodes"), [])], "mtdc.nodes: at least one node required"),
+        ([(("mtdc", "nodes", 2, "v_ref"), _DELETE)],
+         "mtdc.nodes: v_ref must be set on all nodes or none"),
+        ([(("scenario", "mode"), "fast")], "scenario.mode: unknown value 'fast'"),
+        ([(("areas", 0, "generators"), [])],
+         "areas[0].generators: at least one generator required"),
+        # a key no table names is refused, not dropped: "gama" is no gamma
+        ([(("controller", "gama"), 4.0)], "controller.gama: unknown field"),
+        ([(("costs_",), {"f_p": [1.0] * 6, "f_v": [1.0] * 6})], "costs_: unknown field"),
+        ([(("mtdc", "lines", 0, "len"), 1.0)], "mtdc.lines[0].len: unknown field"),
     ], ids=["omega_ref_null", "magnitude_null", "cap_null", "cap_bool", "variant_int",
             "areas_null", "t_end_1e308", "event_in_missing_area", "v_ref_negative",
             "converter_bus_nonzero", "certificate_overflow", "equilibrium_overflow",
-            "t_end_beyond_max_steps", "t_end_beyond_max_samples"])
+            "t_end_beyond_max_steps", "t_end_beyond_max_samples", "gamma_negative",
+            "k_omega_zero", "k_droop_negative", "k_droop_i_zero", "comm_phi_disconnected",
+            "t_end_negative", "cost_weights_zero", "five_cost_weights", "no_nodes",
+            "v_ref_partial", "mode_unknown", "no_generators", "unknown_controller_key",
+            "unknown_top_level_key", "unknown_line_key"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
         doc = json.loads(json.dumps(paper_doc))
         for place, value in edits:
@@ -380,6 +406,20 @@ class TestAnalyzeCommand:
                                parse_constant=reject)["stability"]
         assert (stability["assumption1"], stability["assumption2"]) == (None, None)
         assert stability["q2_min_eig"] is None and stability["q1_min_eig"] > 0.0
+
+    def test_single_terminal_without_droop_is_marginal(self, tmp_path):
+        """One decentralised terminal with no droop keeps a zero eigenvalue:
+        the loop is MARGINAL and has no equilibrium, and analyze exits 0."""
+        net, areas, cfg = single_gen_system(1, variant=m.Variant.DEC_GEN_DEC_CONV, k_droop=0.0)
+        sc = m.SystemConfig(net=net, areas=areas, cfg=cfg, costs=None,
+                            scenario=m.Scenario(t_end=1.0))
+        path = tmp_path / "one.cfg"
+        path.write_text(json.dumps(config_to_dict(sc)))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert doc["stability"]["certificate"] == "MARGINAL"
+        assert doc["stability"]["spectral_abscissa"] == 0.0
+        assert doc["equilibrium"] is None
 
     def test_success_exit_code(self, short_cfg_path, tmp_path):
         assert main(["analyze", "--config", str(short_cfg_path),
