@@ -17,6 +17,7 @@ import enum
 import functools
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -58,10 +59,23 @@ class RunReport:
     artifacts: tuple
 
 
+@contextmanager
+def _artifact(path: Path):
+    """``path`` opened for writing. An ``OSError`` while it is opened or
+    written, a directory of that name or a full disk, is a usage error
+    naming ``--out``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise _UsageError(f"--out {path.parent}: cannot write {path.name} "
+                          f"({exc.strerror or exc})") from None
+
+
 def _write_csv(path: Path, names, first_cells, rows) -> None:
     """Header ``names``; per row its ready first cell (ending in ``,``), then its floats."""
     row = ",".join(["%.17g"] * (len(names) - 1)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _artifact(path) as fh:
         fh.write(",".join(names) + "\n")
         fh.writelines([c + row % tuple(r) for c, r in zip(first_cells, rows)])
 
@@ -71,7 +85,7 @@ def _write_series_json(path: Path, names, times, columns) -> None:
         "times": times.tolist(),
         "series": {name: columns[:, c].tolist() for c, name in enumerate(names)},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _artifact(path) as fh:
         fh.write(json.dumps(doc))  # json.dump would take the pure-Python encoder
         fh.write("\n")
 
@@ -149,7 +163,7 @@ def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
     }
     if equil is not None:
         del doc["equilibrium"]["x_star"]  # report.json has never carried the full state
-    with open(path, "w", encoding="utf-8") as fh:
+    with _artifact(path) as fh:
         json.dump(doc, fh, indent=2, default=_jsonable, allow_nan=False)
         fh.write("\n")
     return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)

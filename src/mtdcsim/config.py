@@ -2,12 +2,11 @@
 areas, the controller, optional cost weights, and the simulation scenario.
 
 The fields of each JSON object are listed once, in one table per object
-(``_TOP``, ``_MTDC``, ``_NODE`` and so on), which the parser, the writer
-and the unknown-key check all read. Validation reports the path of the
-offending field (for example ``mtdc.nodes[2].cap``) so configuration
-mistakes are quick to locate; a key that no table names is refused as an
-``unknown field``, never dropped. Parsing and serialization round-trip:
-parse -> to_dict -> parse yields an equal in-memory configuration.
+(``_TOP``, ``_MTDC``, ``_NODE`` and so on), which the parser and its
+unknown-key check read. Validation reports the path of the offending field
+(for example ``mtdc.nodes[2].cap``) so configuration mistakes are quick to
+locate; a key that no table names is refused as an ``unknown field``,
+never dropped.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class SystemConfig:
 # One table per JSON object: each key maps to its kind, or to (kind, default)
 # for an optional field. A kind is float, int or str, a table (a nested
 # object), [float] (a list of numbers) or [table] (a list of objects). The
-# parser, the writer and the unknown-key check all read these tables.
+# parser and its unknown-key check read these tables.
 _NODE = {"cap": float, "v_ref": (float, None)}
 _LINE = {"i": int, "j": int, "r": float, "l": (float, 0.0), "c": (float, 0.0),
          "segments": (int, 1)}
@@ -214,40 +213,6 @@ def parse_config(doc: dict) -> SystemConfig:
         raise ConfigError(f"scenario.mode: unknown value {scen['mode']!r}") from None
     scenario = _build("scenario", Scenario, **scen)
     return SystemConfig(net=net, areas=tuple(areas), cfg=cfg, costs=costs, scenario=scenario)
-
-
-def _record(table, obj):
-    """The JSON object of ``obj``: its attribute of each key of ``table``."""
-    return {key: getattr(obj, key) for key in table}
-
-
-def config_to_dict(sc: SystemConfig) -> dict:
-    """Serialize back to the document shape accepted by ``parse_config``."""
-    cfg, scen = sc.cfg, sc.scenario
-    doc = {
-        "mtdc": {
-            "v_nom": sc.net.v_nom,
-            "nodes": [dict(zip(_NODE, node)) for node in zip(sc.net.cap, sc.net.v_ref)],
-            "lines": [_record(_LINE, ln) for ln in sc.net.lines],
-        },
-        "areas": [{
-            "generators": [dict(zip(_GENERATOR, gen))
-                           for gen in zip(area.inertia, cfg.k_droop[i], cfg.k_droop_i[i])],
-            "ac_lines": [dict(zip(_AC_LINE, edge)) for edge in area.ac_lines],
-            "p_m": list(area.p_m),
-        } for i, area in enumerate(sc.areas)],
-        "controller": {"variant": cfg.variant.value, "k_omega": list(cfg.k_omega),
-                       "k_v": list(cfg.k_v), "gamma": cfg.gamma, "omega_ref": cfg.omega_ref},
-        "scenario": {"t_end": scen.t_end, "dt": scen.dt, "mode": scen.mode.value,
-                     "record_every": scen.record_every,
-                     "disturbances": [_record(_EVENT, ev) for ev in scen.disturbances]},
-    }
-    for key in ("comm_eta", "comm_phi"):
-        if getattr(cfg, key) is not None:
-            doc["controller"][key] = [dict(zip(_EDGE, edge)) for edge in getattr(cfg, key).edges]
-    if sc.costs is not None:
-        doc["costs"] = {"f_p": list(sc.costs.f_p), "f_v": list(sc.costs.f_v)}
-    return doc
 
 
 def load_config(path) -> SystemConfig:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import mtdcsim as m
-from mtdcsim.analysis import lyapunov_matrix
 from mtdcsim.cli import comparison_models
 from mtdcsim.sim import _segments
 
@@ -56,6 +55,43 @@ def dense_projection(model):
     for full, red, basis in proj.blocks:
         t_mat[red, full] = np.eye(full.stop - full.start) if basis is None else basis.T
     return t_mat
+
+
+def lyapunov_matrix(model):
+    """Quadratic form P with W(x) = x^T P x for the model's layout.
+
+    P is built once, on the assembled coordinates; for a reduced model it is
+    T P T^T, applied block by block by the model's ``projection``. The pi-link
+    terms weight the line currents by the segment inductances and the line
+    voltages by the segment capacitances, the stored energy of the chain.
+    """
+    proj = model.projection
+    layout = model.layout if proj is None else proj.layout
+    p = np.zeros((layout.dim, layout.dim))
+    for i, area in enumerate(model.areas):
+        weight = model.cfg.k_omega[i] / (2.0 * model.cfg.k_v[i])
+        fq = layout.sl(f"freq{i}")
+        p[fq, fq] += weight * np.diag(area.inertia)
+        if layout.has(f"angle{i}"):
+            ang = layout.sl(f"angle{i}")
+            p[ang, ang] += weight * m.laplacian(area.line_graph())
+    vdc = layout.sl("vdc")
+    p[vdc, vdc] += 0.5 * model.net.v_nom * np.diag(model.net.cap)
+    if layout.has("gen_integral"):
+        gi = layout.sl("gen_integral")
+        p[gi, gi] += 0.5 * np.eye(model.n_areas)
+    if layout.has("conv_phase"):
+        ph = layout.sl("conv_phase")
+        p[ph, ph] += 0.5 * m.laplacian(model.cfg.comm_phi)
+    chain = model.chain
+    if chain is not None:
+        for q in range(1, chain.n_segments + 1):
+            sl = layout.sl(f"line_current{q}")
+            p[sl, sl] += 0.5 * model.net.v_nom * np.diag(chain.l_seg)
+        for q in range(1, chain.n_segments):
+            sl = layout.sl(f"line_voltage{q}")
+            p[sl, sl] += 0.5 * model.net.v_nom * np.diag(chain.c_seg)
+    return p if proj is None else proj.cols(proj.rows(p))
 
 
 @dataclass(frozen=True, eq=False)

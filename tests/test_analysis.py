@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdcsim as m
-from mtdcsim.analysis import lyapunov_matrix, spectral_abscissa
+from mtdcsim.analysis import spectral_abscissa
 from mtdcsim.netgraph import laplacian
 
-from conftest import random_stable_config, single_gen_system
+from conftest import lyapunov_matrix, random_stable_config, single_gen_system
 from test_assembly import multi_gen_system
 
 ASSEMBLERS = {"resistive": m.assemble_resistive, "pi_link": m.assemble_pi_link}

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdcsim as m
-from mtdcsim.analysis import lyapunov_matrix
 from mtdcsim.assembly import BUS_BLOCKS, SERIES_FAMILIES
 
-from conftest import (dense_projection, lyapunov_trace, mixed_relative_error, outputs, row_block,
-                      random_stable_config, single_gen_system)
+from conftest import (dense_projection, lyapunov_matrix, lyapunov_trace, mixed_relative_error,
+                      outputs, row_block, random_stable_config, single_gen_system)
 from direct_rhs import direct_rhs, flatten, unflatten
 
 

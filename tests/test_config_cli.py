@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -21,7 +22,8 @@ import mtdcsim as m
 from mtdcsim import assembly, cli
 from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_analyze, cmd_compare, cmd_simulate,
                          cmd_sweep, main)
-from mtdcsim.config import SystemConfig, config_to_dict, parse_config
+from mtdcsim.config import (_AC_LINE, _EDGE, _EVENT, _GENERATOR, _LINE, _NODE, SystemConfig,
+                            parse_config)
 
 from conftest import random_stable_config, single_gen_system
 
@@ -145,6 +147,44 @@ def _old_sweep_csv(sweep_path: Path, rows) -> None:
                 _fmt(row.kkt_gen_residual),
                 _fmt(row.kkt_volt_residual),
             ]) + "\n")
+
+
+# The config writer: the round-trip tests below and the tests that need a
+# config file of a system built in Python use it.
+
+def _record(table, obj):
+    """The JSON object of ``obj``: its attribute of each key of ``table``."""
+    return {key: getattr(obj, key) for key in table}
+
+
+def config_to_dict(sc: SystemConfig) -> dict:
+    """Serialize back to the document shape accepted by ``parse_config``, from
+    the parser's own field tables: parse -> to_dict -> parse is the identity."""
+    cfg, scen = sc.cfg, sc.scenario
+    doc = {
+        "mtdc": {
+            "v_nom": sc.net.v_nom,
+            "nodes": [dict(zip(_NODE, node)) for node in zip(sc.net.cap, sc.net.v_ref)],
+            "lines": [_record(_LINE, ln) for ln in sc.net.lines],
+        },
+        "areas": [{
+            "generators": [dict(zip(_GENERATOR, gen))
+                           for gen in zip(area.inertia, cfg.k_droop[i], cfg.k_droop_i[i])],
+            "ac_lines": [dict(zip(_AC_LINE, edge)) for edge in area.ac_lines],
+            "p_m": list(area.p_m),
+        } for i, area in enumerate(sc.areas)],
+        "controller": {"variant": cfg.variant.value, "k_omega": list(cfg.k_omega),
+                       "k_v": list(cfg.k_v), "gamma": cfg.gamma, "omega_ref": cfg.omega_ref},
+        "scenario": {"t_end": scen.t_end, "dt": scen.dt, "mode": scen.mode.value,
+                     "record_every": scen.record_every,
+                     "disturbances": [_record(_EVENT, ev) for ev in scen.disturbances]},
+    }
+    for key in ("comm_eta", "comm_phi"):
+        if getattr(cfg, key) is not None:
+            doc["controller"][key] = [dict(zip(_EDGE, edge)) for edge in getattr(cfg, key).edges]
+    if sc.costs is not None:
+        doc["costs"] = {"f_p": list(sc.costs.f_p), "f_v": list(sc.costs.f_v)}
+    return doc
 
 
 class TestConfigParsing:
@@ -626,6 +666,20 @@ class TestSimulateCommand:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    def test_reference_below_floor_exit_code(self, paper_doc, tmp_path, capsys):
+        """The reference in nonlinear mode with every v_ref at 0.4, below the
+        0.5 p.u. floor, is a numerical abort at its first step: exit 3 and
+        one stderr line at t = 0 s."""
+        doc = json.loads(json.dumps(paper_doc))
+        doc["scenario"]["mode"] = "nonlinear"
+        for node in doc["mtdc"]["nodes"]:
+            node["v_ref"] = 0.4
+        path = tmp_path / "low_vref.cfg"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "t = 0 s" in err[0], err
+
     def test_diverging_run_reports_only_the_abort(self, short_cfg_path, tmp_path, monkeypatch,
                                                   capsys):
         """A loop shifted by 800 I overflows; stderr carries the abort line and
@@ -699,6 +753,18 @@ class TestCompareCommand:
         for r in rows:
             assert float(r["settling_time_inj"]) >= 0.0
         assert (out / "dist_gen_dist_conv__frequencies.csv").exists()
+
+    def test_each_pairing_alone_writes_its_compare_series(self, short_cfg_path, tmp_path):
+        """``simulate --variant P`` writes compare's ``P__*.csv`` byte for byte,
+        for each pairing: no discretization kept by one model reaches another."""
+        argv = ["--config", str(short_cfg_path), "--out"]
+        assert main(["compare", *argv, str(tmp_path / "cmp")]) == 0
+        for variant in cli.COMPARISON_VARIANTS:
+            out = tmp_path / variant.value
+            assert main(["simulate", "--variant", variant.value, *argv, str(out)]) == 0
+            for family in cli.SERIES_COLUMNS:
+                alone = (out / f"{family}.csv").read_bytes()
+                assert alone == (tmp_path / "cmp" / f"{variant.value}__{family}.csv").read_bytes()
 
     def test_zero_disturbance_all_metrics_zero(self, paper_doc, tmp_path):
         doc = json.loads(json.dumps(paper_doc))
@@ -830,6 +896,41 @@ def test_out_that_cannot_be_a_directory(damped_cfg_path, tmp_path, capsys, argv)
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out}: ") and len(err.splitlines()) == 1, err
     assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["analyze"], "report.json"),
+    (["simulate"], "frequencies.csv"),
+    (["simulate", "--format", "json"], "injections.json"),
+    (["compare"], "dist_gen_dec_conv__generation.csv"),
+    (["compare"], "summary.csv"),
+    (["sweep", "--scales", "1,10"], "sweep.csv"),
+], ids=["analyze", "simulate", "simulate_json", "compare_series", "compare_summary", "sweep"])
+def test_artifact_that_cannot_be_written(damped_cfg_path, tmp_path, capsys, argv, name):
+    """An artifact path that cannot be opened, here a directory of that name
+    inside ``--out``, is exit 2 with one stderr line naming ``--out`` and the
+    file, not a traceback; the directory stays."""
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main([*argv, "--config", str(damped_cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: cannot write {name} ("), err
+    assert len(err.splitlines()) == 1, err
+    assert (out / name).is_dir()
+
+
+def test_artifact_write_error(short_cfg_path, tmp_path, capsys, monkeypatch):
+    """An ``OSError`` while an artifact is written, a full disk, is exit 2
+    with one stderr line too."""
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(short_cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: --out {out}: cannot write frequencies.csv "
+                                       f"({os.strerror(errno.ENOSPC)})\n")
 
 
 class TestWriters:

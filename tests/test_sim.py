@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import sys
 import threading
 import time
@@ -18,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import mtdcsim as m
-from mtdcsim import _blas, _kernels
+from mtdcsim import _blas, _kernels, cli
 from mtdcsim.config import SystemConfig
 from mtdcsim.sim import MAX_SAMPLES, MAX_STEPS, _record_steps, _segments, discretize
 
@@ -1297,6 +1298,52 @@ class TestOneBlasThread:
             self._set(pools, count)
             results.append(fn())
         return results
+
+    # each case of the command line: its commands, run into one --out, and its
+    # edits of the reference config, (section, key) or (section, list, index, key)
+    CLI_CASES = {
+        "reference": ([["simulate"]], {}),
+        # the intervals an off-grid event cuts reach the state through the
+        # powers of two of phi
+        "off_grid_event": ([["simulate"]], {("scenario", "record_every"): 7,
+                                            ("scenario", "disturbances", 0, "time"): 1.0033}),
+        # the 44 samples after the event: the chain of the first 32, then one
+        # partial block of 12 rows, a product a threaded BLAS would split
+        "stride_1000": ([["simulate"]], {("scenario", "record_every"): 1000}),
+        # blocked Heun steps sum products of block matrices
+        "nonlinear_json": ([["simulate", "--format", "json"]],
+                           {("scenario", "mode"): "nonlinear", ("scenario", "t_end"): 5.0}),
+        "compare": ([["compare"]], {}),
+        "analyze_and_sweep": ([["analyze"], ["sweep", "--scales", "1,10,100"]],
+                              {("controller", "gamma"): 4.0}),
+    }
+
+    @pytest.mark.parametrize("commands, edits", CLI_CASES.values(), ids=CLI_CASES.keys())
+    def test_cli_files_independent_of_caller_threads(self, pools, tmp_path, commands, edits):
+        """Every file ``main`` writes is the same byte for byte at each caller
+        pool count; report.json is compared without the paths it lists."""
+        with open(m.reference_config_path(), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for (*keys, last), value in edits.items():
+            parent = doc
+            for key in keys:
+                parent = parent[key]
+            parent[last] = value
+        config = tmp_path / "case.cfg"
+        config.write_text(json.dumps(doc))
+
+        def files():
+            out = tmp_path / f"threads{self._counts(pools)[0]}"
+            for argv in commands:
+                assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
+            got = {path.name: path.read_bytes() for path in out.iterdir()}
+            report = json.loads(got["report.json"])
+            del report["artifacts"]
+            return {**got, "report.json": report}
+
+        one, two = self._at_each_count(pools, files)
+        assert sorted(one) == sorted(two)
+        assert [name for name in sorted(one) if one[name] != two[name]] == []
 
     def test_linear_reference_independent_of_caller_threads(self, pools, paper_model_full, paper_sc):
         # a fresh copy per count, so each computes its own exponential
