@@ -30,8 +30,8 @@ for the free response, one move of the full state by a power of phi per
 recorded sample (to the block end if it has none), and one n x b m product
 for the correction's forcing. The ``Propagator`` forms the block matrices
 once per model and step size. It stays within 1e-10 of the largest state
-of the same Heun step taken one full step at a time with numpy arrays
-(1.2e-12 over the 45 s reference run) and aborts at the same step.
+of the same Heun step taken one full step at a time with numpy arrays and
+aborts at the same step; README "Numerical notes" gives the measured gap.
 """
 
 from bisect import bisect

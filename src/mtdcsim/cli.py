@@ -8,6 +8,9 @@ error, 3 numerical abort during integration. Every CSV (the time series,
 one file per quantity family, ``summary.csv`` and ``sweep.csv``) has a
 header line, a first column (``t``, ``variant`` or ``scale``) and then
 floats printed with 17 significant digits, so files round-trip bit-exactly.
+Two cells of ``sweep.csv`` are not such floats: ``is_hurwitz`` is ``1`` or
+``0``, and a scale whose loop is not Hurwitz has ``nan`` in the three
+columns after it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ The fields of each JSON object are listed once, in one table per object
 unknown-key check read. Validation reports the path of the offending field
 (for example ``mtdc.nodes[2].cap``) so configuration mistakes are quick to
 locate; a key that no table names is refused as an ``unknown field``,
-never dropped.
+never dropped, and so is a key given twice in one object.
 """
 
 from __future__ import annotations
@@ -216,9 +216,17 @@ def parse_config(doc: dict) -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
+    def unique_keys(pairs):  # json alone keeps the last value of a key given twice
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

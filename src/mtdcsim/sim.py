@@ -8,11 +8,11 @@ power, each later block of 32 from the 32 before it by one matrix-matrix
 product. It is exact for piecewise-constant disturbances regardless of
 stiffness: the DC subsystem carries eigenvalues around 1e5 1/s, the
 dynamics of interest last tens of seconds. Against stepping one step at a
-time it agrees to 1e-8 of the largest state (1.2e-9 on the reference
-scenario), and to 1e-10 of one product per recorded sample (5.6e-13
-there). The exponential, ``expm``, is scaling and squaring with the
-degree-13 Pade approximant in plain numpy (Al-Mohy & Higham 2009), so the
-package needs no scipy at run time.
+time it agrees to 1e-8 of the largest state, and to 1e-10 of one product
+per recorded sample; README "Numerical notes" gives the gaps measured on
+the reference scenario. The exponential, ``expm``, is scaling and
+squaring with the degree-13 Pade approximant in plain numpy (Al-Mohy &
+Higham 2009), so the package needs no scipy at run time.
 
 A model is discretized once per step size. The first ``integrate`` at a
 ``dt`` computes one exponential, on the top rows of the Van Loan matrix of
@@ -25,14 +25,9 @@ forcing from thin products and O(log k) matrix-vector products per
 interval length k; apart from the fill of its blocks, its only O(n^3) work
 is a power of phi that no earlier run needed. What is kept depends only on
 the model and ``dt``, so a run gives bit-identical states whatever ran on
-the model before. The same kernel on phi and gamma from one exponential
-with the run's own input columns ``b_dist @ u`` (and the DC-voltage
-columns) in place of every disturbance column gives states within 1.3e-14
-of the largest state over the 45 s reference scenario on the full model
-(1.6e-15 on the reduced one), and 2.5e-15 (8.8e-16) over 5 s in
-nonlinear mode.
+the model before.
 
-A run starts at its first input when it can. From rest (x0 = +0.0) under
+A run starts at rest, and at its first input when it can. From rest under
 zero input the solution is exactly zero, so ``integrate`` writes +0.0 to
 the records up to the last one at or before the first event and hands the
 kernel the rest of the run, counted in steps from that record: the states
@@ -52,8 +47,8 @@ those q outputs alone: per step two q x O(32 m) products and a
 per-converter correction on Python floats; per block one product with
 the stacked [C; C phi; ...] and one n x n product per recorded sample,
 which moves the full state. It agrees with the same Heun step taken one
-full step at a time to 1e-10 of the largest state (1.2e-12 over the 45 s
-reference run) and aborts at the same step.
+full step at a time to 1e-10 of the largest state and aborts at the same
+step.
 
 The module only propagates: it reads a model's state matrix, input map
 and output matrix, and builds, analyses or compares no model. The derived
@@ -332,22 +327,22 @@ def _propagator(model: ClosedLoopModel, dt: float) -> _kernels.Propagator:
 
 
 def _rest_records(prop: _kernels.Propagator, c_seg: np.ndarray, bounds: np.ndarray,
-                  x0: np.ndarray, rec_steps: np.ndarray, linear: bool) -> int:
+                  rec_steps: np.ndarray, linear: bool) -> int:
     """How many leading records of a run are +0.0 without stepping: all of
-    them for a run at rest under no input, those before the last record at
-    or before the first input for one at rest until then, else none.
+    them for a run under no input, those before the last record at or
+    before the first input for one under no input until then, else none.
 
-    At rest means x0 is +0.0 (a -0.0 is its own first record) and the first
-    segment's forcing is zero. Stepping from t = 0 multiplies the zero state
-    by phi, so a non-finite phi makes such a run abort at its first record;
-    in nonlinear mode it aborts at t = 0 where a ``v_ref`` is below the
+    A run stays at rest while its forcing is zero, so the first segment's
+    forcing decides. Stepping from t = 0 multiplies the zero state by phi,
+    so a non-finite phi makes such a run abort at its first record; in
+    nonlinear mode it aborts at t = 0 where a ``v_ref`` is below the
     DC-voltage floor. Neither run is skipped. A first input at or after the
     last record but one leaves the kernel two records, which it steps as a
     run recording its end alone: its intervals are then shorter than the
     stride, stepped as before, or one stride from the zero state, which
     comes to the summed forcing whichever power of phi takes it there.
     """
-    if x0.any() or np.signbit(x0).any() or c_seg[0].any():
+    if c_seg[0].any():
         return 0
     if (not (linear or (prop.v_ref >= _kernels.DC_VOLTAGE_FLOOR).all())
             or not np.isfinite(prop.phi).all()):
@@ -358,40 +353,30 @@ def _rest_records(prop: _kernels.Propagator, c_seg: np.ndarray, bounds: np.ndarr
 
 
 @one_thread()
-def integrate(model: ClosedLoopModel, scenario: Scenario,
-              x0: np.ndarray = None) -> Trajectory:
-    """Run one deterministic simulation and return the recorded trajectory.
+def integrate(model: ClosedLoopModel, scenario: Scenario) -> Trajectory:
+    """Run one deterministic simulation from rest and return the recorded
+    trajectory.
 
     Step events take effect at the first integration step boundary at or
-    after their event time. ``x0`` (rest by default) must be finite. A
-    record whose derived series is not finite aborts the run, as a
-    non-finite state does.
+    after their event time. A record whose derived series is not finite
+    aborts the run, as a non-finite state does.
 
-    A run at rest, x0 +0.0 and no input before the first event, stays
-    exactly at zero until that event: the records up to the last one at or
-    before it are written as +0.0 and the kernel starts from that record,
-    so the states equal those of stepping from t = 0 bit for bit. A run
-    under no input at all calls no kernel. In nonlinear mode a run at rest
-    is stepped from t = 0 unless every ``v_ref`` is at or above the
-    DC-voltage floor, so one below it still aborts at t = 0.
+    A run under no input before the first event stays exactly at zero
+    until that event: the records up to the last one at or before it are
+    written as +0.0 and the kernel starts from that record, so the states
+    equal those of stepping from t = 0 bit for bit. A run under no input at
+    all calls no kernel. In nonlinear mode such a run is stepped from t = 0
+    unless every ``v_ref`` is at or above the DC-voltage floor, so one
+    below it still aborts at t = 0.
     """
     n_steps = scenario.n_steps
     bounds, inputs = _segments(model, scenario, n_steps)
     rec_steps = _record_steps(n_steps, scenario.record_every)
-    dim = model.dim
-    out = np.empty((rec_steps.shape[0], dim))
-    if x0 is None:
-        x0 = np.zeros(dim)
-    x0 = np.ascontiguousarray(np.asarray(x0, dtype=float))
-    if x0.shape != (dim,):
-        raise ValueError("x0 length does not match the model")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
-
+    out = np.empty((rec_steps.shape[0], model.dim))
     prop = _propagator(model, scenario.dt)
     linear = scenario.mode is CouplingMode.LINEAR
     c_seg = inputs @ prop.c_map
-    r0 = _rest_records(prop, c_seg, bounds, x0, rec_steps, linear)
+    r0 = _rest_records(prop, c_seg, bounds, rec_steps, linear)
     out[:r0] = 0.0
     if r0 < rec_steps.shape[0]:
         # the kernel runs from record r0, in steps counted from there; an
@@ -402,8 +387,8 @@ def integrate(model: ClosedLoopModel, scenario: Scenario,
         # a diverging run overflows before the finiteness check sees it; the
         # abort is reported once, as IntegrationError, not also as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            status = kernel(prop, c_seg[s0:], np.concatenate(([0], bounds[s0 + 1:] - off)), x0,
-                            rec_steps[r0:] - off, out[r0:])
+            status = kernel(prop, c_seg[s0:], np.concatenate(([0], bounds[s0 + 1:] - off)),
+                            np.zeros(model.dim), rec_steps[r0:] - off, out[r0:])
         if status >= 0:
             raise IntegrationError(
                 f"integration aborted at t = {(off + status) * scenario.dt:.6g} s "

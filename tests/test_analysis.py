@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import mtdcsim as m
 from mtdcsim.analysis import spectral_abscissa
 from mtdcsim.netgraph import laplacian
 
 from conftest import lyapunov_matrix, random_stable_config, single_gen_system
+from direct_rhs import direct_rhs, flatten, unflatten
 from test_assembly import multi_gen_system
 
 ASSEMBLERS = {"resistive": m.assemble_resistive, "pi_link": m.assemble_pi_link}
@@ -251,6 +253,33 @@ class TestStabilityReport:
         else:
             assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
             _assert_p_decreases(model)
+
+    def test_pi_link_counterexample_under_distributed_law(self):
+        """Two terminals, both assumptions held (gamma 4.5 against the bound
+        3.75): proven with a resistive line, yet the same line as one pi-link
+        with L/R = 0.5 s makes the loop unstable. The growth of the
+        independent right-hand side under solve_ivp, from rest after a step,
+        matches the assembled abscissa over ten periods of its mode."""
+        net, areas, cfg = single_gen_system(2, gamma=4.5)
+        net = replace(net, lines=(replace(net.lines[0], l=0.05),))  # r = 0.1
+        rep = m.stability_report(m.assemble_resistive(net, areas, cfg))
+        assert rep.assumption1.holds and rep.assumption2.holds
+        assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+        assert rep.spectral_abscissa == pytest.approx(-0.6089, abs=1e-4)
+        lam = max(np.linalg.eigvals(m.assemble_pi_link(net, areas, cfg).a), key=lambda z: z.real)
+        assert lam.real == pytest.approx(0.8084, abs=1e-4)
+
+        layout = m.assemble_pi_link(net, areas, cfg, reduced=False).layout
+        p_m = [[-0.1], [0.0]]
+        t1 = 10.0
+        t2 = t1 + 10 * 2 * np.pi / abs(lam.imag)
+        sol = solve_ivp(lambda _, y: flatten(layout, direct_rhs(
+            net, areas, cfg, unflatten(layout, y), p_m)), (0.0, t2), np.zeros(layout.dim),
+            rtol=1e-8, atol=1e-12, t_eval=[t1, t2])
+        x1, x2 = sol.y.T
+        growth = np.log(np.linalg.norm(x2) / np.linalg.norm(x1)) / (t2 - t1)
+        assert growth == pytest.approx(lam.real, rel=1e-3)
+        assert x1 @ x2 > (1 - 1e-4) * np.linalg.norm(x1) * np.linalg.norm(x2)
 
 
 class TestEquilibrium:

@@ -427,6 +427,20 @@ class TestAnalyzeCommand:
             if name != "bad.cfg":
                 assert err.startswith(f"configuration error: {path}: ")
 
+    @pytest.mark.parametrize("section, key, value", [("", "scenario", {"t_end": 1.0}),
+                                                     ("controller", "gamma", 4.0)],
+                             ids=["top_level", "controller"])
+    def test_duplicate_key_refused(self, paper_doc, tmp_path, capsys, section, key, value):
+        """A key given twice in one object is exit 2 naming the key: the JSON
+        decoder alone keeps the last value, so a gamma of 4.0 followed by the
+        reference's 0.0 ran the loop undamped."""
+        text = json.dumps(paper_doc)
+        opening = f'"{section}": {{' if section else "{"
+        path = tmp_path / "twice.cfg"
+        path.write_text(text.replace(opening, f'{opening}"{key}": {json.dumps(value)}, ', 1))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f'configuration error: {path}: duplicate key "{key}"\n'
+
     @pytest.mark.parametrize("variant", list(m.Variant))
     def test_single_terminal_report(self, tmp_path, variant):
         """A one-terminal loop gets a report: no assumption applies, the empty

@@ -197,7 +197,7 @@ def _array_etd2(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
     return -1
 
 
-def _kernel_run(model, scenario, kernel, x0=None):
+def _kernel_run(model, scenario, kernel):
     """``integrate`` with ``kernel`` as the kernel of the scenario's mode;
     returns the step of the abort (-1 for none) and the rows the run
     recorded (all of them, or those up to the abort). A run at rest hands
@@ -212,7 +212,7 @@ def _kernel_run(model, scenario, kernel, x0=None):
     key = "exact_linear" if scenario.mode is m.CouplingMode.LINEAR else "etd2_nonlinear"
     with mock.patch.dict(_kernels.KERNELS, {key: spy}):
         try:
-            states = m.integrate(model, scenario, x0).states
+            states = m.integrate(model, scenario).states
         except m.IntegrationError:
             states = None
     if not seen:
@@ -254,12 +254,12 @@ def _array_kernel(model):
     return kernel
 
 
-def _assert_close_to_array_form(model, scenario, x0=None):
+def _assert_close_to_array_form(model, scenario):
     """The same status as the array form, and states within 1e-10 of its
     largest finite state (a non-finite one in the same place); returns the
     status."""
-    want_status, want = _kernel_run(model, scenario, _array_kernel(model), x0)
-    got_status, got = _kernel_run(model, scenario, _kernels.etd2_nonlinear, x0)
+    want_status, want = _kernel_run(model, scenario, _array_kernel(model))
+    got_status, got = _kernel_run(model, scenario, _kernels.etd2_nonlinear)
     assert got_status == want_status
     scale = np.abs(want[np.isfinite(want)]).max(initial=0.0)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * scale)
@@ -366,8 +366,10 @@ class TestIntegrate:
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
         rng = np.random.default_rng(0)
         x0 = 0.01 * rng.standard_normal(model.dim)
-        traj = m.integrate(model, m.Scenario(t_end=200.0, dt=1e-2, record_every=100), x0=x0)
-        assert np.linalg.norm(traj.states[-1]) < 1e-6 * np.linalg.norm(x0) + 1e-12
+        scen = m.Scenario(t_end=200.0, dt=1e-2, record_every=100)
+        status, states = _whole_run(model, scen, x0)
+        assert status == -1
+        assert np.linalg.norm(states[-1]) < 1e-6 * np.linalg.norm(x0) + 1e-12
 
     def test_event_applied_at_first_step_boundary(self, two_area):
         net, areas, cfg = two_area
@@ -503,30 +505,6 @@ class TestIntegrate:
             with pytest.raises(m.IntegrationError, match=rf"^integration aborted at t = {t_abort} s "):
                 m.integrate(model, scen)
 
-    def test_x0_shape_checked(self, two_area):
-        """An initial state of the model's length but not 1-D is refused by
-        name, not by a broadcast error inside the kernel."""
-        net, areas, cfg = two_area
-        model = m.assemble_resistive(net, areas, cfg, reduced=True)
-        scen = m.Scenario(t_end=0.01, dt=1e-3)
-        for shape in ((model.dim, 1), (model.dim, 2), (model.dim + 1,)):
-            with pytest.raises(ValueError, match="x0 length does not match the model"):
-                m.integrate(model, scen, np.zeros(shape))
-
-    @pytest.mark.parametrize("mode", list(m.CouplingMode))
-    def test_non_finite_x0_refused(self, two_area, mode):
-        """A NaN or infinite entry of x0 is refused by name before any step,
-        in both modes, not reported as an abort at the first sample."""
-        net, areas, cfg = two_area
-        model = m.assemble_resistive(net, areas, cfg, reduced=False)
-        scen = m.Scenario(t_end=0.1, dt=1e-3, record_every=10, mode=mode,
-                          disturbances=(m.DisturbanceEvent(0.05, 0, 0, -0.1),))
-        for value in (np.nan, np.inf, -np.inf):
-            x0 = np.zeros(model.dim)
-            x0[3] = value
-            with pytest.raises(ValueError, match="x0 must be finite"):
-                m.integrate(model, scen, x0)
-
     @pytest.mark.parametrize("mode", list(m.CouplingMode))
     def test_overflowed_phi_aborts_at_rest(self, two_area, mode):
         """A DC-voltage state cut off from the rest of the loop and growing at
@@ -547,17 +525,12 @@ class TestIntegrate:
 
     @given(seed=st.integers(0, 2**32 - 1), reduced=st.booleans(),
            mode=st.sampled_from(list(m.CouplingMode)), every=st.sampled_from([1, 7, 10]),
-           n_steps=st.integers(20, 300), start=st.sampled_from(["rest", "-0.0", "nonzero", "p_m"]),
+           n_steps=st.integers(20, 300), start=st.sampled_from(["rest", "p_m"]),
            events=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=2))
-    # no input at all; a run from a nonzero x0, from -0.0 and under a
-    # baseline p_m; an event on the record before the last, at the end, and
-    # off the grid in the last interval
+    # no input at all; a run under a baseline p_m; an event on the record
+    # before the last, at the end, and off the grid in the last interval
     @example(seed=1, reduced=True, mode=m.CouplingMode.NONLINEAR, every=10, n_steps=200,
              start="rest", events=[])
-    @example(seed=2, reduced=False, mode=m.CouplingMode.LINEAR, every=7, n_steps=200,
-             start="nonzero", events=[(0.5, True)])
-    @example(seed=2, reduced=True, mode=m.CouplingMode.LINEAR, every=7, n_steps=200,
-             start="-0.0", events=[(0.5, True)])
     @example(seed=2, reduced=True, mode=m.CouplingMode.NONLINEAR, every=7, n_steps=200,
              start="p_m", events=[(0.5, True)])
     @example(seed=3, reduced=False, mode=m.CouplingMode.LINEAR, every=10, n_steps=200,
@@ -574,8 +547,7 @@ class TestIntegrate:
         """A run at rest that starts at its first input records what one call
         of the same kernel over the whole run from step 0 records, bit for
         bit and with the same signs of zero: +0.0 throughout under no input.
-        A run from a nonzero x0, from -0.0 or under a baseline input starts
-        at step 0."""
+        A run under a baseline input starts at step 0."""
         rng = np.random.default_rng(seed)
         net, areas, cfg = random_stable_config(rng)
         if start == "p_m":
@@ -587,15 +559,12 @@ class TestIntegrate:
                           disturbances=tuple(m.DisturbanceEvent(
                               step * 1e-3, int(rng.integers(net.n)), 0, float(rng.uniform(-0.3, 0.3)))
                               for step in steps))
-        x0 = {"-0.0": -np.zeros(model.dim), "nonzero": np.zeros(model.dim)}.get(start)
-        if start == "nonzero":
-            x0[rng.integers(model.dim)] = 1e-3
-        status, want = _whole_run(model, scen, x0)
+        status, want = _whole_run(model, scen)
         if status >= 0:
             with pytest.raises(m.IntegrationError, match=f"t = {status * scen.dt:.6g} s"):
-                m.integrate(model, scen, x0)
+                m.integrate(model, scen)
             return
-        got = m.integrate(model, scen, x0).states
+        got = m.integrate(model, scen).states
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         if start == "rest" and all(step == n_steps for step in steps):  # no input in the run
@@ -939,7 +908,7 @@ class TestBlockedPropagation:
 
     @pytest.mark.parametrize("stride", [1, 7, 10])
     def test_nan_initial_state_aborts_at_first_sample(self, two_area, stride):
-        """The kernel itself, since ``integrate`` refuses a non-finite x0."""
+        """The kernel itself, since ``integrate`` starts every run at rest."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         x0 = np.zeros(model.dim)
@@ -1087,7 +1056,7 @@ class TestNonlinearMode:
             assert _assert_close_to_array_form(unstable, scen) > 0
         # a NaN voltage passes the floor test; the finiteness check at the
         # first recorded sample reports it (the kernels themselves, since
-        # integrate refuses a non-finite x0)
+        # integrate starts every run at rest)
         x0 = np.zeros(model.dim)
         x0[model.layout.sl("gen_integral").start] = np.nan
         for kernel in (_array_kernel(model), _kernels.etd2_nonlinear):
@@ -1358,32 +1327,38 @@ class TestOneBlasThread:
             pools, lambda: m.integrate(replace(paper_model_full), scen).states)
         np.testing.assert_array_equal(one, two)
 
-    def test_spectral_abscissa_independent_of_caller_threads(self, pools, paper_model_reduced):
+    def _spy_counts(self, pools, monkeypatch, module, name):
+        """Pool counts seen by each call of ``module.<name>``."""
+        seen, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: seen.append(self._counts(pools)) or real(*a, **k))
+        return seen
+
+    def test_spectral_abscissa_independent_of_caller_threads(self, pools, paper_model_reduced,
+                                                             monkeypatch):
+        seen = self._spy_counts(pools, monkeypatch, np.linalg, "eigvals")
         one, two = self._at_each_count(
             pools, lambda: m.analysis.spectral_abscissa(paper_model_reduced.a))
         assert one == two
-
-    def _spy_counts(self, pools, monkeypatch, name):
-        """Pool counts seen by each call of ``numpy.linalg.<name>``."""
-        seen, real = [], getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, **k: seen.append(self._counts(pools)) or real(*a, **k))
-        return seen
+        assert seen == [[1] * len(pools)] * 2
 
     def test_equilibrium_independent_of_caller_threads(self, pools, paper_model_reduced,
                                                        paper_sc, monkeypatch):
         model = paper_model_reduced
         u = m.baseline_disturbance(model) + m.disturbance_map(
             model, [(ev.area, ev.bus, ev.magnitude) for ev in paper_sc.scenario.disturbances])
-        seen = self._spy_counts(pools, monkeypatch, "solve")
+        seen = self._spy_counts(pools, monkeypatch, np.linalg, "solve")
         one, two = self._at_each_count(pools, lambda: m.analysis.equilibrium(model, u).x_star)
         np.testing.assert_array_equal(one, two)
         assert seen == [[1] * len(pools)] * 2
 
-    def test_reduced_model_independent_of_caller_threads(self, pools, paper_sc):
+    def test_reduced_model_independent_of_caller_threads(self, pools, paper_sc, monkeypatch):
+        # the projection's bases are formed inside the one-thread section
+        seen = self._spy_counts(pools, monkeypatch, m.assembly, "ones_complement")
         one, two = self._at_each_count(pools, lambda: m.assemble_resistive(
             paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True).a)
         np.testing.assert_array_equal(one, two)
+        assert len(seen) >= 2 and all(c == [1] * len(pools) for c in seen)
 
     def test_gain_limit_sweep_independent_of_caller_threads(self, pools, paper_sc):
         model = m.assemble_resistive(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=True)
@@ -1395,7 +1370,7 @@ class TestOneBlasThread:
         assert one == two
 
     def test_certificate_independent_of_caller_threads(self, pools, paper_sc, monkeypatch):
-        seen = self._spy_counts(pools, monkeypatch, "eigvalsh")
+        seen = self._spy_counts(pools, monkeypatch, np.linalg, "eigvalsh")
         one, two = self._at_each_count(pools, lambda: m.analysis.lyapunov_certificate(
             paper_sc.net, paper_sc.cfg))
         assert (one.q1_min_eig, one.q2_min_eig) == (two.q1_min_eig, two.q2_min_eig)
