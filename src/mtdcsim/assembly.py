@@ -55,8 +55,9 @@ class NonFiniteModelError(ValueError):
 class StateLayout:
     """Named, contiguous blocks: tuple of (name, offset, length).
 
-    Built only by ``end_to_end``: the state blocks by ``_build_layout``,
-    the row blocks of ``ClosedLoopModel.outputs`` by ``_output_rows``.
+    Built only by ``end_to_end``: the assembled state blocks by
+    ``_build_layout``, the reduced ones by ``reduce_model``, the row blocks
+    of ``ClosedLoopModel.outputs`` by ``_output_rows``.
     """
 
     blocks: tuple
@@ -170,19 +171,19 @@ def _output_rows(n_areas: int, n_buses: int) -> StateLayout:
                                   + [(name, n_buses) for name in BUS_BLOCKS])
 
 
-def _build_layout(areas, cfg: ControllerConfig, reduced: bool, chain: PiLinkChain = None) -> StateLayout:
+def _build_layout(areas, cfg: ControllerConfig, chain: PiLinkChain = None) -> StateLayout:
     n = len(areas)
     blocks = []
     for i, area in enumerate(areas):
         nb = area.n_buses
         if nb >= 2:
-            blocks.append((f"angle{i}", nb - 1 if reduced else nb))
+            blocks.append((f"angle{i}", nb))
         blocks.append((f"freq{i}", nb))
     blocks.append(("vdc", n))
     if cfg.variant.distributed_gen:
         blocks.append(("gen_integral", n))
     if cfg.variant.distributed_conv:
-        blocks.append(("conv_phase", n - 1 if reduced else n))
+        blocks.append(("conv_phase", n))
     if chain is not None:
         blocks += [(f"line_current{q}", chain.n_lines) for q in range(1, chain.n_segments + 1)]
         blocks += [(f"line_voltage{q}", chain.n_lines) for q in range(1, chain.n_segments)]
@@ -201,7 +202,7 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     if cfg.bus_counts != tuple(a.n_buses for a in areas):
         raise ValueError("per-bus gain lists must match the area bus counts")
     n = net.n
-    layout = _build_layout(areas, cfg, False, chain)
+    layout = _build_layout(areas, cfg, chain)
     dim = layout.dim
     total_buses = sum(a.n_buses for a in areas)
     a_mat = np.zeros((dim, dim))
@@ -340,15 +341,17 @@ def reduce_model(model: ClosedLoopModel) -> ClosedLoopModel:
     T is kept as a block map, the model's ``projection``, and never formed
     as a dense matrix: identity blocks are copied, angle and phase blocks
     multiplied by their basis, and the output matrix projected as a whole.
+    Each reduced block keeps its name and takes the width of its basis.
     """
     if model.reduced:
         raise ValueError("model is already reduced")
-    red_layout = _build_layout(model.areas, model.cfg, True, model.chain)
     basis = functools.cache(ones_complement)  # one basis per block length
+    bases = {name: basis(length) if name.startswith("angle") or name == "conv_phase" else None
+             for name, _, length in model.layout.blocks}
+    red_layout = StateLayout.end_to_end([(name, length if bases[name] is None else bases[name].shape[1])
+                                         for name, _, length in model.layout.blocks])
     proj = Projection(model.layout, red_layout.dim, tuple(
-        (slice(start, start + length), red_layout.sl(name),
-         basis(length) if name.startswith("angle") or name == "conv_phase" else None)
-        for name, start, length in model.layout.blocks))
+        (model.layout.sl(name), red_layout.sl(name), b) for name, b in bases.items()))
     return replace(
         model,
         a=proj.cols(proj.rows(model.a)),

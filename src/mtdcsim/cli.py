@@ -21,21 +21,13 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._blas import one_thread
-from .analysis import (
-    EquilibriumReport,
-    StabilityReport,
-    SweepRow,
-    UnstableSystemError,
-    gain_limit_sweep,
-    equilibrium,
-    stability_report,
-)
+from .analysis import SweepRow, UnstableSystemError, equilibrium, gain_limit_sweep, stability_report
 from .assembly import (SERIES_FAMILIES, NonFiniteModelError, assemble_resistive,
                        baseline_disturbance, disturbance_map)
 from .config import ConfigError, SystemConfig, load_config
@@ -45,7 +37,6 @@ from .sim import IntegrationError, Trajectory, integrate
 TIMESERIES_CSV = "TIMESERIES_CSV"
 TIMESERIES_JSON = "TIMESERIES_JSON"
 REPORT_JSON = "REPORT_JSON"
-SWEEP_CSV = "SWEEP_CSV"
 
 # the controller pairings ``compare`` runs side by side, in this order
 COMPARISON_VARIANTS = (Variant.DEC_GEN_DEC_CONV, Variant.DIST_GEN_DEC_CONV, Variant.DIST_GEN_DIST_CONV)
@@ -53,13 +44,6 @@ COMPARISON_VARIANTS = (Variant.DEC_GEN_DEC_CONV, Variant.DIST_GEN_DEC_CONV, Vari
 
 class _UsageError(Exception):
     """A command-line argument the command cannot use: exit 2."""
-
-
-@dataclass(frozen=True)
-class RunReport:
-    stability: StabilityReport
-    equilibrium: EquilibriumReport
-    artifacts: tuple
 
 
 @contextmanager
@@ -154,8 +138,10 @@ def _with_variant(sc: SystemConfig, variant, source: str) -> SystemConfig:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
-    """Write ``report.json``, listed last among ``artifacts``, and return the run's report."""
+def _finish_run(out: Path, artifacts, stability, equil, **extra) -> None:
+    """Write ``report.json``: the stability and equilibrium reports, the
+    ``artifacts`` (kind, path) with ``report.json`` itself listed last, and
+    ``extra``."""
     path = out / "report.json"
     artifacts = (*artifacts, (REPORT_JSON, str(path)))
     doc = {
@@ -169,7 +155,6 @@ def _finish_run(out: Path, artifacts, stability, equil, **extra) -> RunReport:
     with _artifact(path) as fh:
         json.dump(doc, fh, indent=2, default=_jsonable, allow_nan=False)
         fh.write("\n")
-    return RunReport(stability=stability, equilibrium=equil, artifacts=artifacts)
 
 
 @np.errstate(over="ignore")  # a sum beyond the float range fails the equilibrium, once
@@ -189,19 +174,21 @@ def _analysis_pair(sc: SystemConfig, model):
     return stability, equil
 
 
-def cmd_analyze(config_path, out_dir) -> RunReport:
+def cmd_analyze(config_path, out_dir) -> None:
+    """Write ``report.json`` of the configured loop."""
     sc, out = _open_run(config_path, out_dir)
     model = assemble_resistive(sc.net, sc.areas, sc.cfg)
-    return _finish_run(out, (), *_analysis_pair(sc, model))
+    _finish_run(out, (), *_analysis_pair(sc, model))
 
 
-def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") -> RunReport:
+def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") -> None:
+    """Write the four series files of the configured scenario, then ``report.json``."""
     sc, out = _open_run(config_path, out_dir)
     sc = sc if variant is None else _with_variant(sc, variant, "--variant")
     model = assemble_resistive(sc.net, sc.areas, sc.cfg)
     analysis = _analysis_pair(sc, model)  # an equilibrium beyond the float range stops the run here
     artifacts = _emit_timeseries({"": integrate(model, sc.scenario)}, out, fmt)
-    return _finish_run(out, artifacts, *analysis)
+    _finish_run(out, artifacts, *analysis)
 
 
 def _settling_time(times, series, final_row) -> float:
@@ -229,7 +216,9 @@ def comparison_models(sc: SystemConfig) -> dict:
     return {v: assemble_resistive(c.net, c.areas, c.cfg) for v, c in configs.items()}
 
 
-def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
+def cmd_compare(config_path, out_dir, fmt: str = "csv") -> None:
+    """Write the series files of each compared pairing, ``summary.csv``, then
+    ``report.json`` with the summary rows under ``comparison``."""
     sc, out = _open_run(config_path, out_dir)
     models = comparison_models(sc)
     # the configured pairing's model if it is compared; analysed before any run,
@@ -258,20 +247,19 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> RunReport:
     _write_csv(summary_path, list(summary_rows[0]), [row["variant"] + "," for row in summary_rows],
                [list(row.values())[1:] for row in summary_rows])
     artifacts.append((TIMESERIES_CSV, str(summary_path)))
-    return _finish_run(out, artifacts, *analysis, comparison=summary_rows)
+    _finish_run(out, artifacts, *analysis, comparison=summary_rows)
 
 
-def cmd_sweep(config_path, out_dir, scales) -> RunReport:
+def cmd_sweep(config_path, out_dir, scales) -> None:
+    """Write ``sweep.csv``, one row per scale; the sweep writes no ``report.json``."""
     sc, out = _open_run(config_path, out_dir)
     if sc.cfg.gamma <= 0.0:
         raise ConfigError("controller.gamma: the gain sweep needs gamma > 0 "
                           "(undamped phase dynamics have no high-gain limit point)")
     rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg, _total_disturbance(sc), scales)
-    sweep_path = out / "sweep.csv"
     # "%.17g" % True is "1": is_hurwitz needs no cell of its own
-    _write_csv(sweep_path, [f.name for f in fields(SweepRow)],
+    _write_csv(out / "sweep.csv", [f.name for f in fields(SweepRow)],
                ["%.17g," % row.scale for row in rows], [astuple(row)[1:] for row in rows])
-    return RunReport(stability=None, equilibrium=None, artifacts=((SWEEP_CSV, str(sweep_path)),))
 
 
 @functools.cache  # parse_args leaves the parser as it found it

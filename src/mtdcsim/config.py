@@ -126,12 +126,9 @@ def _edges(entries):
 
 
 def _build(path, factory, **fields):
-    """``factory(**fields)``; its ``ValueError`` is reported under ``path``,
-    a ``ConfigError`` passes unchanged."""
+    """``factory(**fields)``; its ``ValueError`` is reported under ``path``."""
     try:
         return factory(**fields)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -55,6 +55,13 @@ def damped_cfg_path(short_cfg_path):
     return path
 
 
+def _package_env() -> dict:
+    """The environment of a fresh process that imports this package."""
+    src = str(Path(m.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -356,6 +363,9 @@ class TestConfigFuzz:
         ([(("controller", "gama"), 4.0)], "controller.gama: unknown field"),
         ([(("costs_",), {"f_p": [1.0] * 6, "f_v": [1.0] * 6})], "costs_: unknown field"),
         ([(("mtdc", "lines", 0, "len"), 1.0)], "mtdc.lines[0].len: unknown field"),
+        ([(("scenario", "disturbances", 0, "area"), 99)],
+         "scenario.disturbances[0].area: no such area"),
+        ([(("areas", 0, "p_m"), [0.0, 0.0])], "areas[0]: p_m length must match bus count"),
     ], ids=["omega_ref_null", "magnitude_null", "cap_null", "cap_bool", "variant_int",
             "areas_null", "t_end_1e308", "event_in_missing_area", "v_ref_negative",
             "converter_bus_nonzero", "certificate_overflow", "equilibrium_overflow",
@@ -363,7 +373,7 @@ class TestConfigFuzz:
             "k_omega_zero", "k_droop_negative", "k_droop_i_zero", "comm_phi_disconnected",
             "t_end_negative", "cost_weights_zero", "five_cost_weights", "no_nodes",
             "v_ref_partial", "mode_unknown", "no_generators", "unknown_controller_key",
-            "unknown_top_level_key", "unknown_line_key"])
+            "unknown_top_level_key", "unknown_line_key", "event_in_no_area", "p_m_wrong_length"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
         doc = json.loads(json.dumps(paper_doc))
         for place, value in edits:
@@ -388,12 +398,11 @@ class TestConfigFuzz:
 
 class TestAnalyzeCommand:
     def test_reference_report(self, tmp_path):
-        rep = cmd_analyze(m.reference_config_path(), tmp_path)
-        assert rep.stability.certificate is m.CertificateClass.HURWITZ_ONLY
-        assert not rep.stability.assumption2.holds
-        assert rep.stability.assumption2.bound == pytest.approx(3.75)
+        cmd_analyze(m.reference_config_path(), tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["stability"]["certificate"] == "HURWITZ_ONLY"
+        assert not doc["stability"]["assumption2"]["holds"]
+        assert doc["stability"]["assumption2"]["bound"] == pytest.approx(3.75)
         assert abs(doc["stability"]["assumption1"]["k_phi"] - 15.0) < 1e-9
         assert doc["equilibrium"]["kkt_gen_residual"] < 1e-9
 
@@ -402,30 +411,48 @@ class TestAnalyzeCommand:
         doc["controller"]["gamma"] = 4.0
         path = tmp_path / "damped.cfg"
         path.write_text(json.dumps(doc))
-        rep = cmd_analyze(path, tmp_path / "out")
-        assert rep.stability.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+        cmd_analyze(path, tmp_path / "out")
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["stability"]["certificate"] == "LYAPUNOV_PROVEN"
 
     def test_malformed_config_exit_code(self, paper_doc, tmp_path, capsys):
-        """A malformed field, a file that is not UTF-8 text and one nested past
-        the JSON decoder's recursion limit: each is exit 2 with one stderr
-        line (naming the file when it is not JSON), not a traceback."""
+        """A malformed field, a file that is not UTF-8 text, one nested past
+        the JSON decoder's recursion limit, a top level that is no object and
+        a file that does not exist: each is exit 2 with one stderr line
+        (naming the file when it is not JSON or cannot be read), not a
+        traceback."""
         doc = json.loads(json.dumps(paper_doc))
         doc["mtdc"]["nodes"][0]["cap"] = -0.1
-        cases = {
+        cases = {  # file name: (its bytes, None for no file; the start of the message)
             "bad.cfg": (json.dumps(doc).encode(), "mtdc.nodes[0].cap: must be > 0"),
-            "not_utf8.cfg": (b'{"mtdc": "\xff"}', "invalid JSON ('utf-8' codec can't decode byte 0xff"),
+            "not_utf8.cfg": (b'{"mtdc": "\xff"}',
+                             "{path}: invalid JSON ('utf-8' codec can't decode byte 0xff"),
             "nested.cfg": (b"[" * 100_000 + b"]" * 100_000,
-                           "invalid JSON (maximum recursion depth exceeded"),
+                           "{path}: invalid JSON (maximum recursion depth exceeded"),
+            "array.cfg": (b"[]", "top level: expected an object"),
+            "missing.cfg": (None, "cannot read {path}: "),
         }
         for name, (text, message) in cases.items():
             path = tmp_path / name
-            path.write_bytes(text)
+            if text is not None:
+                path.write_bytes(text)
             assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("configuration error: ") and message in err, err
+            assert err.startswith("configuration error: " + message.format(path=path)), err
             assert len(err.splitlines()) == 1, err
-            if name != "bad.cfg":
-                assert err.startswith(f"configuration error: {path}: ")
+
+    def test_module_entry_point_exit_code(self, paper_doc, tmp_path):
+        """``python -m mtdcsim.cli`` exits with the code of ``main``: 2 on a
+        malformed config, with its one stderr line."""
+        doc = json.loads(json.dumps(paper_doc))
+        doc["mtdc"]["nodes"][0]["cap"] = -0.1
+        path = tmp_path / "bad.cfg"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "mtdcsim.cli", "analyze", "--config", str(path),
+                               "--out", str(tmp_path / "o")],
+                              env=_package_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, "configuration error: mtdc.nodes[0].cap: "
+                                                     "must be > 0\n")
 
     @pytest.mark.parametrize("section, key, value", [("", "scenario", {"t_end": 1.0}),
                                                      ("controller", "gamma", 4.0)],
@@ -450,14 +477,14 @@ class TestAnalyzeCommand:
                             scenario=m.Scenario(t_end=1.0))
         path = tmp_path / "one.cfg"
         path.write_text(json.dumps(config_to_dict(sc)))
-        rep = cmd_analyze(path, tmp_path / "o")
-        assert rep.stability.certificate is m.CertificateClass.LYAPUNOV_PROVEN
+        cmd_analyze(path, tmp_path / "o")
 
         def reject(constant):
             raise ValueError(f"report.json holds {constant}")
 
         stability = json.loads((tmp_path / "o" / "report.json").read_text(),
                                parse_constant=reject)["stability"]
+        assert stability["certificate"] == "LYAPUNOV_PROVEN"
         assert (stability["assumption1"], stability["assumption2"]) == (None, None)
         assert stability["q2_min_eig"] is None and stability["q1_min_eig"] > 0.0
 
@@ -493,12 +520,13 @@ class TestAnalyzeCommand:
 class TestSimulateCommand:
     def test_emits_all_families(self, short_cfg_path, tmp_path):
         out = tmp_path / "run"
-        rep = cmd_simulate(short_cfg_path, out)
-        kinds = [k for k, _ in rep.artifacts]
+        cmd_simulate(short_cfg_path, out)
+        artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+        kinds = [a["kind"] for a in artifacts]
         assert kinds.count("TIMESERIES_CSV") == 4
         assert kinds.count("REPORT_JSON") == 1
-        for _, path in rep.artifacts:
-            assert Path(path).exists()
+        for a in artifacts:
+            assert Path(a["path"]).exists()
         header, data = _read_csv(out / "frequencies.csv")
         assert header == ["t"] + [f"freq_area_{i}" for i in range(1, 7)]
         assert data[0, 0] == 0.0 and data[-1, 0] == 2.0
@@ -522,6 +550,20 @@ class TestSimulateCommand:
         assert np.all(freq[:, 1:] == 1.0)
         _, vdc = _read_csv(out / "dc_voltages.csv")
         assert np.all(vdc[:, 1:] == 1.0)
+
+    def test_v_ref_left_out_takes_v_nom(self, short_cfg_path, tmp_path):
+        """A config that sets ``v_ref`` on no node runs every node at ``v_nom``:
+        the DC voltages start there."""
+        doc = json.loads(short_cfg_path.read_text())
+        doc["mtdc"]["v_nom"] = 1.05
+        for node in doc["mtdc"]["nodes"]:
+            del node["v_ref"]
+        path = tmp_path / "no_v_ref.cfg"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "nom"
+        cmd_simulate(path, out)
+        _, vdc = _read_csv(out / "dc_voltages.csv")
+        assert vdc[0, 0] == 0.0 and np.all(vdc[0, 1:] == 1.05)
 
     def test_variant_override(self, short_cfg_path, tmp_path):
         out = tmp_path / "dec"
@@ -747,11 +789,9 @@ class TestRuntimeDependencies:
             assert codes == [0, 0, 0], codes
             assert "scipy" not in sys.modules, sorted(k for k in sys.modules if "scipy" in k)
         """
-        src = str(Path(m.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", script, str(short_cfg_path), str(nonlinear),
-                               str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+                               str(tmp_path)], env=_package_env(), capture_output=True, text=True,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "n" / "frequencies.csv").exists()
 
@@ -885,9 +925,10 @@ class TestSweepCommand:
         assert data.shape[0] == 2
         assert data[0, 2] > data[1, 2]  # max_abs_freq_dev decreasing
 
-    @pytest.mark.parametrize("scales", ["-1", "0", "nan", "inf", "1e400", ""])
+    @pytest.mark.parametrize("scales", ["-1", "0", "nan", "inf", "1e400", "", "abc"])
     def test_rejects_bad_scales(self, damped_cfg_path, tmp_path, capsys, scales):
-        """Non-positive, non-finite or no scales: exit 2, one stderr line, no table."""
+        """Non-positive, non-finite, non-numeric or no scales: exit 2, one
+        stderr line, no table."""
         out = tmp_path / "w"
         code = main(["sweep", "--config", str(damped_cfg_path), "--out", str(out),
                      "--scales", scales])
@@ -978,31 +1019,50 @@ class TestWriters:
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
+def _series_csvs(out: Path, prefixes=("",)) -> list:
+    """The (kind, path) artifacts of the series CSV files under each file-name prefix."""
+    return [("TIMESERIES_CSV", str(out / f"{prefix}{family}.csv")) for prefix in prefixes
+            for family in ("frequencies", "dc_voltages", "generation", "injections")]
+
+
 class TestWriterOracles:
     """report.json, summary.csv and sweep.csv equal, byte for byte, what the
     hand-written writers kept above produce from the same results."""
 
-    def _assert_report_matches(self, rep, out, tmp_path, extra=None):
-        _old_report(tmp_path / "want.json", rep.stability, rep.equilibrium, rep.artifacts, extra)
+    @staticmethod
+    def _assert_report_matches(config_path, out, tmp_path, artifacts, variant=None, extra=None):
+        """report.json against the old writer, given the analysis of the model
+        the command builds (``cli.assemble_resistive``, patched or not) and
+        the artifacts before report.json."""
+        sc = m.load_config(config_path)
+        if variant is not None:
+            sc = replace(sc, cfg=replace(sc.cfg, variant=variant))
+        stability, equil = _analysis_pair(sc, cli.assemble_resistive(sc.net, sc.areas, sc.cfg))
+        _old_report(tmp_path / "want.json", stability, equil,
+                    [*artifacts, ("REPORT_JSON", str(out / "report.json"))], extra)
         assert (out / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_analyze_hurwitz_only(self, short_cfg_path, tmp_path):
-        rep = cmd_analyze(short_cfg_path, tmp_path / "a")
-        assert rep.stability.certificate is m.CertificateClass.HURWITZ_ONLY
-        assert not rep.stability.assumption2.holds
-        self._assert_report_matches(rep, tmp_path / "a", tmp_path)
+        cmd_analyze(short_cfg_path, tmp_path / "a")
+        stability = json.loads((tmp_path / "a" / "report.json").read_text())["stability"]
+        assert stability["certificate"] == "HURWITZ_ONLY"
+        assert not stability["assumption2"]["holds"]
+        self._assert_report_matches(short_cfg_path, tmp_path / "a", tmp_path, [])
 
     def test_analyze_lyapunov_proven(self, damped_cfg_path, tmp_path):
-        rep = cmd_analyze(damped_cfg_path, tmp_path / "a")
-        assert rep.stability.certificate is m.CertificateClass.LYAPUNOV_PROVEN
-        self._assert_report_matches(rep, tmp_path / "a", tmp_path)
+        cmd_analyze(damped_cfg_path, tmp_path / "a")
+        stability = json.loads((tmp_path / "a" / "report.json").read_text())["stability"]
+        assert stability["certificate"] == "LYAPUNOV_PROVEN"
+        self._assert_report_matches(damped_cfg_path, tmp_path / "a", tmp_path, [])
 
     def test_simulate_decentralized_nulls(self, short_cfg_path, tmp_path):
-        rep = cmd_simulate(short_cfg_path, tmp_path / "s", variant="dec_gen_dec_conv")
-        doc = json.loads((tmp_path / "s" / "report.json").read_text())
+        out = tmp_path / "s"
+        cmd_simulate(short_cfg_path, out, variant="dec_gen_dec_conv")
+        doc = json.loads((out / "report.json").read_text())
         assert doc["stability"]["assumption1"] is None and doc["stability"]["assumption2"] is None
         assert doc["equilibrium"]["eta_star"] is None and doc["equilibrium"]["phi_star"] is None
-        self._assert_report_matches(rep, tmp_path / "s", tmp_path)
+        self._assert_report_matches(short_cfg_path, out, tmp_path, _series_csvs(out),
+                                    variant=m.Variant.DEC_GEN_DEC_CONV)
 
     def test_non_hurwitz_loop_has_null_equilibrium(self, short_cfg_path, tmp_path, monkeypatch):
         real_assemble = cli.assemble_resistive
@@ -1012,19 +1072,23 @@ class TestWriterOracles:
             return replace(model, a=model.a + 800.0 * np.eye(model.dim))
 
         monkeypatch.setattr(cli, "assemble_resistive", unstable)
-        rep = cmd_analyze(short_cfg_path, tmp_path / "u")
-        assert rep.stability.certificate is m.CertificateClass.UNSTABLE
-        assert rep.equilibrium is None
-        assert json.loads((tmp_path / "u" / "report.json").read_text())["equilibrium"] is None
-        self._assert_report_matches(rep, tmp_path / "u", tmp_path)
+        cmd_analyze(short_cfg_path, tmp_path / "u")
+        doc = json.loads((tmp_path / "u" / "report.json").read_text())
+        assert doc["stability"]["certificate"] == "UNSTABLE"
+        assert doc["equilibrium"] is None
+        self._assert_report_matches(short_cfg_path, tmp_path / "u", tmp_path, [])
 
     def test_compare_summary_and_report(self, short_cfg_path, tmp_path):
         out = tmp_path / "c"
-        rep = cmd_compare(short_cfg_path, out)
+        cmd_compare(short_cfg_path, out)
         rows = json.loads((out / "report.json").read_text())["comparison"]
         _old_summary_csv(tmp_path / "want.csv", rows)
         assert (out / "summary.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        self._assert_report_matches(rep, out, tmp_path, extra={"comparison": rows})
+        artifacts = [*_series_csvs(out, ("dec_gen_dec_conv__", "dist_gen_dec_conv__",
+                                         "dist_gen_dist_conv__")),
+                     ("TIMESERIES_CSV", str(out / "summary.csv"))]
+        self._assert_report_matches(short_cfg_path, out, tmp_path, artifacts,
+                                    extra={"comparison": rows})
 
     def test_sweep_with_non_hurwitz_row(self, damped_cfg_path, tmp_path):
         out = tmp_path / "w"

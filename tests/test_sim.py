@@ -1046,6 +1046,12 @@ class TestNonlinearMode:
         scen = m.Scenario(t_end=20.0, dt=1e-2, mode=m.CouplingMode.NONLINEAR,
                           disturbances=(m.DisturbanceEvent(0.0, 0, 0, -1.2),))
         assert _assert_close_to_array_form(model, scen) > 0
+        # at record_every = 33 a record period is a block of HEUN_BLOCK = 32
+        # steps and a block of one: the collapse at step 131 (32 mod 33) is
+        # found in a one-step block
+        assert _kernels.HEUN_BLOCK == 32
+        scen = replace(scen, record_every=33, disturbances=(m.DisturbanceEvent(0.0, 0, 0, -2.0),))
+        assert _assert_close_to_array_form(model, scen) == 131
 
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
