@@ -155,8 +155,8 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     """Jump from knot to knot of ``union(rec_steps, seg_bounds)``.
 
     Over k steps of segment s, x <- phi^k x + S_k c_s with
-    S_k = phi^(k-1) + ... + I; S_k c_s is formed once per call, segment and
-    k. In a run of recorded intervals at the record stride in one segment,
+    S_k = phi^(k-1) + ... + I; S_k c_s is formed per run of equal intervals.
+    In a run of recorded intervals at the record stride in one segment,
     the first b = ``LINEAR_BLOCK`` rows come one from the other by a chain of
     products by phi^k, whose second row forms the block forcing
     f = sum_(i<b) (phi^k)^i S_k c_s; each later block of up to b rows comes
@@ -165,7 +165,6 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     The state is checked for finiteness at the recorded samples only.
     """
     stride = int(rec_steps[1]) if len(rec_steps) > 2 else 0
-    sums = {}
     x = x0.copy()
     out[0] = x
     ri = 1
@@ -176,9 +175,7 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     # it makes a group of its own
     for (k, s, recorded), run in groupby(zip(np.diff(knots).tolist(), segs.tolist(),
                                              np.isin(knots[1:], rec_steps).tolist())):
-        if (k, s) not in sums:
-            sums[k, s] = prop.summed(k, c_seg[s])
-        c_k = sums[k, s]
+        c_k = prop.summed(k, c_seg[s])
         if not recorded:
             x = prop.advance(k, x, stride) + c_k
             continue

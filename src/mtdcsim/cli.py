@@ -1,7 +1,10 @@
 """Command-line surface: analyze | simulate | compare | sweep. ``compare``
 runs the pairings of ``COMPARISON_VARIANTS``, each on its own reduced model.
 ``simulate`` and ``compare`` analyse before they integrate, so an
-equilibrium beyond the float range ends them before any series file.
+equilibrium beyond the float range ends them before any series file. The
+equilibria of ``report.json`` and ``sweep.csv`` are taken under the input of
+the run's last segment: an event at exactly ``t_end`` never applies and is
+not counted.
 
 Exit codes are a stable contract: 0 success, 2 configuration or usage
 error, 3 numerical abort during integration. Every CSV (the time series,
@@ -28,11 +31,10 @@ import numpy as np
 
 from ._blas import one_thread
 from .analysis import SweepRow, UnstableSystemError, equilibrium, gain_limit_sweep, stability_report
-from .assembly import (SERIES_FAMILIES, NonFiniteModelError, assemble_resistive,
-                       baseline_disturbance, disturbance_map)
+from .assembly import SERIES_FAMILIES, NonFiniteModelError, assemble_resistive
 from .config import ConfigError, SystemConfig, load_config
 from .control import Variant
-from .sim import IntegrationError, Trajectory, integrate
+from .sim import IntegrationError, Trajectory, _segments, integrate
 
 TIMESERIES_CSV = "TIMESERIES_CSV"
 TIMESERIES_JSON = "TIMESERIES_JSON"
@@ -157,18 +159,12 @@ def _finish_run(out: Path, artifacts, stability, equil, **extra) -> None:
         fh.write("\n")
 
 
-@np.errstate(over="ignore")  # a sum beyond the float range fails the equilibrium, once
-def _total_disturbance(sc: SystemConfig):
-    """Baseline plus every scenario event: the input the equilibrium is taken under."""
-    events = [(ev.area, ev.bus, ev.magnitude) for ev in sc.scenario.disturbances]
-    return baseline_disturbance(sc) + disturbance_map(sc, events)
-
-
 def _analysis_pair(sc: SystemConfig, model):
-    """Stability and equilibrium reports of the reduced ``model``."""
+    """Stability and equilibrium reports of the reduced ``model``, the
+    equilibrium under the input of the run's last segment."""
     stability = stability_report(model)
     try:
-        equil = equilibrium(model, _total_disturbance(sc), costs=sc.costs)
+        equil = equilibrium(model, _segments(model, sc.scenario)[1][-1], costs=sc.costs)
     except UnstableSystemError:
         equil = None
     return stability, equil
@@ -256,7 +252,7 @@ def cmd_sweep(config_path, out_dir, scales) -> None:
     if sc.cfg.gamma <= 0.0:
         raise ConfigError("controller.gamma: the gain sweep needs gamma > 0 "
                           "(undamped phase dynamics have no high-gain limit point)")
-    rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg, _total_disturbance(sc), scales)
+    rows = gain_limit_sweep(sc.net, sc.areas, sc.cfg, _segments(sc, sc.scenario)[1][-1], scales)
     # "%.17g" % True is "1": is_hurwitz needs no cell of its own
     _write_csv(out / "sweep.csv", [f.name for f in fields(SweepRow)],
                ["%.17g," % row.scale for row in rows], [astuple(row)[1:] for row in rows])

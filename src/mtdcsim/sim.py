@@ -168,8 +168,15 @@ def _event_step(time: float, dt: float, n_steps: int) -> int:
 
 
 @np.errstate(over="ignore")  # an input beyond the float range aborts the run, once
-def _segments(model: ClosedLoopModel, scenario: Scenario, n_steps: int):
-    """Piecewise-constant input: boundaries in steps and u per segment."""
+def _segments(model: ClosedLoopModel, scenario: Scenario):
+    """Piecewise-constant input: boundaries in steps and u per segment.
+
+    The one definition of a run's input: ``integrate`` steps it, and the
+    CLI takes its equilibria under the last segment's. An event at
+    ``t_end`` starts no segment, so it never applies. Reads only
+    ``model.areas``, so a ``SystemConfig`` serves as well.
+    """
+    n_steps = scenario.n_steps
     u = baseline_disturbance(model)
     events = sorted(scenario.disturbances, key=lambda ev: _event_step(ev.time, scenario.dt, n_steps))
     bounds = [0]
@@ -370,7 +377,7 @@ def integrate(model: ClosedLoopModel, scenario: Scenario) -> Trajectory:
     below it still aborts at t = 0.
     """
     n_steps = scenario.n_steps
-    bounds, inputs = _segments(model, scenario, n_steps)
+    bounds, inputs = _segments(model, scenario)
     rec_steps = _record_steps(n_steps, scenario.record_every)
     out = np.empty((rec_steps.shape[0], model.dim))
     prop = _propagator(model, scenario.dt)

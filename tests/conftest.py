@@ -112,7 +112,7 @@ def lyapunov_trace(model, scenario):
     guarantee.
     """
     traj = m.integrate(model, scenario)
-    u_final = _segments(model, scenario, scenario.n_steps)[1][-1]
+    u_final = _segments(model, scenario)[1][-1]
     x_ref = m.equilibrium(model, u_final).x_star if np.any(u_final != 0.0) else np.zeros(model.dim)
     p = lyapunov_matrix(model)
     rel = traj.states - x_ref
@@ -152,33 +152,40 @@ def three_area():
     return single_gen_system(3, gamma=4.0, k_phi=8.0)
 
 
+def random_config(rng, max_nodes=4):
+    """Random connected MTDC grid of 2 to ``max_nodes`` single-generator
+    areas under the distributed/distributed law, its phase graph
+    proportional to the conductance graph (Assumption 1 held)."""
+    n = int(rng.integers(2, max_nodes + 1))
+    edges = [(i, i + 1) for i in range(n - 1)]
+    extra = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    rng.shuffle(extra)
+    edges += extra[: int(rng.integers(0, len(extra) + 1))]
+    lines = tuple(m.DcLine(i, j, float(rng.uniform(0.05, 0.5)), l=1e-3, c=0.01)
+                  for i, j in edges)
+    net = m.MtdcNetwork(cap=tuple(float(rng.uniform(0.05, 0.5)) for _ in range(n)),
+                        lines=lines)
+    areas = tuple(m.AcArea(inertia=(float(rng.uniform(2.0, 20.0)),)) for _ in range(n))
+    k_phi = float(rng.uniform(1.0, 10.0))
+    gamma = float(rng.choice([0.0, k_phi / 4.0 + rng.uniform(0.5, 2.0)]))
+    cfg = m.ControllerConfig(
+        k_droop=tuple((float(rng.uniform(0.5, 5.0)),) for _ in range(n)),
+        k_droop_i=tuple((float(rng.uniform(0.2, 2.0)),) for _ in range(n)),
+        k_omega=tuple(float(rng.uniform(5.0, 50.0)) for _ in range(n)),
+        k_v=tuple(float(rng.uniform(1.0, 5.0)) for _ in range(n)),
+        comm_eta=m.WeightedGraph(n, tuple((ln.i, ln.j, float(rng.uniform(1.0, 10.0)) / ln.r)
+                                          for ln in lines)),
+        comm_phi=m.WeightedGraph(n, tuple((ln.i, ln.j, k_phi / ln.r) for ln in lines)),
+        gamma=gamma,
+        variant=m.Variant.DIST_GEN_DIST_CONV,
+    )
+    return net, areas, cfg
+
+
 def random_stable_config(rng, min_decay=0.05):
-    """Random connected MTDC grid with single-generator areas, retried
-    until the reduced distributed/distributed loop decays at ``min_decay``."""
+    """``random_config``, retried until the reduced loop decays at ``min_decay``."""
     while True:
-        n = int(rng.integers(2, 5))
-        edges = [(i, i + 1) for i in range(n - 1)]
-        extra = [(i, j) for i in range(n) for j in range(i + 2, n)]
-        rng.shuffle(extra)
-        edges += extra[: int(rng.integers(0, len(extra) + 1))]
-        lines = tuple(m.DcLine(i, j, float(rng.uniform(0.05, 0.5)), l=1e-3, c=0.01)
-                      for i, j in edges)
-        net = m.MtdcNetwork(cap=tuple(float(rng.uniform(0.05, 0.5)) for _ in range(n)),
-                            lines=lines)
-        areas = tuple(m.AcArea(inertia=(float(rng.uniform(2.0, 20.0)),)) for _ in range(n))
-        k_phi = float(rng.uniform(1.0, 10.0))
-        gamma = float(rng.choice([0.0, k_phi / 4.0 + rng.uniform(0.5, 2.0)]))
-        cfg = m.ControllerConfig(
-            k_droop=tuple((float(rng.uniform(0.5, 5.0)),) for _ in range(n)),
-            k_droop_i=tuple((float(rng.uniform(0.2, 2.0)),) for _ in range(n)),
-            k_omega=tuple(float(rng.uniform(5.0, 50.0)) for _ in range(n)),
-            k_v=tuple(float(rng.uniform(1.0, 5.0)) for _ in range(n)),
-            comm_eta=m.WeightedGraph(n, tuple((ln.i, ln.j, float(rng.uniform(1.0, 10.0)) / ln.r)
-                                              for ln in lines)),
-            comm_phi=m.WeightedGraph(n, tuple((ln.i, ln.j, k_phi / ln.r) for ln in lines)),
-            gamma=gamma,
-            variant=m.Variant.DIST_GEN_DIST_CONV,
-        )
+        net, areas, cfg = random_config(rng)
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
         abscissa, stable = m.hurwitz(model)
         if stable and abscissa < -min_decay:

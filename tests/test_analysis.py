@@ -12,7 +12,7 @@ import mtdcsim as m
 from mtdcsim.analysis import spectral_abscissa
 from mtdcsim.netgraph import laplacian
 
-from conftest import lyapunov_matrix, random_stable_config, single_gen_system
+from conftest import lyapunov_matrix, random_config, random_stable_config, single_gen_system
 from direct_rhs import direct_rhs, flatten, unflatten
 from test_assembly import multi_gen_system
 
@@ -27,6 +27,24 @@ def _assert_p_decreases(model):
     q = model.a.T @ p + p @ model.a
     assert np.linalg.eigvalsh(0.5 * (q + q.T)).max() <= 1e-12 * np.abs(q).max()
     assert np.linalg.eigvalsh(p).min() > 0.0
+
+
+def least_stable_gamma(net, areas, cfg, hi, assemble=m.assemble_resistive, tol=1e-9):
+    """The least damping in [0, ``hi``] at which the assembled loop is
+    Hurwitz, to ``tol`` relative to ``hi``, by bisection on ``hurwitz``; the
+    loop must be Hurwitz at ``hi``. Every gamma the bisection finds unstable
+    lies below the result."""
+    def stable(gamma):
+        return m.hurwitz(assemble(net, areas, replace(cfg, gamma=gamma)))[1]
+
+    assert stable(hi)
+    if stable(0.0):
+        return 0.0
+    lo = 0.0
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if stable(mid) else (mid, hi)
+    return hi
 
 
 class TestAssumption1:
@@ -55,6 +73,10 @@ class TestAssumption1:
         with pytest.raises(ValueError, match="zero"):
             m.check_assumption1(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            m.check_assumption1(np.eye(2), np.eye(3))
+
 
 class TestAssumption2:
     def test_reference_zero_damping_fails(self):
@@ -70,6 +92,13 @@ class TestAssumption2:
 
     def test_boundary_is_strict(self):
         assert not m.check_assumption2(3.75, 15.0, 1.0).holds
+
+    @pytest.mark.parametrize("k_phi, v_nom, message", [(-1.0, 1.0, "k_phi must be >= 0"),
+                                                       (15.0, 0.0, "v_nom must be > 0")],
+                             ids=["k_phi_negative", "v_nom_zero"])
+    def test_rejects_negative_factor_or_voltage(self, k_phi, v_nom, message):
+        with pytest.raises(ValueError, match=message):
+            m.check_assumption2(4.0, k_phi, v_nom)
 
 
 class TestHurwitz:
@@ -253,6 +282,40 @@ class TestStabilityReport:
         else:
             assert rep.certificate is m.CertificateClass.LYAPUNOV_PROVEN
             _assert_p_decreases(model)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_damping_bound_from_the_spectrum(self, seed):
+        """Random 2-5-terminal resistive grids under the distributed converter
+        law, Assumption 1 held: the loop is Hurwitz just above the damping
+        bound k_phi / (4 v_nom), and no gamma up to four times the bound
+        that bisection on the spectrum finds unstable exceeds it."""
+        net, areas, cfg = random_config(np.random.default_rng(seed), max_nodes=5)
+        a1 = m.check_assumption1(laplacian(cfg.comm_phi), laplacian(net.conductance_graph()))
+        assert a1.holds
+        bound = a1.k_phi / (4.0 * net.v_nom)
+        above = replace(cfg, gamma=bound * (1 + 1e-6))
+        assert m.hurwitz(m.assemble_resistive(net, areas, above))[1]
+        assert least_stable_gamma(net, areas, cfg, 4.0 * bound) <= bound
+
+    @pytest.mark.parametrize("l_over_r, stable", [(0.238, True), (0.241, False)])
+    def test_pi_link_counterexample_boundary(self, l_over_r, stable):
+        """The loop of the counterexample below turns unstable as the line's
+        L/R crosses 0.2393 s (the abscissa is -0.383 at 0.2 s, +0.082 at
+        0.25 s); with a resistive line it is proven at any L/R."""
+        net, areas, cfg = single_gen_system(2, gamma=4.5)
+        net = replace(net, lines=(replace(net.lines[0], l=0.1 * l_over_r),))  # r = 0.1
+        assert m.hurwitz(m.assemble_pi_link(net, areas, cfg))[1] == stable
+
+    def test_pi_link_counterexample_needs_more_damping(self):
+        """At the counterexample's L/R = 0.5 s the pi-link loop is Hurwitz
+        only from gamma = 7.955, more than twice the bound 3.75; with a
+        resistive line it is Hurwitz undamped."""
+        net, areas, cfg = single_gen_system(2, gamma=4.5)
+        net = replace(net, lines=(replace(net.lines[0], l=0.05),))
+        assert least_stable_gamma(net, areas, cfg, 20.0) == 0.0
+        assert least_stable_gamma(net, areas, cfg, 20.0, assemble=m.assemble_pi_link) == \
+            pytest.approx(7.955, abs=1e-3)
 
     def test_pi_link_counterexample_under_distributed_law(self):
         """Two terminals, both assumptions held (gamma 4.5 against the bound

@@ -91,6 +91,18 @@ class TestAssembleResistive:
         with pytest.raises(ValueError, match="bus counts"):
             m.assemble_resistive(net, areas, bad)
 
+    @pytest.mark.parametrize("areas, gains, message", [
+        (1, 2, "one AC area per converter node"),
+        (2, 1, "controller gain lists must match the converter count"),
+    ], ids=["one_area_short", "one_gain_short"])
+    def test_mismatched_counts_rejected(self, areas, gains, message):
+        net, all_areas, _ = multi_gen_system()
+        cfg = m.ControllerConfig(
+            k_droop=((1.0,) * 3, (1.0,) * 2)[:gains], k_droop_i=((0.5,) * 3, (0.5,) * 2)[:gains],
+            k_omega=(1.0,) * gains, k_v=(1.0,) * gains, variant=m.Variant.DEC_GEN_DEC_CONV)
+        with pytest.raises(ValueError, match=message):
+            m.assemble_resistive(net, all_areas[:areas], cfg)
+
 
 class TestAssemblePiLink:
     def test_reference_dimension_count(self, paper_sc):
@@ -400,6 +412,10 @@ class TestDisturbanceMap:
     def test_unknown_bus(self, paper_model_full):
         with pytest.raises(ValueError, match="unknown bus"):
             m.disturbance_map(paper_model_full, [(0, 14, 1.0)])
+
+    def test_unknown_area(self, paper_model_full):
+        with pytest.raises(ValueError, match="unknown area 6"):
+            m.disturbance_map(paper_model_full, [(6, 0, 1.0)])
 
 
 class TestOutputRows:

@@ -24,6 +24,7 @@ from mtdcsim.cli import (_analysis_pair, _write_csv, _write_series_json, cmd_ana
                          cmd_sweep, main)
 from mtdcsim.config import (_AC_LINE, _EDGE, _EVENT, _GENERATOR, _LINE, _NODE, SystemConfig,
                             parse_config)
+from mtdcsim.sim import _segments
 
 from conftest import random_stable_config, single_gen_system
 
@@ -366,6 +367,14 @@ class TestConfigFuzz:
         ([(("scenario", "disturbances", 0, "area"), 99)],
          "scenario.disturbances[0].area: no such area"),
         ([(("areas", 0, "p_m"), [0.0, 0.0])], "areas[0]: p_m length must match bus count"),
+        ([(("controller", "k_v"), [80.0] * 5)],
+         "controller: per-converter gain lists must share one length"),
+        ([(("controller", "comm_eta"), [{"i": 0, "j": 1, "w": 1.0}])],
+         "controller: comm_eta must be connected"),
+        ([(("controller", "comm_phi"), _DELETE)],
+         "controller: distributed converter law needs a comm_phi graph over the converters"),
+        ([(("costs",), {"f_p": [1.0] * 6, "f_v": [1.0] * 5})],
+         "costs: f_p and f_v must share one length"),
     ], ids=["omega_ref_null", "magnitude_null", "cap_null", "cap_bool", "variant_int",
             "areas_null", "t_end_1e308", "event_in_missing_area", "v_ref_negative",
             "converter_bus_nonzero", "certificate_overflow", "equilibrium_overflow",
@@ -373,7 +382,9 @@ class TestConfigFuzz:
             "k_omega_zero", "k_droop_negative", "k_droop_i_zero", "comm_phi_disconnected",
             "t_end_negative", "cost_weights_zero", "five_cost_weights", "no_nodes",
             "v_ref_partial", "mode_unknown", "no_generators", "unknown_controller_key",
-            "unknown_top_level_key", "unknown_line_key", "event_in_no_area", "p_m_wrong_length"])
+            "unknown_top_level_key", "unknown_line_key", "event_in_no_area", "p_m_wrong_length",
+            "k_v_wrong_length", "comm_eta_disconnected", "comm_phi_missing",
+            "cost_lengths_differ"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
         doc = json.loads(json.dumps(paper_doc))
         for place, value in edits:
@@ -515,6 +526,31 @@ class TestAnalyzeCommand:
         stability, equil = _analysis_pair(paper_sc, model)
         assert shapes == [(model.dim, model.dim)]
         assert stability.spectral_abscissa < 0.0 and equil is not None
+
+    @pytest.mark.parametrize("case", ["event_at_t_end", "three_events_with_baseline"])
+    def test_equilibrium_is_under_the_runs_last_input(self, short_cfg_path, tmp_path, case):
+        """The report's equilibrium is the one the run converges to: it is
+        taken under the last segment's input, so an event at ``t_end`` (which
+        never applies) is not counted, and events add to the baseline in the
+        order the run applies them, not in config order."""
+        doc = json.loads(short_cfg_path.read_text())
+        events = doc["scenario"]["disturbances"]
+        if case == "event_at_t_end":
+            cmd_analyze(short_cfg_path, tmp_path / "without")
+            want = json.loads((tmp_path / "without" / "report.json").read_text())["equilibrium"]
+            events.append({"time": 2.0, "area": 2, "bus": 0, "magnitude": -0.3})
+        else:
+            doc["areas"][1]["p_m"] = [0.1] * len(doc["areas"][1]["generators"])
+            events[:] = [{"time": t, "area": 1, "bus": 0, "magnitude": mag}
+                         for t, mag in ((1.5, 0.2), (0.5, 0.1), (1.0, 0.3))]
+            sc = parse_config(doc)
+            model = m.assemble_resistive(sc.net, sc.areas, sc.cfg)
+            want = _equilibrium_to_dict(m.equilibrium(model, _segments(model, sc.scenario)[1][-1],
+                                                      costs=sc.costs))
+        path = tmp_path / f"{case}.cfg"
+        path.write_text(json.dumps(doc))
+        cmd_analyze(path, tmp_path / "with")
+        assert json.loads((tmp_path / "with" / "report.json").read_text())["equilibrium"] == want
 
 
 class TestSimulateCommand:
@@ -1095,7 +1131,7 @@ class TestWriterOracles:
         assert main(["sweep", "--config", str(damped_cfg_path), "--out", str(out),
                      "--scales", "1,1e300"]) == 0
         sc = m.load_config(damped_cfg_path)
-        rows = m.gain_limit_sweep(sc.net, sc.areas, sc.cfg, cli._total_disturbance(sc),
+        rows = m.gain_limit_sweep(sc.net, sc.areas, sc.cfg, _segments(sc, sc.scenario)[1][-1],
                                   [1.0, 1e300])
         assert [r.is_hurwitz for r in rows] == [True, False]
         _old_sweep_csv(tmp_path / "want.csv", rows)

@@ -123,6 +123,14 @@ class TestConvControl:
                                    rtol=1e-12, atol=1e-12)
 
 
+class TestControllerConfig:
+    def test_droop_lists_of_one_area_must_match(self):
+        with pytest.raises(ValueError, match="area 1: droop gain lists must share one length"):
+            m.ControllerConfig(k_droop=((1.0,), (1.0, 1.0)), k_droop_i=((1.0,), (1.0,)),
+                               k_omega=(1.0, 1.0), k_v=(1.0, 1.0),
+                               variant=m.Variant.DEC_GEN_DEC_CONV)
+
+
 class TestPowerToCurrent:
     def test_linear_divides_by_nominal(self):
         """Linear coupling: the DC rows inject p_inj / v_nom into each node."""

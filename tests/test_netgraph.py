@@ -41,6 +41,10 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="out of range"):
             WeightedGraph(2, ((0, 2, 1.0),))
 
+    def test_rejects_no_node(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            WeightedGraph(0)
+
 
 class TestLaplacian:
     def test_single_conductance_edge(self):
@@ -149,3 +153,7 @@ class TestLineIncidence:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             line_incidence([(1, 1)], 3)
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match="line 0: endpoint out of range"):
+            line_incidence([(0, 3)], 3)

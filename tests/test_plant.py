@@ -34,6 +34,16 @@ class TestMtdcNetwork:
         with pytest.raises(ValueError, match=r"v_ref\[1\]: must be finite and > 0"):
             m.MtdcNetwork(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 0.1),), v_ref=(1.0, v_ref))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(cap=(), lines=()), "network needs at least one node"),
+        (dict(cap=(1.0,), lines=(), v_nom=float("nan")), "v_nom must be finite and > 0"),
+        (dict(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 0.1),), v_ref=(1.0,)),
+         "v_ref length must match node count"),
+    ], ids=["no_node", "v_nom_nan", "v_ref_length"])
+    def test_rejects_malformed(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            m.MtdcNetwork(**kwargs)
+
     def test_vref_defaults_to_vnom(self):
         net = m.MtdcNetwork(cap=(1.0,), lines=(), v_nom=1.05)
         assert net.v_ref == (1.05,)
@@ -99,6 +109,10 @@ class TestAcArea:
         with pytest.raises(ValueError, match="connected"):
             m.AcArea(inertia=(1.0, 1.0, 1.0), ac_lines=((0, 1, 1.0),))
 
+    def test_no_bus_rejected(self):
+        with pytest.raises(ValueError, match="area needs at least one bus"):
+            m.AcArea(inertia=())
+
 
 class TestPiLink:
     def test_single_segment_table_values(self):
@@ -127,6 +141,15 @@ class TestPiLink:
                  m.DcLine(1, 2, 0.1, l=1e-3, c=0.01, segments=2))
         net = m.MtdcNetwork(cap=(1.0, 1.0, 1.0), lines=lines)
         with pytest.raises(ValueError, match="segment count"):
+            pi_link_matrices(net)
+
+    @pytest.mark.parametrize("lines, message", [
+        ((), "pi-link model needs at least one line"),
+        ((m.DcLine(0, 1, 0.1, l=1e-3, c=0.0, segments=2),), r"segments > 1 needs c > 0"),
+    ], ids=["no_line", "segments_without_c"])
+    def test_rejects_unbuildable_chain(self, lines, message):
+        net = m.MtdcNetwork(cap=(1.0,) * (1 + len(lines)), lines=lines)
+        with pytest.raises(ValueError, match=message):
             pi_link_matrices(net)
 
     @pytest.mark.parametrize("segments", [1, 3])

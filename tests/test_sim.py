@@ -46,7 +46,7 @@ def _reference_exact(model, scenario):
     record times, recorded states), the states NaN past an abort."""
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
-    bounds, inputs = _segments(model, scenario, n_steps)
+    bounds, inputs = _segments(model, scenario)
     rec_steps = _record_steps(n_steps, scenario.record_every)
     dim = model.dim
     aug = np.zeros((2 * dim, 2 * dim))
@@ -124,7 +124,7 @@ def _reference_etd2(model, scenario):
     """Nonlinear Heun stepper written out per converter, with two full
     ``gamma @ g`` products per step; returns (status, recorded states)."""
     n_steps = int(round(scenario.t_end / scenario.dt))
-    bounds, inputs = _segments(model, scenario, n_steps)
+    bounds, inputs = _segments(model, scenario)
     rec_steps = _record_steps(n_steps, scenario.record_every)
     # phi, c_seg and gamma[:, vdc] from the same exponential integrate takes;
     # gamma is zero-filled outside vdc, where g is zero anyway
@@ -231,7 +231,7 @@ def _whole_run(model, scenario, x0=None, kernel=None):
     default) over the whole run from step 0, with the inputs ``integrate``
     forms; returns its status and all the rows."""
     n_steps = scenario.n_steps
-    bounds, inputs = _segments(model, scenario, n_steps)
+    bounds, inputs = _segments(model, scenario)
     rec_steps = _record_steps(n_steps, scenario.record_every)
     prop = m.sim._propagator(model, scenario.dt)
     if kernel is None:
