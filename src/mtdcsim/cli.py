@@ -16,10 +16,10 @@ Two cells of ``sweep.csv`` are not such floats: ``is_hurwitz`` is ``1`` or
 columns after it.
 
 Every cell is written as the bytes of ``"%.17g" % v`` (``_write_csv``).
-Its digits come from exact integer arithmetic on one long-double rounding,
-over all cells of 512 rows at once. A cell that this cannot decide (near
-a tie, outside 1e-11 <= |v| < 1e17, or not finite) is formatted by
-``"%.17g"`` itself.
+Its digits are rounded exactly, half to even, in uint64 integer arithmetic
+over all cells of 512 rows at once, so they do not depend on the platform's
+long double. Only a cell that is not finite or lies outside
+1e-11 <= |v| < 1e17 is formatted by ``"%.17g"`` itself.
 """
 
 from __future__ import annotations
@@ -73,26 +73,31 @@ def _artifact(path: Path):
 # "-2.2250738585072014e-308", fits before the separator.
 _CELL = 29
 _ROWS_PER_CHUNK = 512  # bounds the working arrays: 0.8 MB at 7 columns
-# bound on the error of the one rounded product |x|·10**(16-e) < 1e17, at
-# the unit roundoff eps/2; where long double is double it exceeds 0.5 and
-# every cell takes the fallback
-_ROUNDING_ERROR = 1e17 * float(np.finfo(np.longdouble).eps) / 2
+# the operands of the limb arithmetic in ``_digits``: all uint64, so that the
+# casting rules of numpy 1.x and 2.x both keep uint64 (with int64 it is float64)
+_ONE, _LIMB, _WORD, _LOW_LIMB = np.uint64(1), np.uint64(32), np.uint64(64), np.uint64(2**32 - 1)
 
 
 @functools.cache  # built on first use: a command that writes no CSV never builds them
 def _tables():
     """The lookup tables of ``_format_cells``: the ASCII digits of 0000..9999,
     one row per digit, and the trailing zeros of each (the four-digit chunks
-    of a cell's digits); 10**k for 0 <= k <= 27, exact where long double has
-    a 64-bit significand; and by decimal exponent e, -11 <= e <= 16 (column
+    of a cell's digits); 5**k for 0 <= k <= 27; the least double >= 10**e
+    for -11 <= e <= 17; and by decimal exponent e, -11 <= e <= 16 (column
     e + 11), the digits before the point, the lead of a fixed number below 1
     and the exponent below 1e-4."""
     chunk = np.arange(10000, dtype=np.int16)
     e = np.arange(-11, 17)
+    bounds = []
+    for k in range(-11, 18):
+        b = float(f"1e{k}")  # the nearest double, so one step below 10**k at most
+        num, den = b.as_integer_ratio()
+        bounds.append(b if num * 10**max(-k, 0) >= den * 10**max(k, 0) else np.nextafter(b, np.inf))
     return (
         (chunk // np.array([[1000], [100], [10], [1]], np.int16) % 10 + ord("0")).astype(np.uint8),
         sum(chunk % 10**k == 0 for k in range(1, 5)).astype(np.int8),
-        np.cumprod(np.r_[1, np.full(27, 10)], dtype=np.longdouble),
+        np.uint64(5) ** np.arange(28, dtype=np.uint64),
+        np.array(bounds),
         np.where(e >= 0, e + 1, e < -4).astype(np.int8),
         np.where((-4 <= e) & (e < 0) & (np.arange(5)[:, None] < 1 - e),
                  np.frombuffer(b"0.000", np.uint8)[:, None], 0).astype(np.uint8),
@@ -102,8 +107,44 @@ def _tables():
 
 
 def _fallback_cells(values) -> list:
-    """The cells the digit arithmetic cannot decide, formatted by Python."""
+    """The cells outside the digit arithmetic's range, formatted by Python."""
     return [("%.17g" % v).encode() for v in values]
+
+
+def _decimal_exponents(a) -> np.ndarray:
+    """The decimal exponent e of each float a >= 0, 10**e <= a < 10**(e + 1),
+    exactly, for a in [1e-11, 1e17); -12 below that range, and 17 from 1e17
+    on, inf and nan included. A zero has e = 0, the exponent it prints with."""
+    e = np.searchsorted(_tables()[3], a, side="right") - 12
+    e[a == 0.0] = 0
+    return e
+
+
+def _digits(a, k) -> np.ndarray:
+    """round-half-even(a·10**k) of each finite float a >= 0, for
+    0 <= k <= 27 and a·10**k < 1e17, exactly, as int64.
+
+    Both factors are integers times a power of two: a = M·2**(p - 53) with
+    M < 2**53 (``np.frexp``), and 10**k = 5**k·2**k with 5**k < 2**63. So
+    a·10**k is M·5**k, of at most 116 bits, held in two uint64 words of
+    32-bit limb products, shifted right by s = 53 - p - k bits and rounded;
+    where s < 1 it is that product shifted left, and exact."""
+    m, p = np.frexp(a)
+    big = (m * 2.0**53).astype(np.uint64)
+    five = _tables()[2][k]
+    big_hi, big_lo = big >> _LIMB, big & _LOW_LIMB
+    five_hi, five_lo = five >> _LIMB, five & _LOW_LIMB
+    mid = big_hi * five_lo + big_lo * five_hi  # below 2**53 + 2**63: no carry out
+    mid_lo = mid << _LIMB
+    lo = big_lo * five_lo + mid_lo  # modulo 2**64; it wrapped where lo < mid_lo
+    hi = big_hi * five_hi + (mid >> _LIMB) + (lo < mid_lo)
+    s = 53 - p - k
+    right = np.clip(s, 1, 63).astype(np.uint64)
+    q = hi << (_WORD - right) | lo >> right  # the quotient, below 1e17 where s >= 1
+    rest = lo & ((_ONE << right) - _ONE)
+    half = _ONE << (right - _ONE)
+    q += (rest > half) | ((rest == half) & (q & _ONE == _ONE))
+    return np.where(s > 0, q, lo << np.clip(-s, 0, 63).astype(np.uint64)).astype(np.int64)
 
 
 def _format_cells(values) -> np.ndarray:
@@ -111,28 +152,21 @@ def _format_cells(values) -> np.ndarray:
     ``,`` (``\\n`` after the last column), in row-major cell order: uint8
     (cells, _CELL), NUL-padded.
 
-    A cell with 1e-11 <= |x| < 1e17 takes its 17 digits from d = rint(y),
-    y = |x|·10**(16-e) in long double, e = floor(log10|x|). That is one
-    rounding, so d is the correctly rounded digit string unless y lies
-    within ``_ROUNDING_ERROR`` of a tie. Such a cell, one where y or d is
-    not in [1e16, 1e17) (log10 missed e, or d carried), and every other
-    nonzero cell (non-finite, tiny or huge) take ``_fallback_cells``. The
-    slots are filled one slot row at a time, over all cells at once."""
-    chunk_digits, chunk_zeros, pow10, int_digits, lead, exponent = _tables()
+    A cell with 1e-11 <= |v| < 1e17 takes its 17 digits from d =
+    round-half-even(|v|·10**(16-e)), with 10**e <= |v| < 10**(e+1), both
+    computed exactly in integers (``_decimal_exponents``, ``_digits``). So d
+    is in [1e16, 1e17) and is the digit string of ``"%.17g"``, on every
+    platform. A zero prints as ``0``. The nonzero cells outside that range,
+    and the non-finite ones, take ``_fallback_cells``. The slots are filled
+    one slot row at a time, over all cells at once."""
+    chunk_digits, chunk_zeros, _, _, int_digits, lead, exponent = _tables()
     x = values.ravel()
     n = x.shape[0]
     a = np.abs(x)
-    zero = a == 0.0
-    fast = (a >= 1e-11) & (a < 1e17)
-    a = np.where(fast, a, 1.0)  # a neutral operand for the cells the fallback writes
-    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -11, 16)
-    y = a.astype(np.longdouble) * pow10[16 - e]
-    r = np.rint(y)
-    d = r.astype(np.int64)
-    fast &= (y >= 1e16) & (d < 10**17)
-    fast |= zero
-    fast &= np.abs(y - r) < 0.5 - _ROUNDING_ERROR  # y - r is exact
-    d[zero] = 0  # a zero has e = 0, from the neutral operand, and prints as "0"
+    e = _decimal_exponents(a)
+    slow = (e < -11) | (e > 16)
+    e[slow] = 0  # with a zero operand, a neutral cell for those the fallback writes
+    d = _digits(np.where(slow, 0.0, a), 16 - e)
 
     # (np.take writes into ``out`` unbuffered only with a mode other than "raise";
     # every index here is in range)
@@ -167,7 +201,6 @@ def _format_cells(values) -> np.ndarray:
     np.take(exponent, e + 11, axis=1, out=cells[24:28], mode="clip")
     cells[28] = ord(",")
     cells[28, values.shape[1] - 1::values.shape[1]] = ord("\n")
-    slow = ~fast
     if slow.any():
         cells[:_CELL - 1, slow] = np.array(_fallback_cells(x[slow].tolist()),
                                            dtype=f"S{_CELL - 1}").view(np.uint8).reshape(-1, _CELL - 1).T
@@ -185,7 +218,7 @@ def _write_csv(path: Path, names, values, labels=None) -> None:
             if labels is not None:
                 label_cells = np.array([f"{s},".encode() for s in labels[start:start + _ROWS_PER_CHUNK]])
                 rows = np.concatenate([label_cells.view(np.uint8).reshape(block.shape[0], -1), rows], axis=1)
-            fh.write(rows[rows != 0].tobytes())
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _write_series_json(path: Path, names, times, columns) -> None:

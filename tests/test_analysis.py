@@ -113,6 +113,11 @@ class TestHurwitz:
         assert abscissa == pytest.approx(-1.0)
         assert ok
 
+    def test_eigenvalue_failure_is_runtime_error(self):
+        with pytest.raises(RuntimeError, match="eigenvalue computation failed") as info:
+            spectral_abscissa(np.array([[np.nan]]))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_rejects_full_model(self, paper_model_full):
         with pytest.raises(ValueError, match="reduced"):
             m.hurwitz(paper_model_full)

@@ -5,17 +5,19 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtdcsim as m
@@ -1032,6 +1034,26 @@ _ANY_CELL = st.one_of(st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, 
                       st.floats(-1e17, 1e17))
 
 
+@st.composite
+def _exact_tie(draw):
+    """x = n·2**(e-17) with n odd and 10**e <= x < 10**(e+1), so that
+    x·10**(16-e) = n·5**(16-e)/2 lies exactly halfway between two digit
+    strings."""
+    e = draw(st.integers(-8, 15))
+    low = math.ceil(Fraction(10) ** e * 2 ** (17 - e))
+    high = min(math.ceil(Fraction(10) ** (e + 1) * 2 ** (17 - e)), 2**53)  # n < high
+    return math.ldexp(2 * draw(st.integers(low // 2, (high - 2) // 2)) + 1, e - 17)
+
+
+# where the rounding of the 17th digit changes: exact ties, the double
+# nearest an 18-digit decimal ending in 5 (a near-tie), and integers from
+# 2**53 on, whose digits are the integer shifted left
+_TIE_CELL = st.one_of(
+    _exact_tie(),
+    st.builds(lambda j, exp: float(f"{10 * j + 5}e{exp}"), st.integers(10**16, 10**17 - 1), st.integers(-28, -2)),
+    st.integers(2**53, 10**17 - 1).map(float))
+
+
 class TestWriters:
     """The writers reproduce the per-value formatting they replaced."""
 
@@ -1067,6 +1089,13 @@ class TestWriters:
     def test_csv_matches_per_cell_format_on_any_bits(self, rows, tmp_path_factory):
         self._assert_csv_per_cell(tmp_path_factory.mktemp("bits") / "s.csv", np.array(rows))
 
+    @given(rows=st.lists(st.lists(_TIE_CELL, min_size=3, max_size=3), min_size=1, max_size=20))
+    # a tie that rounds to even (1.0000228881835938), the double nearest 1e-7 (below it), 2**53
+    @example(rows=[[131075 * 2**-17, 9.9999999999999995e-08, 2.0**53]])
+    @settings(max_examples=150, deadline=None)
+    def test_csv_matches_per_cell_format_at_ties(self, rows, tmp_path_factory):
+        self._assert_csv_per_cell(tmp_path_factory.mktemp("ties") / "s.csv", np.array(rows))
+
     @staticmethod
     def _edge_values():
         """10**k and both its neighbours for -30 <= k <= 30, a value that
@@ -1083,16 +1112,21 @@ class TestWriters:
         self._assert_csv_per_cell(tmp_path / "s.csv", self._edge_values())
 
     def test_csv_every_cell_on_the_fallback(self, tmp_path, monkeypatch):
-        """With the tie bound of a platform whose long double is double, every
-        cell takes the per-cell fallback, and the bytes do not change."""
+        """With every decimal exponent out of the digit arithmetic's range,
+        every cell, zeros included, takes the per-cell fallback, and the
+        bytes do not change."""
         values = self._edge_values()
         fallback_cells = []
         real_fallback = cli._fallback_cells
-        monkeypatch.setattr(cli, "_ROUNDING_ERROR", 1e17 * float(np.finfo(np.float64).eps) / 2)
+        monkeypatch.setattr(cli, "_decimal_exponents", lambda a: np.full(a.shape, 17))
         monkeypatch.setattr(cli, "_fallback_cells",
                             lambda cells: fallback_cells.extend(cells) or real_fallback(cells))
         self._assert_csv_per_cell(tmp_path / "s.csv", values)
         assert len(fallback_cells) == values.size
+
+    def test_json_refuses_unknown_type(self):
+        with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+            cli._jsonable(object())
 
     def test_json_matches_per_value_dump(self, tmp_path):
         names, times, columns = self._data()
@@ -1175,6 +1209,20 @@ class TestWriterOracles:
                      ("TIMESERIES_CSV", str(out / "summary.csv"))]
         self._assert_report_matches(short_cfg_path, out, tmp_path, artifacts,
                                     extra={"comparison": rows})
+
+    def test_reference_series_per_cell(self, tmp_path):
+        """The reference run's four series files, 126 028 cells over nine
+        blocks of ``cli._ROWS_PER_CHUNK`` rows each, hold ``"%.17g"`` of each
+        value of ``integrate``'s series."""
+        out = tmp_path / "s"
+        cmd_simulate(m.reference_config_path(), out)
+        sc = m.load_config(m.reference_config_path())
+        traj = m.integrate(m.assemble_resistive(sc.net, sc.areas, sc.cfg), sc.scenario)
+        for family, prefix in cli.SERIES_COLUMNS.items():
+            series = traj.series[:, traj.model.rows(family)]
+            lines = [",".join(["t", *(f"{prefix}{i + 1}" for i in range(series.shape[1]))])]
+            lines += [",".join("%.17g" % v for v in row) for row in np.column_stack([traj.times, series]).tolist()]
+            assert (out / f"{family}.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_sweep_with_non_hurwitz_row(self, damped_cfg_path, tmp_path):
         out = tmp_path / "w"
