@@ -1,11 +1,16 @@
 """Fixed-step integration loops: the hot path of every simulation.
 
-Each kernel advances the state over piecewise-constant input segments with
-the exact zero-order-hold propagator and writes decimated samples into a
-preallocated output array. Both are ``kernel(prop, c_seg, seg_bounds, x0,
-rec_steps, out)``: the model's ``Propagator`` at the step size, the
-one-step forcing per segment, the segment bounds and the record steps
-(the first is 0), the initial state and the output array.
+Each kernel advances the state from rest over piecewise-constant input
+segments with the exact zero-order-hold propagator and writes decimated
+samples into a preallocated output array. Both are ``kernel(prop, c_seg,
+seg_bounds, rec_steps, out)``: the model's ``Propagator`` at the step size,
+the one-step forcing per segment, the segment bounds and the record steps
+of the whole run (both start at 0) and the output array, one row per
+record. A run whose first segment leaves it exactly at zero (``_at_rest``)
+gets +0.0 in the records up to that segment's end, and is stepped from
+there: the same states, signs of zero included, as stepping it from
+step 0. A run under no input then forms no power of phi and no block
+matrix.
 
 Kernels return -1 on success or the failing step index when the state
 stops being finite (or, for the nonlinear kernel, when a DC voltage drops
@@ -151,7 +156,24 @@ class Propagator:
         return self._blocks
 
 
-def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
+def _at_rest(prop, c_seg):
+    """Whether the zero state stays exactly zero through the first segment:
+    it does under zero input unless phi is not finite, whose product with
+    the zero state is NaN."""
+    return not c_seg[0].any() and bool(np.isfinite(prop.phi).all())
+
+
+def _start(rest, seg_bounds, rec_steps, out):
+    """Write +0.0 to the records before stepping starts, those up to the
+    first segment's end if ``rest``, else the one at step 0; return the
+    first segment to step and the first record left to write."""
+    s0 = int(rest)
+    ri = int(np.searchsorted(rec_steps, seg_bounds[s0], side="right"))
+    out[:ri] = 0.0
+    return s0, ri
+
+
+def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
     """Jump from knot to knot of ``union(rec_steps, seg_bounds)``.
 
     Over k steps of segment s, x <- phi^k x + S_k c_s with
@@ -165,10 +187,9 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     The state is checked for finiteness at the recorded samples only.
     """
     stride = int(rec_steps[1]) if len(rec_steps) > 2 else 0
-    x = x0.copy()
-    out[0] = x
-    ri = 1
-    knots = np.sort(np.concatenate([rec_steps, seg_bounds]))  # np.union1d hashes: 10x slower
+    s0, ri = _start(_at_rest(prop, c_seg), seg_bounds, rec_steps, out)
+    x = np.zeros(out.shape[1])
+    knots = np.sort(np.concatenate([rec_steps[ri:], seg_bounds[s0:]]))  # np.union1d hashes: 10x slower
     knots = knots[np.diff(knots, prepend=-1) > 0]
     segs = np.searchsorted(seg_bounds, knots[:-1], side="right") - 1
     # an interval that ends off the record grid ends at a segment bound, so
@@ -218,7 +239,7 @@ def exact_linear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     return -1
 
 
-def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
+def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
     """Exact linear propagation, Heun treatment of the voltage correction.
 
     The correction h = cap_inv * p_inj * (1/v - 1/v_nom) (true minus
@@ -228,10 +249,10 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     x* = phi x + c + G h(x), then x+ = phi x + c + G hbar with
     hbar = (h(x) + h(x*)) / 2.
 
-    Inside a block of b steps of one segment, from x0 at its start, the
-    recurrence runs on z alone: z_i = C phi^i x0 + C S_i c +
+    Inside a block of b steps of one segment, from x_0 at its start, the
+    recurrence runs on z alone: z_i = C phi^i x_0 + C S_i c +
     sum_(j<i) K_(i-1-j) hbar_j, and z*_i is z_(i+1) with h(x_i) in place
-    of hbar_i. The free and forced responses C phi^i x0 + C S_i c of the
+    of hbar_i. The free and forced responses C phi^i x_0 + C S_i c of the
     whole block come from one product with ``obs`` (C S_i c once per
     segment), each z_i and z*_i from one product of a slice of ``toeplitz``
     (both from ``prop.blocks()``) with the hbar written so far; h is
@@ -245,8 +266,14 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
     The voltage floor is tested at every step on z and z*, and NaN passes
     it; finiteness at the recorded samples and at the block end. A block
     that fails either is run again in blocks of one step, which return the
-    step at which the step-by-step recurrence aborts.
+    step at which the step-by-step recurrence aborts. A run at rest fails
+    the floor test at step 0 if a ``v_ref`` is below the floor, so only a
+    run with every ``v_ref`` at or above it skips its first segment.
     """
+    s0, ri = _start(_at_rest(prop, c_seg) and (prop.v_ref >= DC_VOLTAGE_FLOOR).all(),
+                    seg_bounds, rec_steps, out)
+    if s0 == c_seg.shape[0]:  # no input: nothing to step, no block matrix to form
+        return -1
     (q, _), m = prop.out_map.shape, prop.gam_v.shape[1]
     size = HEUN_BLOCK
     obs, toeplitz, gcat = prop.blocks()
@@ -314,10 +341,8 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, x0, rec_steps, out):
             return recs[first + finite.argmin()], x, ri
         return -1, x, ri
 
-    x = x0.copy()
-    out[0] = x
-    ri = 1
-    for s in range(c_seg.shape[0]):
+    x = np.zeros(out.shape[1])
+    for s in range(s0, c_seg.shape[0]):
         c, sums = c_seg[s], {}
         forced = np.zeros((size + 1, q))
         np.cumsum(np.dot(obs[:size * q], c).reshape(size, q), axis=0, out=forced[1:])

@@ -337,22 +337,17 @@ def cmd_simulate(config_path, out_dir, variant: str = None, fmt: str = "csv") ->
     _finish_run(out, artifacts, *analysis)
 
 
-def _settling_time(times, series, final_row) -> float:
+def _settling_time(times, series) -> float:
     """Earliest time from which every series stays inside the 2% band.
 
     The band is 2% of the largest deviation from the terminal value over
-    all series and samples.
+    all series and samples. The time is that of the sample after the last
+    one outside the band (the last sample, at deviation 0, never is), or 0
+    where none is.
     """
-    dev = np.abs(series - final_row).max(axis=1)
-    max_dev = dev.max()
-    if max_dev == 0.0:
-        return 0.0
-    threshold = 0.02 * max_dev
-    outside = np.nonzero(dev > threshold)[0]
-    if outside.size == 0:
-        return float(times[0])
-    last = outside[-1]
-    return float(times[last + 1]) if last + 1 < times.shape[0] else float(times[-1])
+    dev = np.abs(series - series[-1]).max(axis=1)
+    outside = np.nonzero(dev > 0.02 * dev.max())[0]
+    return float(times[outside[-1] + 1]) if outside.size else 0.0
 
 
 def comparison_models(sc: SystemConfig) -> dict:
@@ -387,7 +382,7 @@ def cmd_compare(config_path, out_dir, fmt: str = "csv") -> None:
             "static_freq_error": float(np.abs(freq_end - sc.cfg.omega_ref).max()),
             "weighted_vdev_terminal": float(abs(k_v @ vdc_dev_end)),
             "gen_spread": float(gen_end.max() - gen_end.min()),
-            "settling_time_inj": _settling_time(traj.times, inj, inj[-1]),
+            "settling_time_inj": _settling_time(traj.times, inj),
         })
     summary_path = out / "summary.csv"
     _write_csv(summary_path, list(summary_rows[0]),

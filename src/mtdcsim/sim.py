@@ -27,15 +27,10 @@ is a power of phi that no earlier run needed. What is kept depends only on
 the model and ``dt``, so a run gives bit-identical states whatever ran on
 the model before.
 
-A run starts at rest, and at its first input when it can. From rest under
-zero input the solution is exactly zero, so ``integrate`` writes +0.0 to
-the records up to the last one at or before the first event and hands the
-kernel the rest of the run, counted in steps from that record: the states
-equal those of stepping from t = 0 bit for bit, and a run under no input
-at all calls no kernel. Such a run is stepped from t = 0 where that would
-abort: where phi is not finite, and in nonlinear mode where a ``v_ref`` is
-below the DC-voltage floor (``_kernels.DC_VOLTAGE_FLOOR``), which a run
-at rest fails at t = 0.
+A run starts at rest, and ``integrate`` calls the kernel of its mode once,
+over the whole run. From rest under zero input the solution is exactly
+zero, so a kernel writes +0.0 over a first segment without input instead
+of stepping it wherever stepping gives exactly that (``_kernels._at_rest``).
 
 The mildly nonlinear mode (power converted at the instantaneous voltage
 instead of the nominal one) uses the same exact linear propagator with a
@@ -333,73 +328,30 @@ def _propagator(model: ClosedLoopModel, dt: float) -> _kernels.Propagator:
     return prop
 
 
-def _rest_records(prop: _kernels.Propagator, c_seg: np.ndarray, bounds: np.ndarray,
-                  rec_steps: np.ndarray, linear: bool) -> int:
-    """How many leading records of a run are +0.0 without stepping: all of
-    them for a run under no input, those before the last record at or
-    before the first input for one under no input until then, else none.
-
-    A run stays at rest while its forcing is zero, so the first segment's
-    forcing decides. Stepping from t = 0 multiplies the zero state by phi,
-    so a non-finite phi makes such a run abort at its first record; in
-    nonlinear mode it aborts at t = 0 where a ``v_ref`` is below the
-    DC-voltage floor. Neither run is skipped. A first input at or after the
-    last record but one leaves the kernel two records, which it steps as a
-    run recording its end alone: its intervals are then shorter than the
-    stride, stepped as before, or one stride from the zero state, which
-    comes to the summed forcing whichever power of phi takes it there.
-    """
-    if c_seg[0].any():
-        return 0
-    if (not (linear or (prop.v_ref >= _kernels.DC_VOLTAGE_FLOOR).all())
-            or not np.isfinite(prop.phi).all()):
-        return 0
-    if bounds.shape[0] == 2:
-        return rec_steps.shape[0]
-    return int(np.searchsorted(rec_steps, bounds[1], side="right")) - 1
-
-
 @one_thread()
 def integrate(model: ClosedLoopModel, scenario: Scenario) -> Trajectory:
     """Run one deterministic simulation from rest and return the recorded
     trajectory.
 
     Step events take effect at the first integration step boundary at or
-    after their event time. A record whose derived series is not finite
-    aborts the run, as a non-finite state does.
-
-    A run under no input before the first event stays exactly at zero
-    until that event: the records up to the last one at or before it are
-    written as +0.0 and the kernel starts from that record, so the states
-    equal those of stepping from t = 0 bit for bit. A run under no input at
-    all calls no kernel. In nonlinear mode such a run is stepped from t = 0
-    unless every ``v_ref`` is at or above the DC-voltage floor, so one
-    below it still aborts at t = 0.
+    after their event time. The kernel of the scenario's mode runs once,
+    over the whole record grid from step 0. A record whose derived series
+    is not finite aborts the run, as a non-finite state does.
     """
-    n_steps = scenario.n_steps
     bounds, inputs = _segments(model, scenario)
-    rec_steps = _record_steps(n_steps, scenario.record_every)
+    rec_steps = _record_steps(scenario.n_steps, scenario.record_every)
     out = np.empty((rec_steps.shape[0], model.dim))
     prop = _propagator(model, scenario.dt)
-    linear = scenario.mode is CouplingMode.LINEAR
-    c_seg = inputs @ prop.c_map
-    r0 = _rest_records(prop, c_seg, bounds, rec_steps, linear)
-    out[:r0] = 0.0
-    if r0 < rec_steps.shape[0]:
-        # the kernel runs from record r0, in steps counted from there; an
-        # event on that record leaves the first segment empty
-        off = int(rec_steps[r0])
-        s0 = int(bounds[1] == off)
-        kernel = _kernels.KERNELS["exact_linear" if linear else "etd2_nonlinear"]
-        # a diverging run overflows before the finiteness check sees it; the
-        # abort is reported once, as IntegrationError, not also as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            status = kernel(prop, c_seg[s0:], np.concatenate(([0], bounds[s0 + 1:] - off)),
-                            np.zeros(model.dim), rec_steps[r0:] - off, out[r0:])
-        if status >= 0:
-            raise IntegrationError(
-                f"integration aborted at t = {(off + status) * scenario.dt:.6g} s "
-                f"(non-finite state or DC voltage below {_kernels.DC_VOLTAGE_FLOOR} p.u.)")
+    kernel = _kernels.KERNELS["exact_linear" if scenario.mode is CouplingMode.LINEAR
+                              else "etd2_nonlinear"]
+    # a diverging run overflows before the finiteness check sees it; the
+    # abort is reported once, as IntegrationError, not also as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = kernel(prop, inputs @ prop.c_map, bounds, rec_steps, out)
+    if status >= 0:
+        raise IntegrationError(
+            f"integration aborted at t = {status * scenario.dt:.6g} s "
+            f"(non-finite state or DC voltage below {_kernels.DC_VOLTAGE_FLOOR} p.u.)")
 
     # finite states can still overflow the series; that is an abort too
     with np.errstate(over="ignore", invalid="ignore"):

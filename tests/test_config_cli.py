@@ -591,6 +591,30 @@ class TestSimulateCommand:
         _, vdc = _read_csv(out / "dc_voltages.csv")
         assert np.all(vdc[:, 1:] == 1.0)
 
+    @pytest.mark.parametrize("mode, fmt", [("linear", "csv"), ("nonlinear", "json")])
+    def test_files_independent_of_hash_seed(self, short_cfg_path, tmp_path, mode, fmt):
+        """Two fresh interpreters with different ``PYTHONHASHSEED`` write the
+        same files byte for byte, report.json compared without its artifact
+        paths, for a run whose event at 1 s follows a stretch at rest."""
+        doc = json.loads(short_cfg_path.read_text())
+        doc["scenario"]["mode"] = mode
+        config = tmp_path / "case.cfg"
+        config.write_text(json.dumps(doc))
+        runs = []
+        for seed in ("0", "12345"):
+            out = tmp_path / f"seed{seed}"
+            proc = subprocess.run([sys.executable, "-m", "mtdcsim.cli", "simulate", "--format", fmt,
+                                   "--config", str(config), "--out", str(out)],
+                                  env=dict(_package_env(), PYTHONHASHSEED=seed),
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            report = json.loads(files.pop("report.json"))
+            del report["artifacts"]
+            runs.append((files, report))
+        assert len(runs[0][0]) == 4
+        assert runs[0] == runs[1]
+
     def test_v_ref_left_out_takes_v_nom(self, short_cfg_path, tmp_path):
         """A config that sets ``v_ref`` on no node runs every node at ``v_nom``:
         the DC voltages start there."""
@@ -859,6 +883,19 @@ class TestCompareCommand:
             for family in cli.SERIES_COLUMNS:
                 alone = (out / f"{family}.csv").read_bytes()
                 assert alone == (tmp_path / "cmp" / f"{variant.value}__{family}.csv").read_bytes()
+
+    def test_settling_time_on_hand_made_series(self):
+        """A constant series has settled at 0; otherwise the time is that of
+        the sample after the last one outside 2 % of the largest deviation
+        from the terminal value."""
+        times = np.arange(6) * 0.5
+        assert cli._settling_time(times, np.full((6, 2), 3.0)) == 0.0
+        spike = np.zeros((6, 2))
+        spike[1, 0] = 1.0
+        spike[3, 1] = -0.03  # 3 % of the largest deviation: outside the band
+        spike[4, 0] = 0.01  # 1 %: inside
+        assert cli._settling_time(times, spike) == 2.0
+        assert cli._settling_time(times, spike + 7.0) == 2.0
 
     def test_zero_disturbance_all_metrics_zero(self, paper_doc, tmp_path):
         doc = json.loads(json.dumps(paper_doc))

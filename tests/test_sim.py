@@ -28,14 +28,16 @@ from conftest import (compare_variants, lyapunov_trace, outputs, random_stable_c
 from direct_rhs import direct_controls, direct_rhs, flatten, unflatten
 
 
-def _run_kernel(a, t_end, dt, x0):
+def _step_response(a, t_end, dt):
+    """The linear kernel's state at ``t_end`` from rest under a unit input
+    on every state."""
     n_steps = int(round(t_end / dt))
     bounds = np.array([0, n_steps], dtype=np.int64)
     rec = np.array([0, n_steps], dtype=np.int64)
     out = np.empty((2, a.shape[0]))
-    phi, gc = discretize(a, np.zeros((a.shape[0], 1)), dt)
+    phi, gc = discretize(a, np.ones((a.shape[0], 1)), dt)
     prop = _kernels.Propagator(phi, *[None] * 6)  # the linear kernel reads phi alone
-    status = _kernels.KERNELS["exact_linear"](prop, np.ascontiguousarray(gc.T), bounds, x0, rec, out)
+    status = _kernels.KERNELS["exact_linear"](prop, np.ascontiguousarray(gc.T), bounds, rec, out)
     assert status == -1
     return out[-1]
 
@@ -71,7 +73,7 @@ def _reference_exact(model, scenario):
     return -1, rec_steps * dt, out
 
 
-def _strided_exact(prop, c_seg, seg_bounds, x0, rec_steps, out):
+def _strided_exact(prop, c_seg, seg_bounds, rec_steps, out):
     """The linear kernel as it was before recorded samples were computed in
     blocks: one matrix-vector product per knot of ``union(rec_steps,
     seg_bounds)`` and a finiteness check per recorded sample. The shipped
@@ -83,11 +85,9 @@ def _strided_exact(prop, c_seg, seg_bounds, x0, rec_steps, out):
     step[:dim, :dim] = phi
     step[:dim, dim:] = c_seg.T
     powers = {}
-    x = x0.copy()
-    ri = 0
-    if rec_steps[0] == 0:
-        out[0] = x
-        ri = 1
+    x = np.zeros(dim)
+    out[0] = x
+    ri = 1
     s = 0
     bounds = seg_bounds.tolist()
     recs = rec_steps.tolist() + [-1]
@@ -160,7 +160,7 @@ def _reference_etd2(model, scenario):
     return -1, out
 
 
-def _array_etd2(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
+def _array_etd2(phi, gam_v, c_seg, seg_bounds, pinj_sel, cap_inv,
                 v_ref, v_nom, vdc, rec_steps, out):
     """The nonlinear kernel with numpy arrays throughout, one full step at a
     time, as it was before the per-converter correction moved to Python
@@ -173,11 +173,9 @@ def _array_etd2(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
             return None
         return cap_inv * np.dot(pinj_sel, x) * (1.0 / v - 1.0 / v_nom)
 
-    x = x0.copy()
-    ri = 0
-    if rec_steps[0] == 0:
-        out[0] = x
-        ri = 1
+    x = np.zeros(phi.shape[0])
+    out[0] = x
+    ri = 1
     for s in range(c_seg.shape[0]):
         c = c_seg[s]
         for step in range(seg_bounds[s], seg_bounds[s + 1]):
@@ -200,9 +198,7 @@ def _array_etd2(phi, gam_v, c_seg, seg_bounds, x0, pinj_sel, cap_inv,
 def _kernel_run(model, scenario, kernel):
     """``integrate`` with ``kernel`` as the kernel of the scenario's mode;
     returns the step of the abort (-1 for none) and the rows the run
-    recorded (all of them, or those up to the abort). A run at rest hands
-    the kernel the rows from its last record at or before the first input,
-    in steps counted from that record; under no input it calls no kernel."""
+    recorded (all of them, or those up to the abort)."""
     seen = []
 
     def spy(*args):
@@ -212,43 +208,41 @@ def _kernel_run(model, scenario, kernel):
     key = "exact_linear" if scenario.mode is m.CouplingMode.LINEAR else "etd2_nonlinear"
     with mock.patch.dict(_kernels.KERNELS, {key: spy}):
         try:
-            states = m.integrate(model, scenario).states
+            m.integrate(model, scenario)
         except m.IntegrationError:
-            states = None
-    if not seen:
-        return -1, states
-    (status, tail), = seen
-    rows = tail.base  # the tail is a view of all the rows integrate records
+            pass
+    (status, rows), = seen
     if status < 0:
         return status, rows
-    rec_steps = _record_steps(int(round(scenario.t_end / scenario.dt)), scenario.record_every)
-    status += int(rec_steps[rows.shape[0] - tail.shape[0]])
+    rec_steps = _record_steps(scenario.n_steps, scenario.record_every)
     return status, rows[:np.searchsorted(rec_steps, status, side="right")]
 
 
-def _whole_run(model, scenario, x0=None, kernel=None):
+def _whole_run(model, scenario, kernel=None, nan_at=None):
     """One call of ``kernel`` (the shipped kernel of the scenario's mode by
-    default) over the whole run from step 0, with the inputs ``integrate``
-    forms; returns its status and all the rows."""
-    n_steps = scenario.n_steps
+    default) over the whole run, with the inputs ``integrate`` forms and,
+    if ``nan_at`` is given, a NaN in that state's one-step forcing in the
+    first segment; returns its status and all the rows."""
     bounds, inputs = _segments(model, scenario)
-    rec_steps = _record_steps(n_steps, scenario.record_every)
+    rec_steps = _record_steps(scenario.n_steps, scenario.record_every)
     prop = m.sim._propagator(model, scenario.dt)
     if kernel is None:
         linear = scenario.mode is m.CouplingMode.LINEAR
         kernel = _kernels.KERNELS["exact_linear" if linear else "etd2_nonlinear"]
-    x0 = np.zeros(model.dim) if x0 is None else x0
+    c_seg = inputs @ prop.c_map
+    if nan_at is not None:
+        c_seg[0, nan_at] = np.nan
     out = np.empty((rec_steps.shape[0], model.dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        return kernel(prop, inputs @ prop.c_map, bounds, x0, rec_steps, out), out
+        return kernel(prop, c_seg, bounds, rec_steps, out), out
 
 
 def _array_kernel(model):
     """``_array_etd2`` called with the shipped nonlinear kernel's arguments."""
     vdc = model.layout.sl("vdc")
 
-    def kernel(prop, c_seg, seg_bounds, x0, rec_steps, out):
-        return _array_etd2(prop.phi, prop.gam_v, c_seg, seg_bounds, x0,
+    def kernel(prop, c_seg, seg_bounds, rec_steps, out):
+        return _array_etd2(prop.phi, prop.gam_v, c_seg, seg_bounds,
                            row_block(model, "injections"), prop.cap_inv, prop.v_ref, prop.v_nom,
                            vdc, rec_steps, out)
     return kernel
@@ -342,8 +336,9 @@ class TestMatrixExponential:
 
 class TestSteppers:
     def test_exact_matches_analytic_decay(self):
-        final = _run_kernel(np.array([[-1.0]]), 1.0, 0.01, np.array([1.0]))
-        assert abs(final[0] - np.exp(-1.0)) < 1e-12
+        """dx = -x + 1 from rest: x(t) = 1 - e^-t, whose gap to 1 decays as e^-t."""
+        final = _step_response(np.array([[-1.0]]), 1.0, 0.01)
+        assert abs(final[0] - (1.0 - np.exp(-1.0))) < 1e-12
 
     def test_discretize_singular_matrix(self):
         """Zero-order hold must not require an invertible state matrix."""
@@ -362,14 +357,17 @@ class TestIntegrate:
         np.testing.assert_array_equal(traj.series, np.tile(model.series_offset, (traj.times.size, 1)))
 
     def test_stable_decay_from_initial_state(self, two_area):
+        """A step on each area's bus, taken back 1 s later: the input is then
+        zero again, and the state decays from where the forcing left it."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=True)
-        rng = np.random.default_rng(0)
-        x0 = 0.01 * rng.standard_normal(model.dim)
-        scen = m.Scenario(t_end=200.0, dt=1e-2, record_every=100)
-        status, states = _whole_run(model, scen, x0)
-        assert status == -1
-        assert np.linalg.norm(states[-1]) < 1e-6 * np.linalg.norm(x0) + 1e-12
+        events = tuple(m.DisturbanceEvent(t, area, 0, sign * magnitude)
+                       for area, magnitude in ((0, 0.1), (1, -0.05)) for t, sign in ((0.0, 1), (1.0, -1)))
+        scen = m.Scenario(t_end=200.0, dt=1e-2, record_every=100, disturbances=events)
+        states = m.integrate(model, scen).states
+        peak = np.linalg.norm(states, axis=1).max()
+        assert peak > 1e-4
+        assert np.linalg.norm(states[-1]) < 1e-6 * peak + 1e-12
 
     def test_event_applied_at_first_step_boundary(self, two_area):
         net, areas, cfg = two_area
@@ -542,12 +540,13 @@ class TestIntegrate:
     @example(seed=5, reduced=False, mode=m.CouplingMode.NONLINEAR, every=10, n_steps=205,
              start="rest", events=[(0.99, False)])
     @settings(max_examples=30, deadline=None)
-    def test_equals_one_kernel_call_from_step_zero(self, seed, reduced, mode, every, n_steps,
-                                                   start, events):
-        """A run at rest that starts at its first input records what one call
-        of the same kernel over the whole run from step 0 records, bit for
-        bit and with the same signs of zero: +0.0 throughout under no input.
-        A run under a baseline input starts at step 0."""
+    def test_rest_skip_equals_stepping_from_step_zero(self, seed, reduced, mode, every, n_steps,
+                                                      start, events):
+        """A run whose kernel writes +0.0 over its first segment without input
+        records what the same kernels record when they step it from step 0
+        (``_kernels._at_rest`` patched to False), bit for bit and with the
+        same signs of zero, or aborts with the same message: +0.0 throughout
+        under no input. A run under a baseline input is stepped from step 0."""
         rng = np.random.default_rng(seed)
         net, areas, cfg = random_stable_config(rng)
         if start == "p_m":
@@ -559,12 +558,18 @@ class TestIntegrate:
                           disturbances=tuple(m.DisturbanceEvent(
                               step * 1e-3, int(rng.integers(net.n)), 0, float(rng.uniform(-0.3, 0.3)))
                               for step in steps))
-        status, want = _whole_run(model, scen)
-        if status >= 0:
-            with pytest.raises(m.IntegrationError, match=f"t = {status * scen.dt:.6g} s"):
-                m.integrate(model, scen)
+        def run():
+            try:
+                return m.integrate(model, scen).states
+            except m.IntegrationError as err:
+                return str(err)
+
+        with mock.patch.object(_kernels, "_at_rest", return_value=False):
+            want = run()
+        got = run()
+        if isinstance(want, str):
+            assert got == want
             return
-        got = m.integrate(model, scen).states
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         if start == "rest" and all(step == n_steps for step in steps):  # no input in the run
@@ -699,6 +704,22 @@ class TestDiscretizationMemo:
         run(model, dt=2e-3)
         assert calls["discretize"] == 3
         assert set(model.zoh_memo) == {1e-3, 2e-3}
+
+    @pytest.mark.parametrize("mode", list(m.CouplingMode))
+    @pytest.mark.parametrize("events", [(), (m.DisturbanceEvent(1.0, 0, 0, -0.1),)],
+                             ids=["no_event", "event_at_t_end"])
+    def test_run_under_no_input_keeps_phi_only(self, two_area, mode, events):
+        """A run under no input (an event at t_end never applies) is +0.0
+        throughout without a step: the model keeps phi and no other power,
+        and no block matrix of the nonlinear kernel."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        scen = m.Scenario(t_end=1.0, dt=1e-3, record_every=10, mode=mode, disturbances=events)
+        states = m.integrate(model, scen).states
+        assert not states.any() and not np.signbit(states).any()
+        prop = model.zoh_memo[1e-3]
+        assert list(prop._powers) == [(1, 1)]
+        assert prop._blocks is None
 
     def test_event_offsets_keep_no_new_powers(self, two_area):
         """Events at every offset inside a stride of 10 keep only the powers
@@ -907,16 +928,15 @@ class TestBlockedPropagation:
         assert got == want > 0
 
     @pytest.mark.parametrize("stride", [1, 7, 10])
-    def test_nan_initial_state_aborts_at_first_sample(self, two_area, stride):
-        """The kernel itself, since ``integrate`` starts every run at rest."""
+    def test_nan_forcing_aborts_at_first_sample(self, two_area, stride):
+        """The kernel itself, with a NaN in the first segment's forcing, since
+        ``integrate`` refuses a non-finite input where it is built."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
-        x0 = np.zeros(model.dim)
-        x0[3] = np.nan
         scen = m.Scenario(t_end=1.0, dt=1e-3, record_every=stride)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            status, _ = _whole_run(model, scen, x0)
+            status, _ = _whole_run(model, scen, nan_at=3)
         assert status == stride
 
     def test_working_memory_of_reference_run(self, paper_sc, paper_model_full):
@@ -1061,12 +1081,12 @@ class TestNonlinearMode:
         with np.errstate(over="ignore", invalid="ignore"):
             assert _assert_close_to_array_form(unstable, scen) > 0
         # a NaN voltage passes the floor test; the finiteness check at the
-        # first recorded sample reports it (the kernels themselves, since
-        # integrate starts every run at rest)
-        x0 = np.zeros(model.dim)
-        x0[model.layout.sl("gen_integral").start] = np.nan
+        # first recorded sample reports it (the kernels themselves, with a
+        # NaN in the first segment's forcing, since integrate refuses a
+        # non-finite input where it is built)
+        nan_at = model.layout.sl("gen_integral").start
         for kernel in (_array_kernel(model), _kernels.etd2_nonlinear):
-            assert _whole_run(model, scen, x0, kernel)[0] == 7
+            assert _whole_run(model, scen, kernel, nan_at)[0] == 7
 
     @pytest.mark.parametrize("v_ref", [(0.4, 0.4), (1.0, 0.4)], ids=["all", "one"])
     @pytest.mark.parametrize("events", [(), (m.DisturbanceEvent(0.5, 0, 0, -0.1),)],
