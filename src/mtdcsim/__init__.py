@@ -29,7 +29,7 @@ from .assembly import (
 )
 from .config import ConfigError, SystemConfig, load_config, parse_config
 from .control import ControllerConfig, CostWeights, CouplingMode, Variant
-from .netgraph import WeightedGraph, connectivity, laplacian, line_incidence, ones_complement
+from .netgraph import WeightedGraph, connectivity, laplacian, ones_complement
 from .plant import AcArea, DcLine, MtdcNetwork, pi_link_matrices
 from .sim import (
     DisturbanceEvent,

@@ -38,8 +38,10 @@ def _pools() -> tuple:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads"):
+        # numpy 2's ILP64 build prefixes scipy_ and suffixes 64_, numpy 1's
+        # suffixes only, scipy's prefixes only, a plain OpenBLAS does neither
+        for name in (f"{prefix}openblas_{{}}_num_threads{suffix}"
+                     for prefix in ("scipy_", "") for suffix in ("64_", "")):
             get = getattr(lib, name.format("get"), None)
             put = getattr(lib, name.format("set"), None)
             if get is not None and put is not None:

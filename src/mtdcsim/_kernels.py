@@ -1,42 +1,29 @@
 """Fixed-step integration loops: the hot path of every simulation.
 
-Each kernel advances the state from rest over piecewise-constant input
-segments with the exact zero-order-hold propagator and writes decimated
-samples into a preallocated output array. Both are ``kernel(prop, c_seg,
-seg_bounds, rec_steps, out)``: the model's ``Propagator`` at the step size,
-the one-step forcing per segment, the segment bounds and the record steps
-of the whole run (both start at 0) and the output array, one row per
-record. A run whose first segment leaves it exactly at zero (``_at_rest``)
-gets +0.0 in the records up to that segment's end, and is stepped from
-there: the same states, signs of zero included, as stepping it from
-step 0. A run under no input then forms no power of phi and no block
-matrix.
+Both kernels are ``kernel(prop, c_seg, seg_bounds, rec_steps, out)``: the
+model's ``Propagator`` at the step size, the one-step forcing per input
+segment, the segment bounds and the record steps of the whole run (both
+start at 0) and the output array, one row per record. Each advances the
+state from rest with the exact zero-order-hold propagator and writes the
+recorded samples into ``out``. A run whose first segment leaves it exactly
+at zero (``_at_rest``) gets +0.0 in the records up to that segment's end,
+and is stepped from there: the same states, signs of zero included, as
+stepping it from step 0. A run under no input then forms no power of phi
+and no block matrix. A kernel returns -1 on success or the failing step
+index when the state stops being finite (or, for the nonlinear kernel,
+when a DC voltage drops below ``DC_VOLTAGE_FLOOR``).
 
-Kernels return -1 on success or the failing step index when the state
-stops being finite (or, for the nonlinear kernel, when a DC voltage drops
-below ``DC_VOLTAGE_FLOOR``).
-
-Cost of the linear kernel, per run of r recorded samples k steps apart:
-a chain of min(r, 32) products of two rows by the n x n phi^k, then
-one product of up to 32 rows by (phi^k)^32 per later block of
-``LINEAR_BLOCK`` = 32 samples; it stays within 1e-10 of the largest state
-of one product per sample. A sample that its product leaves non-finite is
-stepped again one step at a time before the run aborts there. The powers
-of the one-step propagator it needs are kept by the ``Propagator``, which
-forms each once; what depends on the input costs O(log k) matrix-vector
-products per segment and interval length k.
-
-Cost of the nonlinear kernel, with m converters and q = 2m outputs (the DC
-voltages and the converter injections, through which alone the voltage
-correction reads the state): per step two products of q x (m + 1) i
-matrices at step i of a block, and a per-converter correction on Python
-floats; per block of up to ``HEUN_BLOCK`` steps one (b + 1) q x n product
-for the free response, one move of the full state by a power of phi per
-recorded sample (to the block end if it has none), and one n x b m product
-for the correction's forcing. The ``Propagator`` forms the block matrices
-once per model and step size. It stays within 1e-10 of the largest state
-of the same Heun step taken one full step at a time with numpy arrays and
-aborts at the same step; README "Numerical notes" gives the measured gap.
+Cost, for n states, m converters and r records k steps apart: the linear
+kernel takes about 2 r n^2 flops, in products of up to ``LINEAR_BLOCK``
+rows by an n x n power of phi; the nonlinear kernel takes per step two
+products of at most 2m x ``HEUN_BLOCK`` (m + 1) entries and a
+per-converter correction on Python floats, and per record one n x n
+matrix-vector product. Both form the forcing with O(log k) matrix-vector
+products per segment and interval length k. The linear kernel stays
+within 1e-10 of the largest state of one product per record, the
+nonlinear one within 1e-10 of the same Heun step taken one full step at
+a time, with which it aborts at the same step; README "Numerical notes"
+gives the measured gaps.
 """
 
 from bisect import bisect
@@ -103,21 +90,18 @@ class Propagator:
             pk = self._powers.setdefault((k, b), pk)
         return pk
 
-    def advance(self, k, x, stride, out=None):
-        """phi^k x, into ``out`` if given. phi^k is kept as a matrix only at
-        the record ``stride`` (0 for a run that records its end alone, which
-        steps its one interval once); any other k (an interval cut by an
-        event, or the last, shorter one) reaches x through the powers of
-        two, so that events add no power."""
+    def advance(self, k, x, stride):
+        """phi^k x. phi^k is kept as a matrix only at the record ``stride``
+        (0 for a run that records its end alone, which steps its one
+        interval once); any other k (an interval cut by an event, or the
+        last, shorter one) reaches x through the powers of two, so that
+        events add no power."""
         if k == stride:
-            return np.dot(self.power(k), x, out=out)
+            return np.dot(self.power(k), x)
         for i in range(k.bit_length()):
             if k >> i & 1:
                 x = np.dot(self.power(1 << i), x)
-        if out is None:
-            return x
-        out[:] = x
-        return out
+        return x
 
     def summed(self, k, c):
         """(phi^(k-1) + ... + phi + I) c, by doubling over the bits of k:
@@ -166,11 +150,12 @@ def _at_rest(prop, c_seg):
 def _start(rest, seg_bounds, rec_steps, out):
     """Write +0.0 to the records before stepping starts, those up to the
     first segment's end if ``rest``, else the one at step 0; return the
-    first segment to step and the first record left to write."""
+    first segment to step, the first record left to write and the record
+    stride (0 for a run that records its end alone)."""
     s0 = int(rest)
     ri = int(np.searchsorted(rec_steps, seg_bounds[s0], side="right"))
     out[:ri] = 0.0
-    return s0, ri
+    return s0, ri, int(rec_steps[1]) if len(rec_steps) > 2 else 0
 
 
 def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
@@ -186,8 +171,7 @@ def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
     plus f. Any other run goes sample by sample through ``prop.advance``.
     The state is checked for finiteness at the recorded samples only.
     """
-    stride = int(rec_steps[1]) if len(rec_steps) > 2 else 0
-    s0, ri = _start(_at_rest(prop, c_seg), seg_bounds, rec_steps, out)
+    s0, ri, stride = _start(_at_rest(prop, c_seg), seg_bounds, rec_steps, out)
     x = np.zeros(out.shape[1])
     knots = np.sort(np.concatenate([rec_steps[ri:], seg_bounds[s0:]]))  # np.union1d hashes: 10x slower
     knots = knots[np.diff(knots, prepend=-1) > 0]
@@ -270,8 +254,8 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
     the floor test at step 0 if a ``v_ref`` is below the floor, so only a
     run with every ``v_ref`` at or above it skips its first segment.
     """
-    s0, ri = _start(_at_rest(prop, c_seg) and (prop.v_ref >= DC_VOLTAGE_FLOOR).all(),
-                    seg_bounds, rec_steps, out)
+    s0, ri, stride = _start(_at_rest(prop, c_seg) and (prop.v_ref >= DC_VOLTAGE_FLOOR).all(),
+                            seg_bounds, rec_steps, out)
     if s0 == c_seg.shape[0]:  # no input: nothing to step, no block matrix to form
         return -1
     (q, _), m = prop.out_map.shape, prop.gam_v.shape[1]
@@ -289,7 +273,6 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
     inv_nom = 1.0 / prop.v_nom
     bounds = seg_bounds.tolist()
     recs = rec_steps.tolist() + [bounds[-1] + 1]
-    stride = recs[1] if len(rec_steps) > 2 else 0
 
     def block(x, start, length, ri, c, forced, sums):
         """Steps start .. start + length - 1 from x under forcing c; returns
@@ -332,10 +315,12 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
             if k not in sums:
                 sums[k] = prop.summed(k, c)
             force += sums[k]
-            for f in force:
-                y = prop.advance(k, x, stride, out[row] if row < ri else None)
-                y += f
-                x, row, pos = y, row + 1, pos + k
+            for f in force:  # the states after each move, in place of their forcing
+                f += prop.advance(k, x, stride)
+                x = f
+            recorded = min(n, ri - row)
+            out[row:row + recorded] = force[:recorded]
+            row, pos = row + n, pos + n * k
         finite = np.isfinite(out[first:ri]).all(axis=1)
         if not finite.all():
             return recs[first + finite.argmin()], x, ri
@@ -354,13 +339,11 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
             j = bisect(recs, end, ri)
             length = (recs[j - 1] if j > ri else end) - start
             step, y, ri_end = block(x, start, length, ri, c, forced, sums)
-            if length > 1 and (step >= 0 or not np.isfinite(y).all()):
+            if step >= 0 or not np.isfinite(y).all():
                 for t in range(start, start + length):
                     step, x, ri = block(x, t, 1, ri, c, forced, sums)
                     if step >= 0:
                         return step
-            elif step >= 0:
-                return step
             else:
                 x, ri = y, ri_end
             start += length

@@ -133,6 +133,15 @@ def _build(path, factory, **fields):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _choice(path, enum, value):
+    """The member of ``enum`` whose value is ``value``, or an error that lists the values."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(f"{path}: unknown value {value!r}; expected one of "
+                          + ", ".join(v.value for v in enum)) from None
+
+
 def parse_config(doc: dict) -> SystemConfig:
     """Validate a parsed JSON document and build the domain objects."""
     if not isinstance(doc, dict):
@@ -172,12 +181,7 @@ def parse_config(doc: dict) -> SystemConfig:
         raise ConfigError(f"areas: expected {net.n} areas (one per converter), got {len(areas)}")
 
     ctrl = top["controller"]
-    try:
-        ctrl["variant"] = Variant(ctrl["variant"])
-    except ValueError:
-        raise ConfigError(
-            f"controller.variant: unknown value {ctrl['variant']!r}; expected one of "
-            + ", ".join(v.value for v in Variant)) from None
+    ctrl["variant"] = _choice("controller.variant", Variant, ctrl["variant"])
     for key in ("comm_eta", "comm_phi"):
         if ctrl[key] is not None:
             ctrl[key] = _build(f"controller.{key}", WeightedGraph, n_nodes=net.n,
@@ -204,10 +208,7 @@ def parse_config(doc: dict) -> SystemConfig:
             raise ConfigError(f"{path}.bus: no such bus in area {event.area}")
         events.append(event)
     scen["disturbances"] = tuple(events)
-    try:
-        scen["mode"] = CouplingMode(scen["mode"])
-    except ValueError:
-        raise ConfigError(f"scenario.mode: unknown value {scen['mode']!r}") from None
+    scen["mode"] = _choice("scenario.mode", CouplingMode, scen["mode"])
     scenario = _build("scenario", Scenario, **scen)
     return SystemConfig(net=net, areas=tuple(areas), cfg=cfg, costs=costs, scenario=scenario)
 

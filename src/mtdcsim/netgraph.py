@@ -1,8 +1,8 @@
 """Weighted undirected graphs and the dense linear algebra built on them.
 
 Everything downstream (conductance networks, consensus couplings, AC line
-stiffness) is expressed through weighted Laplacians, oriented line/node
-incidence matrices, and orthonormal complements of the all-ones direction.
+stiffness) is expressed through weighted Laplacians and orthonormal
+complements of the all-ones direction.
 Matrices are dense float64 arrays; problem sizes stay in the hundreds.
 """
 
@@ -103,26 +103,3 @@ def ones_complement(n: int) -> np.ndarray:
     w[0] -= 1.0
     h = np.eye(n) - (2.0 / (w @ w)) * np.outer(w, w)
     return h[:, 1:]
-
-
-def line_incidence(lines, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Origin/termination incidence of directed lines over ``n`` nodes.
-
-    ``lines`` is an ordered list of (i, j) meaning line k runs i -> j.
-    Returns (d_in, d_out): n x m 0/1 matrices where d_in[i, k] = 1 iff line
-    k originates at node i and d_out[j, k] = 1 iff it terminates at node j.
-    ``d_in - d_out`` is the oriented incidence matrix of the line set.
-    """
-    m = len(lines)
-    d_in = np.zeros((n, m))
-    d_out = np.zeros((n, m))
-    for k, (i, j) in enumerate(lines):
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"line {k}: endpoint out of range")
-        if i == j:
-            raise ValueError(f"line {k}: self-loop at node {i}")
-        d_in[i, k] = 1.0
-        d_out[j, k] = 1.0
-    return d_in, d_out
-

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgraph import WeightedGraph, connectivity, line_incidence
+from .netgraph import WeightedGraph, connectivity
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,8 @@ class PiLinkChain:
     Each line contributes ``n_segments`` series R-L segments with
     ``n_segments - 1`` internal capacitive nodes. Values are the line
     totals split evenly across segments; the states are incremental.
+    ``d_in`` and ``d_out`` (nodes x lines) mark each line's origin and end
+    node, so ``d_in - d_out`` is the oriented incidence matrix.
     """
 
     n_segments: int
@@ -180,6 +182,8 @@ def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:
     r_seg = np.empty(len(net.lines))
     l_seg = np.empty(len(net.lines))
     c_seg = np.empty(len(net.lines))
+    d_in = np.zeros((net.n, len(net.lines)))
+    d_out = np.zeros((net.n, len(net.lines)))
     for k, ln in enumerate(net.lines):
         if ln.l <= 0.0:
             raise ValueError(f"line ({ln.i},{ln.j}): pi-link model needs l > 0")
@@ -188,7 +192,8 @@ def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:
         r_seg[k] = ln.r / ell
         l_seg[k] = ln.l / ell
         c_seg[k] = ln.c / ell
-    d_in, d_out = line_incidence([(ln.i, ln.j) for ln in net.lines], net.n)
+        d_in[int(ln.i), k] = 1.0
+        d_out[int(ln.j), k] = 1.0
     return PiLinkChain(
         n_segments=ell,
         r_seg=r_seg,

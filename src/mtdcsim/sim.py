@@ -1,55 +1,29 @@
 """Deterministic fixed-step time-domain simulation of assembled models.
 
-The linear mode propagates with the exact zero-order-hold discretization
-of the closed loop: the state jumps from one recorded sample or input
-change to the next with a power of the one-step propagator. In a run of
-equally spaced samples the first 32 come by a chain of products by that
-power, each later block of 32 from the 32 before it by one matrix-matrix
-product. It is exact for piecewise-constant disturbances regardless of
-stiffness: the DC subsystem carries eigenvalues around 1e5 1/s, the
-dynamics of interest last tens of seconds. Against stepping one step at a
-time it agrees to 1e-8 of the largest state, and to 1e-10 of one product
-per recorded sample; README "Numerical notes" gives the gaps measured on
-the reference scenario. The exponential, ``expm``, is scaling and
-squaring with the degree-13 Pade approximant in plain numpy (Al-Mohy &
-Higham 2009), so the package needs no scipy at run time.
+A run's input is piecewise constant: ``_segments`` cuts the horizon where
+events take effect. Both modes step the closed loop with its exact
+zero-order-hold discretization, exact for such input whatever the
+stiffness (the DC subsystem carries eigenvalues around 1e5 1/s, the
+dynamics of interest last tens of seconds); the nonlinear mode adds a Heun
+treatment of the power converted at the instantaneous voltage. ``expm`` is
+scaling and squaring with the degree-13 Pade approximant in plain numpy
+(Al-Mohy & Higham 2009), so the package needs no scipy at run time.
 
 A model is discretized once per step size. The first ``integrate`` at a
 ``dt`` computes one exponential, on the top rows of the Van Loan matrix of
 the state matrix, every disturbance column and the unit DC-voltage
 columns, and keeps phi and those columns of gamma with the model as one
-``_kernels.Propagator`` (``replace`` starts afresh). That also keeps the
-powers of phi runs use: the powers of two, each record stride's power and
-its one block power, the 32nd. A later run at that ``dt`` forms its
-forcing from thin products and O(log k) matrix-vector products per
-interval length k; apart from the fill of its blocks, its only O(n^3) work
-is a power of phi that no earlier run needed. What is kept depends only on
-the model and ``dt``, so a run gives bit-identical states whatever ran on
-the model before.
+``_kernels.Propagator`` (``replace`` starts afresh), which also keeps the
+powers of phi and block matrices that runs form. What is kept depends only
+on the model and ``dt``, so a run gives bit-identical states whatever ran
+on the model before.
 
-A run starts at rest, and ``integrate`` calls the kernel of its mode once,
-over the whole run. From rest under zero input the solution is exactly
-zero, so a kernel writes +0.0 over a first segment without input instead
-of stepping it wherever stepping gives exactly that (``_kernels._at_rest``).
-
-The mildly nonlinear mode (power converted at the instantaneous voltage
-instead of the nominal one) uses the same exact linear propagator with a
-second-order Heun treatment of the voltage correction term. The correction
-reads the state through q = 2m outputs (the ``dc_voltages`` and
-``injections`` rows of the model) and writes it through m columns of
-gamma, so inside a block of up to 32 steps the Heun recurrence runs on
-those q outputs alone: per step two q x O(32 m) products and a
-per-converter correction on Python floats; per block one product with
-the stacked [C; C phi; ...] and one n x n product per recorded sample,
-which moves the full state. It agrees with the same Heun step taken one
-full step at a time to 1e-10 of the largest state and aborts at the same
-step.
-
-The module only propagates: it reads a model's state matrix, input map
-and output matrix, and builds, analyses or compares no model. The derived
+A run starts at rest, and ``integrate`` calls the kernel of its mode
+(``_kernels``) once, over the whole record grid from step 0. The derived
 series of a trajectory (area-mean frequencies, DC voltages, generation
 totals, injections) are the series rows of the model's ``outputs`` applied
-to the recorded states, plus ``series_offset``.
+to the recorded states, plus ``series_offset``. The module builds,
+analyses or compares no model.
 
 ``discretize`` and ``integrate`` run their linear algebra on one BLAS
 thread and restore the caller's thread count on return, so their outputs

@@ -359,7 +359,8 @@ class TestConfigFuzz:
         ([(("mtdc", "nodes"), [])], "mtdc.nodes: at least one node required"),
         ([(("mtdc", "nodes", 2, "v_ref"), _DELETE)],
          "mtdc.nodes: v_ref must be set on all nodes or none"),
-        ([(("scenario", "mode"), "fast")], "scenario.mode: unknown value 'fast'"),
+        ([(("scenario", "mode"), "fast")],
+         "scenario.mode: unknown value 'fast'; expected one of linear, nonlinear"),
         ([(("areas", 0, "generators"), [])],
          "areas[0].generators: at least one generator required"),
         # a key no table names is refused, not dropped: "gama" is no gamma
@@ -837,27 +838,38 @@ class TestSimulateCommand:
 
 class TestRuntimeDependencies:
     def test_commands_run_without_scipy(self, short_cfg_path, tmp_path):
-        """A fresh process runs analyze and linear and nonlinear simulate on
-        numpy alone: scipy is a test dependency, never imported by the package."""
-        doc = json.loads(short_cfg_path.read_text())
-        doc["scenario"]["mode"] = "nonlinear"
-        nonlinear = tmp_path / "nonlinear.cfg"
-        nonlinear.write_text(json.dumps(doc))
+        """A fresh process runs every command on numpy alone, without a word
+        on stderr: analyze, linear and nonlinear simulate, compare, and sweep
+        on a damped copy. scipy is a test dependency, never imported by the
+        package."""
+        paths = {}
+        for name, section, key, value in (("nonlinear", "scenario", "mode", "nonlinear"),
+                                          ("damped", "controller", "gamma", 4.0)):
+            doc = json.loads(short_cfg_path.read_text())
+            doc[section][key] = value
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(json.dumps(doc))
         script = """if True:
             import sys
             import mtdcsim, mtdcsim.cli
-            lin, nonlin, out = sys.argv[1:]
-            codes = [mtdcsim.cli.main(["analyze", "--config", lin, "--out", out + "/a"]),
-                     mtdcsim.cli.main(["simulate", "--config", lin, "--out", out + "/l"]),
-                     mtdcsim.cli.main(["simulate", "--config", nonlin, "--out", out + "/n"])]
-            assert codes == [0, 0, 0], codes
+            lin, nonlin, damped, out = sys.argv[1:]
+            codes = [mtdcsim.cli.main(argv) for argv in (
+                ["analyze", "--config", lin, "--out", out + "/a"],
+                ["simulate", "--config", lin, "--out", out + "/l"],
+                ["simulate", "--config", nonlin, "--out", out + "/n"],
+                ["compare", "--config", lin, "--out", out + "/c"],
+                ["sweep", "--config", damped, "--out", out + "/s", "--scales", "1,10,100"])]
+            assert codes == [0] * 5, codes
             assert "scipy" not in sys.modules, sorted(k for k in sys.modules if "scipy" in k)
         """
-        proc = subprocess.run([sys.executable, "-c", script, str(short_cfg_path), str(nonlinear),
-                               str(tmp_path)], env=_package_env(), capture_output=True, text=True,
-                              timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script, str(short_cfg_path),
+                               str(paths["nonlinear"]), str(paths["damped"]), str(tmp_path)],
+                              env=_package_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         assert (tmp_path / "n" / "frequencies.csv").exists()
+        assert (tmp_path / "c" / "summary.csv").exists()
+        assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 4
 
 
 class TestCompareCommand:
@@ -971,18 +983,37 @@ class TestOneModelPerCommand:
         (model,) = analysed
         assert model.reduced and list(model.zoh_memo) == [1e-3]
 
-    @pytest.mark.parametrize("command, n_models", [
-        (cmd_analyze, 1),
-        (lambda config, out: cmd_sweep(config, out, [1.0, 10.0]), 2),
-    ], ids=["analyze", "sweep"])
+    @pytest.mark.parametrize("command, variant, n_models", [
+        (cmd_analyze, None, 1),
+        (lambda config, out: cmd_sweep(config, out, [1.0, 10.0]), None, 2),
+        (cmd_compare, "dec_gen_dist_conv", 4),
+    ], ids=["analyze", "sweep", "compare_of_an_uncompared_pairing"])
     def test_assembles_only_the_analysed_models(self, damped_cfg_path, tmp_path, monkeypatch,
-                                                command, n_models):
+                                                command, variant, n_models):
         """``analyze`` assembles the one model it analyses and ``sweep`` one
         per scale: the sweep's input comes from the configuration, not from
-        a model of its own."""
+        a model of its own. ``compare`` of a configured pairing outside
+        ``COMPARISON_VARIANTS`` assembles one more model, for its report."""
+        if variant is not None:
+            doc = json.loads(damped_cfg_path.read_text())
+            doc["controller"]["variant"] = variant
+            damped_cfg_path.write_text(json.dumps(doc))
         calls = self._count_models(monkeypatch)
         command(damped_cfg_path, tmp_path / "o")
         assert calls == {"_assemble": n_models, "reduce_model": n_models}
+        if variant is not None:
+            # the report analyses the configured pairing, as analyze does;
+            # the series are those of the compared ones
+            cmd_analyze(damped_cfg_path, tmp_path / "a")
+            report, alone = (json.loads((tmp_path / d / "report.json").read_text())
+                             for d in ("o", "a"))
+            assert report["equilibrium"]["eta_star"] is None
+            assert report["equilibrium"]["phi_star"] is not None
+            for key in ("stability", "equilibrium"):
+                assert report[key] == alone[key]
+            assert sorted(p.name for p in (tmp_path / "o").glob("*__*.csv")) == sorted(
+                f"{v.value}__{family}.csv" for v in cli.COMPARISON_VARIANTS
+                for family in cli.SERIES_COLUMNS)
 
 
 class TestSweepCommand:

@@ -1,4 +1,4 @@
-"""Graph primitives: Laplacians, connectivity, incidence, ones-complement."""
+"""Graph primitives: Laplacians, connectivity, ones-complement."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from mtdcsim.netgraph import (
     WeightedGraph,
     connectivity,
     laplacian,
-    line_incidence,
     ones_complement,
 )
 
@@ -124,36 +123,3 @@ class TestOnesComplement:
 
     def test_deterministic(self):
         np.testing.assert_array_equal(ones_complement(7), ones_complement(7))
-
-
-class TestLineIncidence:
-    def test_single_line(self):
-        d_in, d_out = line_incidence([(0, 1)], 2)
-        np.testing.assert_array_equal(d_in, [[1.0], [0.0]])
-        np.testing.assert_array_equal(d_out, [[0.0], [1.0]])
-
-    def test_dc_grid_columns_sum_to_one(self):
-        d_in, d_out = line_incidence([(i, j) for i, j, _ in DC_GRID_EDGES], 6)
-        np.testing.assert_array_equal(d_in.sum(axis=0), np.ones(10))
-        np.testing.assert_array_equal(d_out.sum(axis=0), np.ones(10))
-
-    def test_incidence_identity_single_line(self):
-        d_in, d_out = line_incidence([(0, 1)], 2)
-        inc = d_in - d_out
-        lap = inc @ np.diag([1.0 / 2.0]) @ inc.T
-        np.testing.assert_allclose(lap, [[0.5, -0.5], [-0.5, 0.5]], atol=0)
-
-    def test_incidence_identity_dc_grid(self):
-        pairs = [(i, j) for i, j, _ in DC_GRID_EDGES]
-        d_in, d_out = line_incidence(pairs, 6)
-        inc = d_in - d_out
-        lap = inc @ np.diag([1.0 / r for _, _, r in DC_GRID_EDGES]) @ inc.T
-        np.testing.assert_allclose(lap, laplacian(dc_grid_graph()), atol=1e-12)
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            line_incidence([(1, 1)], 3)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="line 0: endpoint out of range"):
-            line_incidence([(0, 3)], 3)

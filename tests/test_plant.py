@@ -44,6 +44,10 @@ class TestMtdcNetwork:
         with pytest.raises(ValueError, match=message):
             m.MtdcNetwork(**kwargs)
 
+    def test_rejects_out_of_range_endpoint(self):
+        with pytest.raises(ValueError, match="edge 0: endpoint out of range for n=3"):
+            m.MtdcNetwork(cap=(1.0,) * 3, lines=(m.DcLine(0, 3, 0.1),))
+
     def test_vref_defaults_to_vnom(self):
         net = m.MtdcNetwork(cap=(1.0,), lines=(), v_nom=1.05)
         assert net.v_ref == (1.05,)
@@ -79,6 +83,12 @@ class TestMtdcNetwork:
         assert abs(eigs[0]) < 1e-10 and eigs[1] > 1e-10
         null = vecs[:, 0]
         np.testing.assert_allclose(null / null[0], np.ones(6), atol=1e-9)
+
+
+class TestDcLine:
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="line endpoints must differ"):
+            m.DcLine(1, 1, 0.1)
 
 
 class TestAcArea:
@@ -123,6 +133,34 @@ class TestPiLink:
         np.testing.assert_array_equal(chain.d_in.sum(axis=0), np.ones(10))
         expected_r = [r for _, _, r in DC_GRID_EDGES]
         np.testing.assert_allclose(chain.r_seg, expected_r)
+
+    def test_incidence_of_one_line(self):
+        """Line k runs from ``d_in``'s node to ``d_out``'s."""
+        net = m.MtdcNetwork(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 2.0, l=1e-3),))
+        chain = pi_link_matrices(net)
+        np.testing.assert_array_equal(chain.d_in, [[1.0], [0.0]])
+        np.testing.assert_array_equal(chain.d_out, [[0.0], [1.0]])
+
+    def test_incidence_laplacian_of_one_line(self):
+        """d_in - d_out is the oriented incidence: with weights 1/r its
+        Laplacian is the conductance Laplacian."""
+        net = m.MtdcNetwork(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 2.0, l=1e-3),))
+        chain = pi_link_matrices(net)
+        inc = chain.d_in - chain.d_out
+        np.testing.assert_array_equal(inc @ np.diag(1.0 / chain.r_seg) @ inc.T,
+                                      [[0.5, -0.5], [-0.5, 0.5]])
+
+    def test_incidence_columns_sum_to_one(self):
+        chain = pi_link_matrices(reference_network())
+        np.testing.assert_array_equal(chain.d_in.sum(axis=0), np.ones(10))
+        np.testing.assert_array_equal(chain.d_out.sum(axis=0), np.ones(10))
+
+    def test_incidence_laplacian_of_reference_grid(self):
+        net = reference_network()
+        chain = pi_link_matrices(net)
+        inc = chain.d_in - chain.d_out
+        np.testing.assert_allclose(inc @ np.diag(1.0 / chain.r_seg) @ inc.T,
+                                   laplacian(net.conductance_graph()), atol=1e-12)
 
     def test_two_segments_split_evenly(self):
         chain = pi_link_matrices(reference_network(segments=2))

@@ -1287,6 +1287,15 @@ class TestOneBlasThread:
         assert set(seen) == {(1,) * len(pools)}
         assert self._counts(pools) == [2] * len(pools)
 
+    def test_one_pool_per_openblas_library(self):
+        """Each OpenBLAS mapped into the process, numpy's and scipy's (both
+        imported above), yields its pool, whichever prefix and suffix its
+        build gives the thread-count symbols."""
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libraries = {line.split()[-1] for line in fh
+                         if "openblas" in line.lower() and ".so" in line}
+        assert len(_blas._pools.__wrapped__()) == len(libraries)
+
     def _at_each_count(self, pools, fn):
         results = []
         for count in (1, 2):
