@@ -14,8 +14,10 @@ index when the state stops being finite (or, for the nonlinear kernel,
 when a DC voltage drops below ``DC_VOLTAGE_FLOOR``).
 
 Cost, for n states, m converters and r records k steps apart: the linear
-kernel takes about 2 r n^2 flops, in products of up to ``LINEAR_BLOCK``
-rows by an n x n power of phi; the nonlinear kernel takes per step two
+kernel takes about 2 r n^2 flops, in each run of records one matrix-vector
+product a record for the first ``LINEAR_BLOCK`` and then products of
+``LINEAR_BLOCK`` rows by an n x n power of phi, and finds the runs with a
+fixed number of numpy calls; the nonlinear kernel takes per step two
 products of at most 2m x ``HEUN_BLOCK`` (m + 1) entries and a
 per-converter correction on Python floats, and per record one n x n
 matrix-vector product. Both form the forcing with O(log k) matrix-vector
@@ -43,12 +45,14 @@ DC_VOLTAGE_FLOOR = 0.5
 HEUN_BLOCK = 32
 
 # Rows per block of the linear kernel. On the 186-state reference (2-vCPU
-# x86 host, one BLAS thread) a product of b rows by an n x n matrix costs
-# about 1.6 us a row for b from 24 to 64 and about 3 us below 24, while each
-# of the b - 1 products of the chain that starts a run costs about 5 us; a
-# warm 5 s run of 400 to 490 samples is fastest, and flat, from 24 to 48.
-# Whatever b is, a run keeps one block power per stride.
-LINEAR_BLOCK = 32
+# x86 host, 48 kB L1 data cache a core, one BLAS thread) each of the b
+# matrix-vector products of the chain that starts a run costs about 5 us,
+# and a block product about 1.4 us a row at b = 24 and 48 and 1.7 us at 32.
+# A warm 5 s single-event run of 400 to 490 samples takes about 1.15 ms at
+# 24, 1.3 ms at 32 and 48; the 45 s reference run about 8.6 ms at 24, 9.9
+# ms at 32 and 9.0 ms at 48. Whatever b is, a run keeps one block power per
+# stride.
+LINEAR_BLOCK = 24
 
 
 class Propagator:
@@ -63,23 +67,33 @@ class Propagator:
     ``cap_inv``, ``v_ref`` and ``v_nom``. The powers of phi and the block
     matrices are formed at their first use and kept; each depends on phi,
     C, G and its key alone, never on which calls came first (nor on which
-    of two threads formed it).
+    of two threads formed it). ``power(k, b)`` for b > 1, the block power of
+    the linear kernel, is kept transposed and contiguous, since it is the
+    right factor of every block product; its value is (phi^k)^b all the
+    same. Whether phi is finite is decided once, here, as ``phi_finite``.
     """
 
     def __init__(self, phi, c_map, out_map, gam_v, cap_inv, v_ref, v_nom):
         self.phi, self.c_map = phi, c_map
         self.out_map, self.gam_v = out_map, gam_v
         self.cap_inv, self.v_ref, self.v_nom = cap_inv, v_ref, v_nom
+        self.phi_finite = bool(np.isfinite(phi).all())
         self._powers = {(1, 1): phi}
         self._blocks = None
 
     def power(self, k, b=1):
         """(phi^k)^b. A power of two is the square of its half, any other
-        phi^k the product of those over the set bits of k, lowest first."""
+        phi^k the product of those over the set bits of k, lowest first;
+        (phi^k)^b is phi^k to the odd part of b, squared once per factor 2
+        of b, so that no more than two n x n temporaries live at once."""
         pk = self._powers.get((k, b))
         if pk is None:
             if b > 1:
-                pk = np.linalg.matrix_power(self.power(k), b)
+                twos = (b & -b).bit_length() - 1
+                pk = np.linalg.matrix_power(self.power(k).T, b >> twos)
+                for _ in range(twos):
+                    pk = pk @ pk
+                pk = np.ascontiguousarray(pk).T
             elif k & (k - 1) == 0:
                 pk = self.power(k // 2) @ self.power(k // 2)
             else:
@@ -143,8 +157,9 @@ class Propagator:
 def _at_rest(prop, c_seg):
     """Whether the zero state stays exactly zero through the first segment:
     it does under zero input unless phi is not finite, whose product with
-    the zero state is NaN."""
-    return not c_seg[0].any() and bool(np.isfinite(prop.phi).all())
+    the zero state is NaN (``prop.phi_finite``, decided once per model and
+    step size)."""
+    return not c_seg[0].any() and prop.phi_finite
 
 
 def _start(rest, seg_bounds, rec_steps, out):
@@ -162,39 +177,47 @@ def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
     """Jump from knot to knot of ``union(rec_steps, seg_bounds)``.
 
     Over k steps of segment s, x <- phi^k x + S_k c_s with
-    S_k = phi^(k-1) + ... + I; S_k c_s is formed per run of equal intervals.
-    In a run of recorded intervals at the record stride in one segment,
-    the first b = ``LINEAR_BLOCK`` rows come one from the other by a chain of
-    products by phi^k, whose second row forms the block forcing
-    f = sum_(i<b) (phi^k)^i S_k c_s; each later block of up to b rows comes
-    from the b rows before it by one product with ``prop.power(k, b)``,
-    plus f. Any other run goes sample by sample through ``prop.advance``.
-    The state is checked for finiteness at the recorded samples only.
+    S_k = phi^(k-1) + ... + I; S_k c_s is formed per run of equal intervals,
+    the runs found by numpy where the interval length, the segment or
+    whether the interval ends on a record changes. In a run of recorded
+    intervals at the record stride in one segment, the first
+    b = ``LINEAR_BLOCK`` rows come one from the other by a chain of
+    matrix-vector products by phi^k from the run's start state x_0, each
+    written into its row of ``out``. The block forcing
+    f = sum_(i<b) (phi^k)^i S_k c_s is the chain's last row less
+    (phi^k)^b x_0, and exactly that row where x_0 is zero, as after a
+    single event from rest. Each later block of up to b rows comes from the b rows
+    before it by one product with ``prop.power(k, b)``, plus f. Any other
+    run goes sample by sample through ``prop.advance``. The state is
+    checked for finiteness at the recorded samples only.
     """
     s0, ri, stride = _start(_at_rest(prop, c_seg), seg_bounds, rec_steps, out)
     x = np.zeros(out.shape[1])
     knots = np.sort(np.concatenate([rec_steps[ri:], seg_bounds[s0:]]))  # np.union1d hashes: 10x slower
     knots = knots[np.diff(knots, prepend=-1) > 0]
-    segs = np.searchsorted(seg_bounds, knots[:-1], side="right") - 1
+    marks = np.zeros(len(knots), dtype=np.int64)
+    marks[np.searchsorted(knots, rec_steps[ri:])] = 1
+    # per interval (length, segment, recorded), cut where any of them changes;
     # an interval that ends off the record grid ends at a segment bound, so
-    # it makes a group of its own
-    for (k, s, recorded), run in groupby(zip(np.diff(knots).tolist(), segs.tolist(),
-                                             np.isin(knots[1:], rec_steps).tolist())):
+    # it makes a run of its own
+    key = np.stack([np.diff(knots), np.searchsorted(seg_bounds, knots[:-1], side="right") - 1,
+                    marks[1:]])
+    cuts = np.flatnonzero(np.diff(key, prepend=-1, append=-1).any(axis=0))
+    for (k, s, recorded), n in zip(key[:, cuts[:-1]].T.tolist(), np.diff(cuts).tolist()):
         c_k = prop.summed(k, c_seg[s])
         if not recorded:
             x = prop.advance(k, x, stride) + c_k
             continue
-        n = len(list(run))
         rows = out[ri:ri + n]
         if k == stride:
-            size, phi_k = LINEAR_BLOCK, prop.power(k)
-            pair = np.stack([x, np.zeros_like(x)])
-            for j in range(min(n, size)):
-                pair = np.matmul(pair, phi_k.T)
-                pair += c_k
-                rows[j] = pair[0]
+            size, phi_k, prev = LINEAR_BLOCK, prop.power(k), x
+            for row in rows[:size]:
+                np.dot(phi_k, prev, out=row)
+                row += c_k
+                prev = row
             if n > size:
-                phi_b, c_b = prop.power(k, size), pair[1]
+                phi_b = prop.power(k, size)
+                c_b = rows[size - 1] - np.dot(phi_b, x) if x.any() else rows[size - 1]
                 for j in range(size, n, size):
                     block = rows[j:j + size]
                     np.matmul(rows[j - size:j - size + block.shape[0]], phi_b.T, out=block)

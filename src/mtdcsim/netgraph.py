@@ -9,6 +9,7 @@ Matrices are dense float64 arrays; problem sizes stay in the hundreds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -33,6 +34,9 @@ class WeightedGraph:
         seen = set()
         for idx, edge in enumerate(self.edges):
             i, j, w = edge
+            for end in (i, j):  # numpy integers pass, a bool or an integral float does not
+                if type(end) is not int and (isinstance(end, bool) or not isinstance(end, Integral)):
+                    raise ValueError(f"edge {idx}: endpoint must be an integer, got {end!r}")
             i, j, w = int(i), int(j), float(w)
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(f"edge {idx}: endpoint out of range for n={self.n_nodes}")

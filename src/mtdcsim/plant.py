@@ -9,6 +9,7 @@ Each area's HVDC converter attaches at its bus 0."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +39,10 @@ class DcLine:
             raise ValueError(f"line ({self.i},{self.j}): resistance must be > 0")
         if self.l < 0.0 or self.c < 0.0:
             raise ValueError(f"line ({self.i},{self.j}): l and c must be >= 0")
-        if self.segments < 1:
+        segments = self.segments  # numpy integers pass, a bool does not
+        if isinstance(segments, bool) or not isinstance(segments, Integral):
+            raise ValueError(f"line ({self.i},{self.j}): segments must be an integer, got {segments!r}")
+        if segments < 1:
             raise ValueError(f"line ({self.i},{self.j}): segments must be >= 1")
 
 
@@ -192,8 +196,8 @@ def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:
         r_seg[k] = ln.r / ell
         l_seg[k] = ln.l / ell
         c_seg[k] = ln.c / ell
-        d_in[int(ln.i), k] = 1.0
-        d_out[int(ln.j), k] = 1.0
+        d_in[ln.i, k] = 1.0
+        d_out[ln.j, k] = 1.0
     return PiLinkChain(
         n_segments=ell,
         r_seg=r_seg,

@@ -166,10 +166,10 @@ def _segments(model: ClosedLoopModel, scenario: Scenario):
 
 
 def _record_steps(n_steps: int, stride: int) -> np.ndarray:
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.array(steps, dtype=np.int64)
+    stride = min(stride, n_steps)  # a stride past the end records the end alone
+    steps = np.arange(0, n_steps + stride, stride, dtype=np.int64)
+    steps[-1] = n_steps
+    return steps
 
 
 # Scaling and squaring with the degree-13 Pade approximant (Al-Mohy & Higham

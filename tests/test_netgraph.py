@@ -40,6 +40,16 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="out of range"):
             WeightedGraph(2, ((0, 2, 1.0),))
 
+    @pytest.mark.parametrize("end", [0.5, 1.0, True])
+    def test_rejects_non_integer_endpoint(self, end):
+        with pytest.raises(ValueError, match=rf"edge 0: endpoint must be an integer, got {end!r}"):
+            WeightedGraph(3, ((2, end, 1.0),))
+
+    def test_numpy_integer_endpoints_pass(self):
+        g = WeightedGraph(2, ((np.int64(0), np.int32(1), 1.0),))
+        assert g.edges == ((0, 1, 1.0),)
+        assert [type(i) for i, _, _ in g.edges] == [int]
+
     def test_rejects_no_node(self):
         with pytest.raises(ValueError, match="at least one node"):
             WeightedGraph(0)

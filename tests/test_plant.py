@@ -39,7 +39,11 @@ class TestMtdcNetwork:
         (dict(cap=(1.0,), lines=(), v_nom=float("nan")), "v_nom must be finite and > 0"),
         (dict(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 0.1),), v_ref=(1.0,)),
          "v_ref length must match node count"),
-    ], ids=["no_node", "v_nom_nan", "v_ref_length"])
+        (dict(cap=(1.0, 1.0), lines=(m.DcLine(0.5, 1, 0.1),)),
+         r"edge 0: endpoint must be an integer, got 0\.5"),
+        (dict(cap=(1.0, 1.0), lines=((0, 1, 0.1, 0.0, 0.0, 1.5),)),
+         r"line \(0,1\): segments must be an integer, got 1\.5"),
+    ], ids=["no_node", "v_nom_nan", "v_ref_length", "fractional_endpoint", "fractional_segments"])
     def test_rejects_malformed(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             m.MtdcNetwork(**kwargs)
@@ -114,6 +118,11 @@ class TestAcArea:
         eigs = np.sort(np.linalg.eigvalsh(laplacian(area.line_graph())))
         assert abs(eigs[0]) < 1e-9
         assert eigs[1] > 1e-9
+
+    def test_rejects_fractional_endpoint(self):
+        """Refused, not truncated to the edge (0, 1)."""
+        with pytest.raises(ValueError, match=r"edge 0: endpoint must be an integer, got 0\.7"):
+            m.AcArea(inertia=(1.0, 1.0), ac_lines=((0.7, 1, 2.0),))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):

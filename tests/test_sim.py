@@ -822,9 +822,11 @@ _EVENT_CASES = [(stride, offsets) for stride in (1, 2, 7, 10, 13)
 class TestBlockedPropagation:
     """Runs of recorded samples computed in blocks of b =
     ``_kernels.LINEAR_BLOCK`` rows: the first b rows by a chain of
-    products by the stride's power, each later block from the b rows before
-    it by one matrix-matrix product. The sample-by-sample loop it replaced
-    is kept above as ``_strided_exact``."""
+    matrix-vector products by the stride's power from the run's start state,
+    each later block from the b rows before it by one matrix-matrix product
+    with the block power, plus the block forcing: the chain's last row less
+    the block power times the start state. The sample-by-sample loop it
+    replaced is kept above as ``_strided_exact``."""
 
     @pytest.mark.parametrize("block", [3, 8])
     @pytest.mark.parametrize("stride, offsets", _EVENT_CASES)
@@ -852,9 +854,9 @@ class TestBlockedPropagation:
             assert np.abs(got - want).max() <= 1e-8 * scale
 
     def test_matches_strided_loop_on_reference_scenario(self, paper_sc, paper_model_full):
-        """The 100 samples before the event: the chain of 32, two blocks
-        and a partial one of 4 rows; the 4400 after it: the chain, 136 blocks
-        and a partial one of 16 rows."""
+        """The 100 samples before the event are written at rest; the 4400
+        after it are the chain of 24, 182 blocks and a partial one of 8
+        rows, the block forcing the chain's last row."""
         old_status, want = _kernel_run(paper_model_full, paper_sc.scenario, _strided_exact)
         status, got = _kernel_run(paper_model_full, paper_sc.scenario, _kernels.exact_linear)
         assert status == old_status == -1
@@ -870,12 +872,12 @@ class TestBlockedPropagation:
             got = m.integrate(model, scen).states
             np.testing.assert_array_equal(got, m.integrate(replace(model), scen).states)
         powers = model.zoh_memo[paper_sc.scenario.dt]._powers
-        assert [key for key in powers if key[1] > 1] == [(10, 32)]
+        assert [key for key in powers if key[1] > 1] == [(10, _kernels.LINEAR_BLOCK)]
 
     @pytest.mark.parametrize("stride, magnitude, n_steps, position", [
-        (1, -1e302, 1100, "leading chain"), (1, -1.0, 1100, "first row of a block"),
+        (1, -1e306, 1100, "leading chain"), (1, -1e3, 1100, "first row of a block"),
         (1, -1e-2, 1100, "inside a block"), (1, -1e-2, 1003, "last partial block"),
-        (7, -1e250, 1300, "leading chain"), (7, -1e-2, 1300, "first row of a block"),
+        (7, -1e260, 1300, "leading chain"), (7, -1e16, 1300, "first row of a block"),
         (7, -1e-10, 1300, "inside a block"), (7, -1e-10, 1029, "last partial block"),
         (10, -1e250, 1300, "leading chain"), (10, -1e-22, 1400, "first row of a block"),
         (10, -1.0, 1100, "inside a block"), (10, -1e-2, 1010, "last partial block"),
@@ -1311,8 +1313,8 @@ class TestOneBlasThread:
         # powers of two of phi
         "off_grid_event": ([["simulate"]], {("scenario", "record_every"): 7,
                                             ("scenario", "disturbances", 0, "time"): 1.0033}),
-        # the 44 samples after the event: the chain of the first 32, then one
-        # partial block of 12 rows, a product a threaded BLAS would split
+        # the 44 samples after the event: the chain of the first 24, then one
+        # partial block of 20 rows, a product a threaded BLAS would split
         "stride_1000": ([["simulate"]], {("scenario", "record_every"): 1000}),
         # blocked Heun steps sum products of block matrices
         "nonlinear_json": ([["simulate", "--format", "json"]],
