@@ -5,31 +5,30 @@ model's ``Propagator`` at the step size, the one-step forcing per input
 segment, the segment bounds and the record steps of the whole run (both
 start at 0) and the output array, one row per record. Each advances the
 state from rest with the exact zero-order-hold propagator and writes the
-recorded samples into ``out``. A run whose first segment leaves it exactly
-at zero (``_at_rest``) gets +0.0 in the records up to that segment's end,
-and is stepped from there: the same states, signs of zero included, as
-stepping it from step 0. A run under no input then forms no power of phi
-and no block matrix. A kernel returns -1 on success or the failing step
-index when the state stops being finite (or, for the nonlinear kernel,
-when a DC voltage drops below ``DC_VOLTAGE_FLOOR``).
+recorded samples into ``out``. Both walk one plan of the run, ``_plan``: the
+steps from the first one stepped, cut at the knots of ``union(rec_steps,
+seg_bounds)`` into moves, and the moves into runs of equal length, segment
+and recorded flag. A run whose first segment leaves it exactly at zero
+(``_at_rest``) gets +0.0 in the records up to that segment's end, and is
+stepped from there: the same states, signs of zero included, as stepping it
+from step 0. A run under no input then forms no power of phi and no block
+matrix. A kernel returns -1 on success or the failing step index when the
+state stops being finite (or, for the nonlinear kernel, when a DC voltage
+drops below ``DC_VOLTAGE_FLOOR``).
 
 Cost, for n states, m converters and r records k steps apart: the linear
 kernel takes about 2 r n^2 flops, in each run of records one matrix-vector
 product a record for the first ``LINEAR_BLOCK`` and then products of
-``LINEAR_BLOCK`` rows by an n x n power of phi, and finds the runs with a
-fixed number of numpy calls; the nonlinear kernel takes per step two
-products of at most 2m x ``HEUN_BLOCK`` (m + 1) entries and a
+``LINEAR_BLOCK`` rows by an n x n power of phi; the nonlinear kernel takes
+per step two products of at most 2m x ``HEUN_BLOCK`` (m + 1) entries and a
 per-converter correction on Python floats, and per record one n x n
 matrix-vector product. Both form the forcing with O(log k) matrix-vector
-products per segment and interval length k. The linear kernel stays
-within 1e-10 of the largest state of one product per record, the
-nonlinear one within 1e-10 of the same Heun step taken one full step at
-a time, with which it aborts at the same step; README "Numerical notes"
-gives the measured gaps.
+products per segment and move length k, and ``_plan`` finds the runs with a
+fixed number of numpy calls. The linear kernel stays within 1e-10 of the
+largest state of one product per record, the nonlinear one within 1e-10 of
+the same Heun step taken one full step at a time, with which it aborts at
+the same step; README "Numerical notes" gives the measured gaps.
 """
-
-from bisect import bisect
-from itertools import groupby
 
 import numpy as np
 
@@ -162,48 +161,48 @@ def _at_rest(prop, c_seg):
     return not c_seg[0].any() and prop.phi_finite
 
 
-def _start(rest, seg_bounds, rec_steps, out):
+def _plan(rest, seg_bounds, rec_steps, out):
     """Write +0.0 to the records before stepping starts, those up to the
-    first segment's end if ``rest``, else the one at step 0; return the
-    first segment to step, the first record left to write and the record
-    stride (0 for a run that records its end alone)."""
+    first segment's end if ``rest``, else the one at step 0, and cut the
+    steps from there into runs. A move is the k steps from one knot of
+    ``union(rec_steps, seg_bounds)`` to the next; a run is (k, s, recorded,
+    n), n moves of k steps in segment s, all ending on a record or none, cut
+    wherever k, s or recorded changes. A move that ends off the record grid
+    ends on a segment bound, so it is a run of its own. Returns the first
+    record left to write, the record stride (0 for a run that records its
+    end alone) and the runs."""
     s0 = int(rest)
     ri = int(np.searchsorted(rec_steps, seg_bounds[s0], side="right"))
     out[:ri] = 0.0
-    return s0, ri, int(rec_steps[1]) if len(rec_steps) > 2 else 0
-
-
-def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
-    """Jump from knot to knot of ``union(rec_steps, seg_bounds)``.
-
-    Over k steps of segment s, x <- phi^k x + S_k c_s with
-    S_k = phi^(k-1) + ... + I; S_k c_s is formed per run of equal intervals,
-    the runs found by numpy where the interval length, the segment or
-    whether the interval ends on a record changes. In a run of recorded
-    intervals at the record stride in one segment, the first
-    b = ``LINEAR_BLOCK`` rows come one from the other by a chain of
-    matrix-vector products by phi^k from the run's start state x_0, each
-    written into its row of ``out``. The block forcing
-    f = sum_(i<b) (phi^k)^i S_k c_s is the chain's last row less
-    (phi^k)^b x_0, and exactly that row where x_0 is zero, as after a
-    single event from rest. Each later block of up to b rows comes from the b rows
-    before it by one product with ``prop.power(k, b)``, plus f. Any other
-    run goes sample by sample through ``prop.advance``. The state is
-    checked for finiteness at the recorded samples only.
-    """
-    s0, ri, stride = _start(_at_rest(prop, c_seg), seg_bounds, rec_steps, out)
-    x = np.zeros(out.shape[1])
     knots = np.sort(np.concatenate([rec_steps[ri:], seg_bounds[s0:]]))  # np.union1d hashes: 10x slower
     knots = knots[np.diff(knots, prepend=-1) > 0]
     marks = np.zeros(len(knots), dtype=np.int64)
     marks[np.searchsorted(knots, rec_steps[ri:])] = 1
-    # per interval (length, segment, recorded), cut where any of them changes;
-    # an interval that ends off the record grid ends at a segment bound, so
-    # it makes a run of its own
     key = np.stack([np.diff(knots), np.searchsorted(seg_bounds, knots[:-1], side="right") - 1,
                     marks[1:]])
     cuts = np.flatnonzero(np.diff(key, prepend=-1, append=-1).any(axis=0))
-    for (k, s, recorded), n in zip(key[:, cuts[:-1]].T.tolist(), np.diff(cuts).tolist()):
+    runs = [(*run, n) for run, n in zip(key[:, cuts[:-1]].T.tolist(), np.diff(cuts).tolist())]
+    return ri, int(rec_steps[1]) if len(rec_steps) > 2 else 0, runs
+
+
+def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
+    """Jump from move end to move end of ``_plan``'s runs.
+
+    Over a move of k steps of segment s, x <- phi^k x + S_k c_s with
+    S_k = phi^(k-1) + ... + I; S_k c_s is formed once per run. In a run of
+    recorded moves at the record stride, the first b = ``LINEAR_BLOCK`` rows
+    come one from the other by a chain of matrix-vector products by phi^k
+    from the run's start state x_0, each written into its row of ``out``.
+    The block forcing f = sum_(i<b) (phi^k)^i S_k c_s is the chain's last
+    row less (phi^k)^b x_0, and exactly that row where x_0 is zero, as after
+    a single event from rest. Each later block of up to b rows comes from
+    the b rows before it by one product with ``prop.power(k, b)``, plus f.
+    Any other run goes move by move through ``prop.advance``. The state is
+    checked for finiteness at the recorded samples only.
+    """
+    ri, stride, runs = _plan(_at_rest(prop, c_seg), seg_bounds, rec_steps, out)
+    x = np.zeros(out.shape[1])
+    for k, s, recorded, n in runs:
         c_k = prop.summed(k, c_seg[s])
         if not recorded:
             x = prop.advance(k, x, stride) + c_k
@@ -223,8 +222,8 @@ def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
                     np.matmul(rows[j - size:j - size + block.shape[0]], phi_b.T, out=block)
                     block += c_b
         if k != stride or not np.isfinite(rows).all():
-            # sample by sample through advance: so a run off the stride (an
-            # interval cut by an event, the last, shorter one, or both) keeps
+            # sample by sample through advance: so a run off the stride (a
+            # move cut by an event, the last, shorter one, or both) keeps
             # no power, and a second pass locates an abort: near overflow a
             # product by the block power, or one summed in another order, can
             # overflow a sample before or after the state does; a product by
@@ -256,30 +255,32 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
     x* = phi x + c + G h(x), then x+ = phi x + c + G hbar with
     hbar = (h(x) + h(x*)) / 2.
 
-    Inside a block of b steps of one segment, from x_0 at its start, the
-    recurrence runs on z alone: z_i = C phi^i x_0 + C S_i c +
-    sum_(j<i) K_(i-1-j) hbar_j, and z*_i is z_(i+1) with h(x_i) in place
-    of hbar_i. The free and forced responses C phi^i x_0 + C S_i c of the
-    whole block come from one product with ``obs`` (C S_i c once per
-    segment), each z_i and z*_i from one product of a slice of ``toeplitz``
-    (both from ``prop.blocks()``) with the hbar written so far; h is
-    evaluated per converter on Python floats. The state then moves from
-    recorded sample to recorded sample by ``prop.advance``:
-    over k steps from step p, x <- phi^k x + S_k c + [phi^(k-1) G ... G]
-    [hbar_p; ...; hbar_(p+k-1)], the forcing of a run of equal k from one
-    product. A block spans at most ``HEUN_BLOCK`` steps of one segment and
-    ends on the last recorded sample among them, if there is one.
+    Inside a block of b steps, from x_0 at its start, the recurrence runs on
+    z alone: z_i = C phi^i x_0 + C S_i c + sum_(j<i) K_(i-1-j) hbar_j, and
+    z*_i is z_(i+1) with h(x_i) in place of hbar_i. The free and forced
+    responses C phi^i x_0 + C S_i c of the whole block come from one product
+    with ``obs`` (C S_i c once per segment), each z_i and z*_i from one
+    product of a slice of ``toeplitz`` (both from ``prop.blocks()``) with
+    the hbar written so far; h is evaluated per converter on Python floats.
+    The state then moves from move end to move end by ``prop.advance``: over
+    k steps from step p,
+    x <- phi^k x + S_k c + [phi^(k-1) G ... G] [hbar_p; ...; hbar_(p+k-1)],
+    the forcing of all the block's moves from one product. A block holds
+    ``HEUN_BLOCK // k`` whole moves of one of ``_plan``'s runs, the last
+    block of the run what is left; a move longer than ``HEUN_BLOCK`` runs in
+    blocks of ``HEUN_BLOCK`` steps, and only the last of them is recorded.
 
     The voltage floor is tested at every step on z and z*, and NaN passes
     it; finiteness at the recorded samples and at the block end. A block
-    that fails either is run again in blocks of one step, which return the
-    step at which the step-by-step recurrence aborts. A run at rest fails
-    the floor test at step 0 if a ``v_ref`` is below the floor, so only a
-    run with every ``v_ref`` at or above it skips its first segment.
+    that fails either is run again in blocks of one step, each recorded if
+    it ends a recorded move, which return the step at which the
+    step-by-step recurrence aborts. A run at rest fails the floor test at
+    step 0 if a ``v_ref`` is below the floor, so only a run with every
+    ``v_ref`` at or above it skips its first segment.
     """
-    s0, ri, stride = _start(_at_rest(prop, c_seg) and (prop.v_ref >= DC_VOLTAGE_FLOOR).all(),
-                            seg_bounds, rec_steps, out)
-    if s0 == c_seg.shape[0]:  # no input: nothing to step, no block matrix to form
+    ri, stride, runs = _plan(_at_rest(prop, c_seg) and (prop.v_ref >= DC_VOLTAGE_FLOOR).all(),
+                             seg_bounds, rec_steps, out)
+    if not runs:  # no input: nothing to step, no block matrix to form
         return -1
     (q, _), m = prop.out_map.shape, prop.gam_v.shape[1]
     size = HEUN_BLOCK
@@ -294,13 +295,14 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
     h_rows = hbar.reshape(size, m + 1)[:, 1:]
     conv = tuple(zip(prop.cap_inv.tolist(), prop.v_ref.tolist()))
     inv_nom = 1.0 / prop.v_nom
-    bounds = seg_bounds.tolist()
-    recs = rec_steps.tolist() + [bounds[-1] + 1]
+    forced = np.zeros((size + 1, q))
 
-    def block(x, start, length, ri, c, forced, sums):
-        """Steps start .. start + length - 1 from x under forcing c; returns
-        (the step of an abort or -1, the state at the block end, the index
-        of the next recorded sample)."""
+    def block(x, start, k, moves, rows):
+        """Takes ``moves`` moves of k steps from x at step ``start`` under the
+        segment's forcing c; writes the state after each move to ``rows``
+        (all of them, or none for an empty slice) and returns (the step of
+        an abort or -1, the state at the block end)."""
+        length = k * moves
         z = np.dot(obs[:(length + 1) * q], x).reshape(length + 1, q)
         z += forced[:length + 1]
         lead[size - length:] = z[length:0:-1]
@@ -310,7 +312,7 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
             for (ci, vr), xv, p in zip(conv, z[:m], z[m:]):
                 v = xv + vr
                 if v < DC_VOLTAGE_FLOOR:  # false for NaN, which the finiteness check reports
-                    return start + i, None, ri
+                    return start + i, None
                 h1.append(ci * p * (1.0 / v - inv_nom))
             slots[i][:] = h1
             z = np.dot(heads[i], tails[i]).tolist()
@@ -318,58 +320,45 @@ def etd2_nonlinear(prop, c_seg, seg_bounds, rec_steps, out):
             for (ci, vr), xv, p, hv in zip(conv, z[:m], z[m:], h1):
                 v = xv + vr
                 if v < DC_VOLTAGE_FLOOR:
-                    return start + i, None, ri
+                    return start + i, None
                 h_mean.append(0.5 * (hv + ci * p * (1.0 / v - inv_nom)))
             slots[i][:] = h_mean
             if i + 1 < length:
                 z = np.dot(heads[i], tails[i]).tolist()
-        h = np.ascontiguousarray(h_rows[:length])
-        first = ri
-        knots = [0]
-        while recs[ri] <= start + length:
-            knots.append(recs[ri] - start)
-            ri += 1
-        if knots[-1] < length:
-            knots.append(length)
-        row, pos = first, 0
-        for k, run in groupby(b - a for a, b in zip(knots, knots[1:])):
-            n = len(list(run))
-            force = h[pos:pos + n * k].reshape(n, k * m) @ gcat[:, (size - k) * m:].T
-            if k not in sums:
-                sums[k] = prop.summed(k, c)
-            force += sums[k]
-            for f in force:  # the states after each move, in place of their forcing
-                f += prop.advance(k, x, stride)
-                x = f
-            recorded = min(n, ri - row)
-            out[row:row + recorded] = force[:recorded]
-            row, pos = row + n, pos + n * k
-        finite = np.isfinite(out[first:ri]).all(axis=1)
+        force = h_rows[:length].reshape(moves, k * m) @ gcat[:, (size - k) * m:].T
+        if k not in sums:
+            sums[k] = prop.summed(k, c)
+        force += sums[k]
+        for f in force:  # the states after each move, in place of their forcing
+            f += prop.advance(k, x, stride)
+            x = f
+        rows[:] = force[:len(rows)]
+        finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
-            return recs[first + finite.argmin()], x, ri
-        return -1, x, ri
+            return start + k * (finite.argmin() + 1), x
+        return -1, x
 
-    x = np.zeros(out.shape[1])
-    for s in range(s0, c_seg.shape[0]):
-        c, sums = c_seg[s], {}
-        forced = np.zeros((size + 1, q))
-        np.cumsum(np.dot(obs[:size * q], c).reshape(size, q), axis=0, out=forced[1:])
-        start, stop = bounds[s], bounds[s + 1]
-        while start < stop:
-            # end on the last recorded sample within reach, if any: the state
-            # then moves from sample to sample only
-            end = min(start + size, stop)
-            j = bisect(recs, end, ri)
-            length = (recs[j - 1] if j > ri else end) - start
-            step, y, ri_end = block(x, start, length, ri, c, forced, sums)
-            if step >= 0 or not np.isfinite(y).all():
-                for t in range(start, start + length):
-                    step, x, ri = block(x, t, 1, ri, c, forced, sums)
-                    if step >= 0:
-                        return step
-            else:
-                x, ri = y, ri_end
-            start += length
+    x, seg, t = np.zeros(out.shape[1]), None, int(seg_bounds[runs[0][1]])
+    for k, s, recorded, n in runs:
+        if s != seg:
+            seg, c, sums = s, c_seg[s], {}
+            np.cumsum(np.dot(obs[:size * q], c).reshape(size, q), axis=0, out=forced[1:])
+        per = size // k or 1
+        for j in range(0, n, per):
+            moves = min(per, n - j)
+            parts = [(size, 1, out[ri:ri])] * ((k - 1) // size)
+            parts.append(((k - 1) % size + 1, moves, out[ri:ri + moves * recorded]))
+            for kb, mb, rows in parts:
+                step, y = block(x, t, kb, mb, rows)
+                if step >= 0 or not np.isfinite(y).all():
+                    for i in range(kb * mb):
+                        step, x = block(x, t + i, 1, 1, rows[i // kb:i // kb + ((i + 1) % kb == 0)])
+                        if step >= 0:
+                            return step
+                else:
+                    x = y
+                t += kb * mb
+            ri += moves * recorded
     return -1
 
 

@@ -73,6 +73,40 @@ def _reference_exact(model, scenario):
     return -1, rec_steps * dt, out
 
 
+def _unit_log_peaks(model, dt, n_steps):
+    """ln of the largest |state| after 0 .. ``n_steps`` steps from rest
+    under a unit event on bus 0 of area 0 (-inf at rest), stepped with the
+    state held over its running scale, so that no step overflows."""
+    scen = m.Scenario(t_end=n_steps * dt, dt=dt, disturbances=(m.DisturbanceEvent(0.0, 0, 0, 1.0),))
+    phi, c = discretize(model.a, model.b_dist @ _segments(model, scen)[1][:1].T, dt)
+    y, log_scale, peaks = np.zeros(model.dim), 0.0, [-np.inf]
+    for _ in range(n_steps):
+        y = np.dot(phi, y) + c[:, 0] * np.exp(-log_scale)
+        peak = np.abs(y).max()
+        y /= peak
+        log_scale += np.log(peak)
+        peaks.append(log_scale)
+    return np.array(peaks)
+
+
+def _long_double_exact(model, scenario):
+    """The linear kernel's recorded states, stepped one step at a time in
+    long double on the kernel's own phi and one-step forcing."""
+    bounds, inputs = _segments(model, scenario)
+    rec_steps = _record_steps(scenario.n_steps, scenario.record_every).tolist()
+    prop = m.sim._propagator(model, scenario.dt)
+    phi = prop.phi.astype(np.longdouble)
+    c_seg = (inputs @ prop.c_map).astype(np.longdouble)
+    x = np.zeros(model.dim, dtype=np.longdouble)
+    out = [x]
+    for s in range(c_seg.shape[0]):
+        for step in range(bounds[s] + 1, bounds[s + 1] + 1):
+            x = phi @ x + c_seg[s]
+            if step == rec_steps[len(out)]:
+                out.append(x)
+    return np.array(out)
+
+
 def _strided_exact(prop, c_seg, seg_bounds, rec_steps, out):
     """The linear kernel as it was before recorded samples were computed in
     blocks: one matrix-vector product per knot of ``union(rec_steps,
@@ -813,6 +847,46 @@ class TestDiscretizationMemo:
                                       m.integrate(replace(model), scen).states)
 
 
+class TestRunPlan:
+    """``_kernels._plan``, which both kernels walk: the steps after the rest
+    stretch cut into runs of moves of equal length, segment and recorded
+    flag."""
+
+    @given(n_steps=st.integers(1, 400), record_every=st.sampled_from([1, 7, 10, 50, 10**6]),
+           events=st.lists(st.tuples(st.integers(0, 400), st.booleans()), max_size=3),
+           rest=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_runs_tile_the_steps(self, n_steps, record_every, events, rest):
+        """Strides 1, 7, 10, 50 (above ``HEUN_BLOCK``) and the end alone;
+        up to three events, on the record grid or off it. The runs tile the
+        stepped steps, each record after the rest stretch ends exactly one
+        recorded move, an unrecorded move ends on a segment bound, and no
+        two adjacent runs share (k, s, recorded)."""
+        rec_steps = _record_steps(n_steps, record_every)
+        stride = int(rec_steps[1])
+        steps = {step // stride * stride if on_grid else step for step, on_grid in events}
+        seg_bounds = np.array(sorted({0, n_steps} | {t for t in steps if 0 < t < n_steps}))
+        out = np.full((len(rec_steps), 1), np.nan)
+        ri, got_stride, runs = _kernels._plan(rest, seg_bounds, rec_steps, out)
+        first = seg_bounds[int(rest)]
+        assert ri == np.searchsorted(rec_steps, first, side="right")
+        assert not out[:ri].any() and np.isnan(out[ri:]).all()
+        assert got_stride == (stride if len(rec_steps) > 2 else 0)
+        t, recorded_ends = first, []
+        for k, s, recorded, n in runs:
+            assert k > 0 and n > 0 and seg_bounds[s] <= t and t + n * k <= seg_bounds[s + 1]
+            ends = list(range(t + k, t + n * k + 1, k))
+            if recorded:
+                recorded_ends += ends
+            else:
+                assert set(ends) <= set(seg_bounds.tolist())
+            t += n * k
+        assert t == n_steps
+        assert recorded_ends == rec_steps[ri:].tolist()
+        keys = [run[:3] for run in runs]
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+
+
 # (stride, event offsets in steps from 3 strides): on the record grid, off it,
 # and two events inside one stride, where the stride leaves room for them
 _EVENT_CASES = [(stride, offsets) for stride in (1, 2, 7, 10, 13)
@@ -874,35 +948,42 @@ class TestBlockedPropagation:
         powers = model.zoh_memo[paper_sc.scenario.dt]._powers
         assert [key for key in powers if key[1] > 1] == [(10, _kernels.LINEAR_BLOCK)]
 
-    @pytest.mark.parametrize("stride, magnitude, n_steps, position", [
-        (1, -1e306, 1100, "leading chain"), (1, -1e3, 1100, "first row of a block"),
-        (1, -1e-2, 1100, "inside a block"), (1, -1e-2, 1003, "last partial block"),
-        (7, -1e260, 1300, "leading chain"), (7, -1e16, 1300, "first row of a block"),
-        (7, -1e-10, 1300, "inside a block"), (7, -1e-10, 1029, "last partial block"),
-        (10, -1e250, 1300, "leading chain"), (10, -1e-22, 1400, "first row of a block"),
-        (10, -1.0, 1100, "inside a block"), (10, -1e-2, 1010, "last partial block"),
-    ])
-    def test_abort_inside_a_block(self, two_area, stride, magnitude, n_steps, position):
+    @pytest.mark.parametrize("block", sorted({_kernels.LINEAR_BLOCK, 16, 32, 48}))
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    @pytest.mark.parametrize("position", ["leading chain", "first row of a block", "inside a block",
+                                          "last partial block"])
+    def test_abort_inside_a_block(self, two_area, monkeypatch, position, stride, block):
         """The first non-finite sample in the leading chain, on the first
         row of a block, on another row, and in the last, partial block of the
-        run after the event: the same abort time as the per-step stepper,
-        and no warning."""
+        run after an event at step 100, at a block size held at b: the same
+        abort time as the per-step stepper, and no warning. The loop, shifted
+        by 800 I, grows by about e^(0.8 stride) a record; the event's
+        magnitude is the largest double over the response to a unit event,
+        taken halfway (in log) between the records before and at the target
+        row, so the first overflow falls in that row's record interval."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         unstable = replace(model, a=model.a + 800.0 * np.eye(model.dim))
+        monkeypatch.setattr(_kernels, "LINEAR_BLOCK", block)
+        start = -(-100 // stride) * stride  # the run after the event at step 100
+        n_rec, target = {"leading chain": (3 * block, block - 2),
+                         "first row of a block": (3 * block, block),
+                         "inside a block": (3 * block, block + block // 2),
+                         "last partial block": (2 * block + block // 2, 2 * block + block // 4)}[position]
+        n_steps = start + n_rec * stride
+        peaks = _unit_log_peaks(unstable, 1e-3, n_steps - 100)
+        target_steps = start - 100 + stride * np.array([target, target + 1])
+        magnitude = -np.exp(np.log(np.finfo(float).max) - peaks[target_steps].mean())
         scen = m.Scenario(t_end=n_steps * 1e-3, dt=1e-3, record_every=stride,
                           disturbances=(m.DisturbanceEvent(0.1, 0, 0, magnitude),))
         with np.errstate(over="ignore", invalid="ignore"):
             status, _, _ = _reference_exact(unstable, scen)
-        start = -(-100 // stride) * stride  # the run after the event at step 100
-        n_rec = (n_steps - start) // stride
-        block = _kernels.LINEAR_BLOCK
         row = (status - start) // stride - 1
         tail = max(n_rec - block, 0) % block
         where = ("leading chain" if row < block
                  else "last partial block" if tail and row >= n_rec - tail
                  else "first row of a block" if row % block == 0 else "inside a block")
-        assert row < n_rec and where == position, "the horizon no longer puts the abort there"
+        assert row == target and where == position
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(m.IntegrationError, match="non-finite") as err:
@@ -928,6 +1009,27 @@ class TestBlockedPropagation:
             want, _, _ = _reference_exact(unstable, scen)
             got, _ = _kernel_run(unstable, scen, _kernels.exact_linear)
         assert got == want > 0
+
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    def test_small_events_after_a_large_one_near_long_double_stepper(self, two_area, stride):
+        """The block forcing is the chain's last row less the block power
+        times the run's start state, which cancels when a run starts far
+        from rest under a small new forcing: one large event, then small
+        ones, each followed by three blocks of records. The states stay
+        within 1e-12 of the largest state of stepping one step at a time in
+        long double on the same phi and forcing."""
+        net, areas, cfg = two_area
+        model = m.assemble_resistive(net, areas, cfg, reduced=False)
+        start, span = -(-100 // stride) * stride, 3 * _kernels.LINEAR_BLOCK * stride
+        events = [m.DisturbanceEvent(0.1, 0, 0, -0.5)] + [
+            m.DisturbanceEvent((start + i * span) * 1e-3, i % 2, 0, 1e-3 * (-1) ** i) for i in range(1, 4)]
+        scen = m.Scenario(t_end=(start + 4 * span) * 1e-3, dt=1e-3, record_every=stride,
+                          disturbances=tuple(events))
+        status, got = _whole_run(model, scen)
+        want = _long_double_exact(model, scen)
+        assert status == -1
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("stride", [1, 7, 10])
     def test_nan_forcing_aborts_at_first_sample(self, two_area, stride):
