@@ -194,9 +194,11 @@ def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
     come one from the other by a chain of matrix-vector products by phi^k
     from the run's start state x_0, each written into its row of ``out``.
     The block forcing f = sum_(i<b) (phi^k)^i S_k c_s is the chain's last
-    row less (phi^k)^b x_0, and exactly that row where x_0 is zero, as after
-    a single event from rest. Each later block of up to b rows comes from
-    the b rows before it by one product with ``prop.power(k, b)``, plus f.
+    row where x_0 is zero, as after a single event from rest; otherwise it
+    is chained from rest by b - 1 more products, since the last row less
+    (phi^k)^b x_0 cancels far from rest. Each later block of up to b rows
+    comes from the b rows before it by one product with
+    ``prop.power(k, b)``, plus f.
     Any other run goes move by move through ``prop.advance``. The state is
     checked for finiteness at the recorded samples only.
     """
@@ -216,7 +218,11 @@ def exact_linear(prop, c_seg, seg_bounds, rec_steps, out):
                 prev = row
             if n > size:
                 phi_b = prop.power(k, size)
-                c_b = rows[size - 1] - np.dot(phi_b, x) if x.any() else rows[size - 1]
+                c_b = rows[size - 1]
+                if x.any():  # rows[size - 1] - phi_b x would cancel far from rest
+                    c_b = c_k
+                    for _ in range(size - 1):
+                        c_b = np.dot(phi_k, c_b) + c_k
                 for j in range(size, n, size):
                     block = rows[j:j + size]
                     np.matmul(rows[j - size:j - size + block.shape[0]], phi_b.T, out=block)

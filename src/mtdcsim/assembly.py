@@ -166,6 +166,7 @@ class ClosedLoopModel:
         return sum(area.n_buses for area in self.areas)
 
 
+@functools.cache  # a layout is immutable, and ``rows`` asks for it many times a run
 def _output_rows(n_areas: int, n_buses: int) -> StateLayout:
     return StateLayout.end_to_end([(name, n_areas) for name in SERIES_FAMILIES]
                                   + [(name, n_buses) for name in BUS_BLOCKS])

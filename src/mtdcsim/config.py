@@ -41,13 +41,11 @@ class SystemConfig:
 # object), [float] (a list of numbers) or [table] (a list of objects). The
 # parser and its unknown-key check read these tables.
 _NODE = {"cap": float, "v_ref": (float, None)}
-_LINE = {"i": int, "j": int, "r": float, "l": (float, 0.0), "c": (float, 0.0),
-         "segments": (int, 1)}
+_LINE = {"i": int, "j": int, "r": float}
 _MTDC = {"nodes": [_NODE], "v_nom": (float, 1.0), "lines": [_LINE]}
 _GENERATOR = {"inertia": float, "k_droop": float, "k_droop_i": float}
 _AC_LINE = {"i": int, "j": int, "k": float}
-_AREA = {"generators": [_GENERATOR], "converter_bus": (int, 0),
-         "ac_lines": ([_AC_LINE], ()), "p_m": ([float], None)}
+_AREA = {"generators": [_GENERATOR], "ac_lines": ([_AC_LINE], ()), "p_m": ([float], None)}
 _EDGE = {"i": int, "j": int, "w": float}
 _CONTROLLER = {"variant": str, "comm_eta": ([_EDGE], None), "comm_phi": ([_EDGE], None),
                "k_omega": [float], "k_v": [float], "gamma": (float, 0.0),
@@ -173,8 +171,6 @@ def parse_config(doc: dict) -> SystemConfig:
         path = f"areas[{k}]"
         if not area["generators"]:
             raise ConfigError(f"{path}.generators: at least one generator required")
-        if area["converter_bus"] != 0:
-            raise ConfigError(f"{path}: converter attaches at bus 0 by convention")
         areas.append(_build(path, AcArea, inertia=tuple(g["inertia"] for g in area["generators"]),
                             ac_lines=_edges(area["ac_lines"]), p_m=area["p_m"]))
     if len(areas) != net.n:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .netgraph import WeightedGraph, connectivity
 
 
@@ -73,6 +75,11 @@ class ControllerConfig:
         object.__setattr__(self, "k_droop_i", k_droop_i)
         object.__setattr__(self, "k_omega", k_omega)
         object.__setattr__(self, "k_v", k_v)
+        for name, values in (("k_droop", sum(k_droop, ())), ("k_droop_i", sum(k_droop_i, ())),
+                             ("k_omega", k_omega), ("k_v", k_v), ("gamma", (self.gamma,)),
+                             ("omega_ref", (self.omega_ref,))):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         n = len(k_omega)
         if len(k_v) != n or len(k_droop) != n or len(k_droop_i) != n:
             raise ValueError("per-converter gain lists must share one length")
@@ -119,6 +126,8 @@ class CostWeights:
         f_v = tuple(float(v) for v in self.f_v)
         if len(f_p) != len(f_v):
             raise ValueError("f_p and f_v must share one length")
+        if not np.isfinite(f_p + f_v).all():
+            raise ValueError("cost weights must be finite")
         if any(v <= 0.0 for v in f_p) or any(v <= 0.0 for v in f_v):
             raise ValueError("cost weights must be > 0")
         object.__setattr__(self, "f_p", f_p)

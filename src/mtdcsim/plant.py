@@ -20,9 +20,13 @@ from .netgraph import WeightedGraph, connectivity
 class DcLine:
     """One HVDC line between converter nodes ``i`` and ``j``.
 
-    ``r``/``l``/``c`` are the line totals (p.u.); ``segments`` is the number
-    of series pi-links the line splits into when the dynamic line model is
-    used. The resistive model ignores ``l``, ``c`` and ``segments``.
+    ``r``/``l``/``c`` are the line totals (p.u.). The commands assemble
+    resistive lines, which read ``r`` alone, and the config format carries
+    only ``i``, ``j`` and ``r``. ``l``, ``c`` and ``segments``, the number of
+    series pi-links the line splits into, are the inputs of the library's
+    pi-link model (``pi_link_matrices``, ``assemble_pi_link``); a caller sets
+    them with ``dataclasses.replace`` on a loaded network's lines (README,
+    "Pi-link lines").
     """
 
     i: int
@@ -37,8 +41,8 @@ class DcLine:
             raise ValueError("line endpoints must differ")
         if not (self.r > 0.0 and np.isfinite(self.r)):
             raise ValueError(f"line ({self.i},{self.j}): resistance must be > 0")
-        if self.l < 0.0 or self.c < 0.0:
-            raise ValueError(f"line ({self.i},{self.j}): l and c must be >= 0")
+        if not (0.0 <= self.l < np.inf and 0.0 <= self.c < np.inf):
+            raise ValueError(f"line ({self.i},{self.j}): l and c must be finite and >= 0")
         segments = self.segments  # numpy integers pass, a bool does not
         if isinstance(segments, bool) or not isinstance(segments, Integral):
             raise ValueError(f"line ({self.i},{self.j}): segments must be an integer, got {segments!r}")

@@ -11,9 +11,28 @@ from mtdcsim.cli import comparison_models
 from mtdcsim.sim import _segments
 
 
+# The reference experiment's line inductance and capacitance (p.u.) by line
+# resistance. The config format carries a line's r alone, so the tests that
+# build the reference's lines as pi-links take l and c from here.
+REFERENCE_LINE_LC = {0.0586: (0.256e-3, 0.0085), 0.0878: (0.384e-3, 0.0127),
+                     0.0732: (0.32e-3, 0.0106), 0.1464: (0.64e-3, 0.0212)}
+
+
+def reference_pi_lines(lines, segments=1):
+    """The reference's ``lines`` as pi-links of ``segments`` segments."""
+    return tuple(m.DcLine(ln.i, ln.j, ln.r, *REFERENCE_LINE_LC[ln.r], segments=segments)
+                 for ln in lines)
+
+
 @pytest.fixture(scope="session")
 def paper_sc():
     return m.load_config(m.reference_config_path())
+
+
+@pytest.fixture(scope="session")
+def paper_pi_net(paper_sc):
+    """The reference's DC grid, its lines as one-segment pi-links."""
+    return replace(paper_sc.net, lines=reference_pi_lines(paper_sc.net.lines))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import mtdcsim as m
 from mtdcsim.netgraph import laplacian
 
 from conftest import (lyapunov_trace, mixed_relative_error, outputs, random_stable_config,
-                      single_gen_system)
+                      reference_pi_lines, single_gen_system)
 from test_assembly import _oracle_check, multi_gen_system
 
 
@@ -25,14 +25,9 @@ def _report(num: int, description: str, ok: bool, detail: str):
 
 
 def _single_gen_reference(paper_sc, gamma=0.0, segments=1):
-    """Reference DC grid with aggregated single-generator areas."""
-    net = paper_sc.net
-    if segments != 1:
-        net = m.MtdcNetwork(
-            cap=net.cap,
-            lines=tuple(m.DcLine(ln.i, ln.j, ln.r, l=ln.l, c=ln.c, segments=segments)
-                        for ln in net.lines),
-            v_nom=net.v_nom, v_ref=net.v_ref)
+    """Reference DC grid, its lines as pi-links, with aggregated
+    single-generator areas."""
+    net = replace(paper_sc.net, lines=reference_pi_lines(paper_sc.net.lines, segments))
     areas = tuple(m.AcArea(inertia=(140.0,)) for _ in range(6))
     cfg = m.ControllerConfig(
         k_droop=((9.0,),) * 6, k_droop_i=((3.35,),) * 6,

@@ -105,9 +105,9 @@ class TestAssembleResistive:
 
 
 class TestAssemblePiLink:
-    def test_reference_dimension_count(self, paper_sc):
+    def test_reference_dimension_count(self, paper_sc, paper_pi_net):
         """Single-generator areas on the reference DC grid: 33 reduced states."""
-        net = paper_sc.net
+        net = paper_pi_net
         areas = tuple(m.AcArea(inertia=(140.0,)) for _ in range(6))
         cfg = m.ControllerConfig(
             k_droop=((9.0,),) * 6, k_droop_i=((3.35,),) * 6,
@@ -117,8 +117,8 @@ class TestAssemblePiLink:
         model = m.assemble_pi_link(net, areas, cfg, reduced=True)
         assert model.dim == 6 + 6 + 10 + 6 + 5
 
-    def test_zero_state_is_equilibrium(self, paper_sc):
-        net = paper_sc.net
+    def test_zero_state_is_equilibrium(self, paper_sc, paper_pi_net):
+        net = paper_pi_net
         areas = tuple(m.AcArea(inertia=(140.0,)) for _ in range(6))
         cfg = m.ControllerConfig(
             k_droop=((9.0,),) * 6, k_droop_i=((3.35,),) * 6,
@@ -143,7 +143,7 @@ class TestAssemblePiLink:
         assert model.a[cur.start, vdc.start] == pytest.approx(1.0 / 2e-3)
         assert model.a[cur.start, vdc.start + 1] == pytest.approx(-1.0 / 2e-3)
 
-    def test_multi_generator_areas_assemble_without_warning(self, paper_sc):
+    def test_multi_generator_areas_assemble_without_warning(self, paper_sc, paper_pi_net):
         """Areas of several machines assemble as pi-link models the way
         resistive ones do. On the reference at gamma 4 the class follows the
         converter law: only Hurwitz under the distributed law, proven under
@@ -152,7 +152,7 @@ class TestAssemblePiLink:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             multi = m.assemble_pi_link(*multi_gen_system())
-            dist, dec = (m.assemble_pi_link(paper_sc.net, paper_sc.areas, replace(damped, variant=v))
+            dist, dec = (m.assemble_pi_link(paper_pi_net, paper_sc.areas, replace(damped, variant=v))
                          for v in (m.Variant.DIST_GEN_DIST_CONV, m.Variant.DIST_GEN_DEC_CONV))
         assert multi.layout.has("angle0") and multi.layout.has("line_current1")
         assert dist.dim == 179 + 10  # the resistive reference plus one current per line
@@ -379,10 +379,10 @@ class TestConverterRelabeling:
 
     @pytest.mark.parametrize("assemble", [m.assemble_resistive, m.assemble_pi_link],
                              ids=["resistive", "pi_link"])
-    def test_damped_reference(self, paper_sc, assemble):
+    def test_damped_reference(self, paper_sc, paper_pi_net, assemble):
         """The reference's 14-bus areas at gamma 4, where the two plants
         differ in class."""
-        _assert_relabeling_permutes(assemble, paper_sc.net, paper_sc.areas,
+        _assert_relabeling_permutes(assemble, paper_pi_net, paper_sc.areas,
                                     replace(paper_sc.cfg, gamma=4.0), [3, 0, 5, 1, 4, 2],
                                     replace(paper_sc.scenario, t_end=2.0, record_every=10))
 
@@ -422,11 +422,11 @@ class TestOutputRows:
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize("assemble", [m.assemble_resistive, m.assemble_pi_link],
                              ids=["resistive", "pi_link"])
-    def test_named_views_are_row_blocks(self, paper_sc, assemble, reduced):
+    def test_named_views_are_row_blocks(self, paper_sc, paper_pi_net, assemble, reduced):
         """``output``, ``p_gen_selector`` and ``p_inj_selector``, which the
         reference check of ``perfbench`` reads, equal their row blocks of
         ``outputs`` exactly, and the named row blocks tile ``outputs`` once."""
-        model = assemble(paper_sc.net, paper_sc.areas, paper_sc.cfg, reduced=reduced)
+        model = assemble(paper_pi_net, paper_sc.areas, paper_sc.cfg, reduced=reduced)
         n_bus, n_areas, dim = model.total_buses, model.n_areas, model.dim
         assert model.output.shape == (n_bus + n_areas, dim)
         assert model.p_gen_selector.shape == (n_bus, dim)

@@ -209,8 +209,6 @@ class TestConfigParsing:
         sc1 = parse_config(paper_doc)
         sc2 = parse_config(config_to_dict(sc1))
         assert sc1 == sc2
-        # the converter sits at bus 0 of every area: nothing to write back
-        assert all("converter_bus" not in area for area in config_to_dict(sc1)["areas"])
 
     def test_missing_field_path(self, paper_doc):
         doc = json.loads(json.dumps(paper_doc))
@@ -331,7 +329,6 @@ class TestConfigFuzz:
           (("scenario", "disturbances", 0, "area"), 5)],
          "areas: expected 6 areas (one per converter), got 5"),
         ([(("mtdc", "nodes", 0, "v_ref"), -1)], "mtdc: v_ref[0]: must be finite and > 0"),
-        ([(("areas", 1, "converter_bus"), 1)], "areas[1]: converter attaches at bus 0 by convention"),
         ([(("areas", 0, "generators", 0, "k_droop"), 1e308)],
          "certificate: non-finite entries (a gain or voltage beyond the float range)"),
         ([(("scenario", "disturbances", 0, "magnitude"), 1e308)],
@@ -367,6 +364,12 @@ class TestConfigFuzz:
         ([(("controller", "gama"), 4.0)], "controller.gama: unknown field"),
         ([(("costs_",), {"f_p": [1.0] * 6, "f_v": [1.0] * 6})], "costs_: unknown field"),
         ([(("mtdc", "lines", 0, "len"), 1.0)], "mtdc.lines[0].len: unknown field"),
+        # the pi-link inputs and the converter bus are no config fields: the
+        # commands assemble resistive lines, with the converter at bus 0
+        ([(("mtdc", "lines", 1, "l"), 0.000384)], "mtdc.lines[1].l: unknown field"),
+        ([(("mtdc", "lines", 2, "c"), 0.0085)], "mtdc.lines[2].c: unknown field"),
+        ([(("mtdc", "lines", 0, "segments"), 1)], "mtdc.lines[0].segments: unknown field"),
+        ([(("areas", 1, "converter_bus"), 0)], "areas[1].converter_bus: unknown field"),
         ([(("scenario", "disturbances", 0, "area"), 99)],
          "scenario.disturbances[0].area: no such area"),
         ([(("areas", 0, "p_m"), [0.0, 0.0])], "areas[0]: p_m length must match bus count"),
@@ -382,12 +385,13 @@ class TestConfigFuzz:
          "areas[1]: inertia[0]: must be finite and > 0"),
     ], ids=["omega_ref_null", "magnitude_null", "cap_null", "cap_bool", "variant_int",
             "areas_null", "t_end_1e308", "event_in_missing_area", "v_ref_negative",
-            "converter_bus_nonzero", "certificate_overflow", "equilibrium_overflow",
+            "certificate_overflow", "equilibrium_overflow",
             "t_end_beyond_max_steps", "t_end_beyond_max_samples", "gamma_negative",
             "k_omega_zero", "k_droop_negative", "k_droop_i_zero", "comm_phi_disconnected",
             "t_end_negative", "cost_weights_zero", "five_cost_weights", "no_nodes",
             "v_ref_partial", "mode_unknown", "no_generators", "unknown_controller_key",
-            "unknown_top_level_key", "unknown_line_key", "event_in_no_area", "p_m_wrong_length",
+            "unknown_top_level_key", "unknown_line_key", "line_l_key", "line_c_key",
+            "line_segments_key", "converter_bus_key", "event_in_no_area", "p_m_wrong_length",
             "k_v_wrong_length", "comm_eta_disconnected", "comm_phi_missing",
             "cost_lengths_differ", "inertia_zero"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
@@ -400,9 +404,11 @@ class TestConfigFuzz:
            with_costs=st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_round_trip_random(self, seed, variant, with_costs):
-        """Random grids carry line l, c, segments and, half the time, costs."""
+        """Random grids, their lines resistive as the format holds them, and
+        half the time costs."""
         rng = np.random.default_rng(seed)
         net, areas, cfg = random_stable_config(rng)
+        net = replace(net, lines=tuple(m.DcLine(ln.i, ln.j, ln.r) for ln in net.lines))
         costs = (m.CostWeights(f_p=tuple(rng.uniform(0.5, 2.0, net.n)),
                                f_v=tuple(rng.uniform(0.5, 2.0, net.n)))
                  if with_costs else None)
@@ -671,15 +677,11 @@ class TestSimulateCommand:
         (("costs",), {"f_p": [1.0] * 5 + [float("inf")], "f_v": [1.0] * 6},
          r"costs\.f_p\[5\]"),
         (("mtdc", "lines", 0, "r"), 0.0, r"mtdc\.lines\[0\]: .*resistance"),
-        (("mtdc", "lines", 1, "l"), -1e-3, r"mtdc\.lines\[1\]: .*l and c"),
-        (("mtdc", "lines", 2, "c"), -1e-3, r"mtdc\.lines\[2\]: .*l and c"),
         (("mtdc", "lines", 0, "j"), 0, r"mtdc\.lines\[0\]: .*endpoints"),
         (("mtdc", "lines", 0, "j"), 6, r"^configuration error: mtdc\.lines\[0\]\.j: no such node$"),
-        (("mtdc", "lines", 0, "segments"), 0, r"mtdc\.lines\[0\]: .*segments"),
     ], ids=["t_end_inf", "t_end_off_grid", "t_end_max_steps", "t_end_max_samples", "gamma_nan",
             "gamma_huge_int", "k_omega_inf", "k_droop_inf", "magnitude_inf", "p_m_nan",
-            "cost_inf", "line_r_zero", "line_l_negative", "line_c_negative", "line_self_loop",
-            "line_to_missing_node", "line_no_segments"])
+            "cost_inf", "line_r_zero", "line_self_loop", "line_to_missing_node"])
     def test_malformed_number_exit_code(self, paper_doc, tmp_path, capsys, field, value, path):
         """JSON NaN/Infinity or an off-grid horizon is a configuration error
         naming the field, never a traceback or a warning."""

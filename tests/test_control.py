@@ -1,5 +1,7 @@
 """Controller laws as assembled: selectors and state-matrix rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,28 @@ class TestControllerConfig:
             m.ControllerConfig(k_droop=((1.0,), (1.0, 1.0)), k_droop_i=((1.0,), (1.0,)),
                                k_omega=(1.0, 1.0), k_v=(1.0, 1.0),
                                variant=m.Variant.DEC_GEN_DEC_CONV)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["k_droop", "k_droop_i", "k_omega", "k_v", "gamma",
+                                      "omega_ref"])
+    def test_refuses_non_finite(self, name, value):
+        """NaN fails no sign test and inf passes one, so each value is
+        tested for finiteness first: a NaN gamma once read as Assumption 2
+        failing, and a NaN omega_ref as a numerical abort of the run."""
+        _, _, cfg = single_gen_system(2)
+        values = {"k_droop": ((4.0,), (value,)), "k_droop_i": ((value,), (2.0,)),
+                  "k_omega": (10.0, value), "k_v": (value, 4.0)}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(cfg, **{name: values.get(name, value)})
+
+
+class TestCostWeights:
+    @pytest.mark.parametrize("f_p, f_v", [((1.0, np.nan), (1.0, 1.0)), ((1.0, 1.0), (np.inf, 1.0)),
+                                          ((-np.inf, 1.0), (1.0, 1.0))],
+                             ids=["f_p_nan", "f_v_inf", "f_p_minus_inf"])
+    def test_refuses_non_finite(self, f_p, f_v):
+        with pytest.raises(ValueError, match="^cost weights must be finite$"):
+            m.CostWeights(f_p=f_p, f_v=f_v)
 
 
 class TestPowerToCurrent:

@@ -9,15 +9,13 @@ import mtdcsim as m
 from mtdcsim.netgraph import laplacian
 from mtdcsim.plant import pi_link_matrices
 
+from conftest import reference_pi_lines
 from test_netgraph import DC_GRID_EDGES
 
 
 def reference_network(cap=0.375e-3, segments=1):
-    lc = {0.0586: (0.2560e-3, 0.0085), 0.0878: (0.3840e-3, 0.0127),
-          0.0732: (0.3200e-3, 0.0106), 0.1464: (0.6400e-3, 0.0212)}
-    lines = tuple(m.DcLine(i, j, r, l=lc[r][0], c=lc[r][1], segments=segments)
-                  for i, j, r in DC_GRID_EDGES)
-    return m.MtdcNetwork(cap=(cap,) * 6, lines=lines)
+    lines = tuple(m.DcLine(i, j, r) for i, j, r in DC_GRID_EDGES)
+    return m.MtdcNetwork(cap=(cap,) * 6, lines=reference_pi_lines(lines, segments))
 
 
 class TestMtdcNetwork:
@@ -93,6 +91,12 @@ class TestDcLine:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="line endpoints must differ"):
             m.DcLine(1, 1, 0.1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-3])
+    @pytest.mark.parametrize("name", ["l", "c"])
+    def test_rejects_non_finite_or_negative_l_and_c(self, name, value):
+        with pytest.raises(ValueError, match=r"^line \(0,1\): l and c must be finite and >= 0$"):
+            m.DcLine(0, 1, 0.1, **{name: value})
 
 
 class TestAcArea:

@@ -898,8 +898,8 @@ class TestBlockedPropagation:
     ``_kernels.LINEAR_BLOCK`` rows: the first b rows by a chain of
     matrix-vector products by the stride's power from the run's start state,
     each later block from the b rows before it by one matrix-matrix product
-    with the block power, plus the block forcing: the chain's last row less
-    the block power times the start state. The sample-by-sample loop it
+    with the block power, plus the block forcing: the chain's last row from
+    rest, else a chain of its own from rest. The sample-by-sample loop it
     replaced is kept above as ``_strided_exact``."""
 
     @pytest.mark.parametrize("block", [3, 8])
@@ -1012,12 +1012,12 @@ class TestBlockedPropagation:
 
     @pytest.mark.parametrize("stride", [1, 7, 10])
     def test_small_events_after_a_large_one_near_long_double_stepper(self, two_area, stride):
-        """The block forcing is the chain's last row less the block power
-        times the run's start state, which cancels when a run starts far
-        from rest under a small new forcing: one large event, then small
-        ones, each followed by three blocks of records. The states stay
-        within 1e-12 of the largest state of stepping one step at a time in
-        long double on the same phi and forcing."""
+        """A run that starts far from rest under a small new forcing, where
+        the chain's last row less the block power times the start state would
+        cancel: one large event, then small ones, each followed by three
+        blocks of records. The states stay within 1e-12 of the largest state
+        of stepping one step at a time in long double on the same phi and
+        forcing."""
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
         start, span = -(-100 // stride) * stride, 3 * _kernels.LINEAR_BLOCK * stride
@@ -1030,6 +1030,22 @@ class TestBlockedPropagation:
         assert status == -1
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_small_events_after_a_large_one_on_reference(self, paper_sc, paper_model_full):
+        """The reference event, then four events of 1e-4 half a second apart,
+        over 15 s at stride 1: each run after the first starts far from rest,
+        and its block forcing feeds the state through every later block. The
+        states stay within 2e-13 of the largest state of the long-double
+        stepper: about 8.0e-14 with the forcing chained from rest, against
+        1.0e-12 with the chain's last row less the block power times the
+        start state, whose cancellation the slow modes then accumulate."""
+        events = (paper_sc.scenario.disturbances[0],) + tuple(
+            m.DisturbanceEvent(1.5 + 0.5 * i, i + 1, 0, 1e-4 * (-1) ** i) for i in range(4))
+        scen = m.Scenario(t_end=15.0, dt=1e-3, record_every=1, disturbances=events)
+        status, got = _whole_run(paper_model_full, scen)
+        want = _long_double_exact(paper_model_full, scen)
+        assert status == -1
+        assert np.abs(got - want).max() <= 2e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("stride", [1, 7, 10])
     def test_nan_forcing_aborts_at_first_sample(self, two_area, stride):
