@@ -19,7 +19,7 @@ import numpy as np
 from ._blas import one_thread
 from .assembly import ClosedLoopModel, NonFiniteModelError, assemble_resistive
 from .control import ControllerConfig
-from .netgraph import laplacian, ones_complement
+from .netgraph import _real, laplacian, ones_complement
 from .plant import MtdcNetwork
 
 HURWITZ_TOL = 1e-9
@@ -133,11 +133,8 @@ def check_assumption1(l_phi: np.ndarray, l_r: np.ndarray) -> Assumption1Result:
 def check_assumption2(gamma: float, k_phi: float, v_nom: float) -> Assumption2Result:
     """Strict damping condition gamma > k_phi / (4 v_nom), by a margin of
     ``ASSUMPTION_TOL`` relative to the bound (absolute below a bound of 1)."""
-    if k_phi < 0.0:
-        raise ValueError("k_phi must be >= 0")
-    if v_nom <= 0.0:
-        raise ValueError("v_nom must be > 0")
-    bound = k_phi / (4.0 * v_nom)
+    gamma, k_phi = _real(gamma, "gamma"), _real(k_phi, "k_phi", 0.0, strict=False)
+    bound = k_phi / (4.0 * _real(v_nom, "v_nom", 0.0))
     return Assumption2Result(holds=gamma - bound > ASSUMPTION_TOL * max(1.0, bound),
                              bound=bound, gamma=gamma)
 
@@ -241,6 +238,8 @@ def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> Equilibriu
     """
     if not model.reduced:
         raise ValueError("equilibrium needs the reduced model (full coordinates are singular)")
+    if costs is not None and len(costs.f_p) != model.n_areas:
+        raise ValueError(f"costs: {len(costs.f_p)} weights for {model.n_areas} areas")
     abscissa, stable = hurwitz(model)
     if not stable:
         raise UnstableSystemError(
@@ -324,10 +323,8 @@ def gain_limit_sweep(net: MtdcNetwork, areas, cfg: ControllerConfig,
     if cfg.gamma <= 0.0:
         raise ValueError("the gain-limit sweep needs gamma > 0")
     rows = []
-    for scale in scales:
-        scale = float(scale)
-        if not 0.0 < scale < np.inf:
-            raise ValueError("scales must be finite and > 0")
+    for idx, scale in enumerate(scales):
+        scale = _real(scale, f"scales[{idx}]", 0.0)
         scaled = replace(
             cfg,
             k_omega=tuple(k * scale for k in cfg.k_omega),

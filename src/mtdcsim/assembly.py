@@ -36,7 +36,7 @@ import numpy as np
 
 from ._blas import one_thread
 from .control import ControllerConfig
-from .netgraph import laplacian, ones_complement
+from .netgraph import _index, _real, laplacian, ones_complement
 from .plant import MtdcNetwork, PiLinkChain, pi_link_matrices
 
 # row blocks of ``outputs``, in this order: the series families, one row per
@@ -374,11 +374,12 @@ def disturbance_map(model: ClosedLoopModel, disturbances) -> np.ndarray:
     sizes = [area.n_buses for area in model.areas]
     u = np.zeros(sum(sizes))
     for area, bus, magnitude in disturbances:
+        area, bus = _index(area, "area"), _index(bus, "bus")
         if not (0 <= area < len(sizes)):
             raise ValueError(f"unknown area {area}")
         if not (0 <= bus < sizes[area]):
             raise ValueError(f"unknown bus {bus} in area {area}")
-        u[sum(sizes[:area]) + bus] += float(magnitude)
+        u[sum(sizes[:area]) + bus] += _real(magnitude, "magnitude")
     return u
 
 

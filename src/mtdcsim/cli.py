@@ -286,7 +286,7 @@ def _open_run(config_path, out_dir):
 def _with_variant(sc: SystemConfig, variant, source: str) -> SystemConfig:
     """``sc`` under another pairing; one its graphs cannot run is a ``ConfigError``."""
     try:
-        return replace(sc, cfg=replace(sc.cfg, variant=Variant(variant)))
+        return replace(sc, cfg=replace(sc.cfg, variant=variant))
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 

@@ -7,16 +7,19 @@ unknown-key check read. Validation reports the path of the offending field
 (for example ``mtdc.nodes[2].cap``) so configuration mistakes are quick to
 locate; a key that no table names is refused as an ``unknown field``,
 never dropped, and so is a key given twice in one object.
+
+A number's finiteness and a choice's allowed values are checked by the
+rules every library type applies, ``netgraph._real`` and
+``netgraph._choice``, so the format and the library cannot disagree.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .control import ControllerConfig, CostWeights, CouplingMode, Variant
-from .netgraph import WeightedGraph
+from .netgraph import WeightedGraph, _choice, _real
 from .plant import AcArea, DcLine, MtdcNetwork
 from .sim import DisturbanceEvent, Scenario
 
@@ -62,18 +65,21 @@ def _type_name(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
+def _refused(rule, *args):
+    """``rule(*args)``, its ``ValueError`` raised as a ``ConfigError``."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _check(value, name, kind):
     """``value`` as ``kind``: float (a finite number), int (not a bool), str,
     list or dict. JSON ``NaN``/``Infinity`` and ``null`` are wrong values."""
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name}: expected a number, got {_type_name(value)}")
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ConfigError(f"{name}: expected a finite number, got {value}")
+        value = _refused(_real, value, name)
     elif isinstance(value, bool) or not isinstance(value, kind):  # JSON true is no int
         raise ConfigError(f"{name}: expected {kind.__name__}, got {_type_name(value)}")
     return value
@@ -131,15 +137,6 @@ def _build(path, factory, **fields):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _choice(path, enum, value):
-    """The member of ``enum`` whose value is ``value``, or an error that lists the values."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigError(f"{path}: unknown value {value!r}; expected one of "
-                          + ", ".join(v.value for v in enum)) from None
-
-
 def parse_config(doc: dict) -> SystemConfig:
     """Validate a parsed JSON document and build the domain objects."""
     if not isinstance(doc, dict):
@@ -177,7 +174,7 @@ def parse_config(doc: dict) -> SystemConfig:
         raise ConfigError(f"areas: expected {net.n} areas (one per converter), got {len(areas)}")
 
     ctrl = top["controller"]
-    ctrl["variant"] = _choice("controller.variant", Variant, ctrl["variant"])
+    ctrl["variant"] = _refused(_choice, Variant, ctrl["variant"], "controller.variant")
     for key in ("comm_eta", "comm_phi"):
         if ctrl[key] is not None:
             ctrl[key] = _build(f"controller.{key}", WeightedGraph, n_nodes=net.n,
@@ -204,7 +201,7 @@ def parse_config(doc: dict) -> SystemConfig:
             raise ConfigError(f"{path}.bus: no such bus in area {event.area}")
         events.append(event)
     scen["disturbances"] = tuple(events)
-    scen["mode"] = _choice("scenario.mode", CouplingMode, scen["mode"])
+    scen["mode"] = _refused(_choice, CouplingMode, scen["mode"], "scenario.mode")
     scenario = _build("scenario", Scenario, **scen)
     return SystemConfig(net=net, areas=tuple(areas), cfg=cfg, costs=costs, scenario=scenario)
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
-from .netgraph import WeightedGraph, connectivity
+from .netgraph import WeightedGraph, _choice, _real, _reals, connectivity
 
 
 class Variant(enum.Enum):
@@ -53,7 +51,7 @@ class ControllerConfig:
     ``k_droop`` and ``k_droop_i`` are nested per-area, per-bus tuples;
     ``k_omega`` and ``k_v`` have one entry per converter. Communication
     graphs are required (and must be connected) only when the matching
-    distributed law is selected.
+    distributed law is selected. ``variant`` is a ``Variant`` or its value.
     """
 
     k_droop: tuple
@@ -67,33 +65,23 @@ class ControllerConfig:
     variant: Variant = Variant.DIST_GEN_DIST_CONV
 
     def __post_init__(self):
-        k_droop = tuple(tuple(float(v) for v in area) for area in self.k_droop)
-        k_droop_i = tuple(tuple(float(v) for v in area) for area in self.k_droop_i)
-        k_omega = tuple(float(v) for v in self.k_omega)
-        k_v = tuple(float(v) for v in self.k_v)
-        object.__setattr__(self, "k_droop", k_droop)
-        object.__setattr__(self, "k_droop_i", k_droop_i)
-        object.__setattr__(self, "k_omega", k_omega)
-        object.__setattr__(self, "k_v", k_v)
-        for name, values in (("k_droop", sum(k_droop, ())), ("k_droop_i", sum(k_droop_i, ())),
-                             ("k_omega", k_omega), ("k_v", k_v), ("gamma", (self.gamma,)),
-                             ("omega_ref", (self.omega_ref,))):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite")
-        n = len(k_omega)
-        if len(k_v) != n or len(k_droop) != n or len(k_droop_i) != n:
+        values = dict(
+            k_droop=tuple(_reals(kd, f"k_droop[{a}]", 0.0, strict=False)
+                          for a, kd in enumerate(self.k_droop)),
+            k_droop_i=tuple(_reals(kdi, f"k_droop_i[{a}]", 0.0)
+                            for a, kdi in enumerate(self.k_droop_i)),
+            k_omega=_reals(self.k_omega, "k_omega", 0.0), k_v=_reals(self.k_v, "k_v", 0.0),
+            gamma=_real(self.gamma, "gamma", 0.0, strict=False),
+            omega_ref=_real(self.omega_ref, "omega_ref"),
+            variant=_choice(Variant, self.variant, "variant"))
+        for key, value in values.items():
+            object.__setattr__(self, key, value)
+        n = len(self.k_omega)
+        if len(self.k_v) != n or len(self.k_droop) != n or len(self.k_droop_i) != n:
             raise ValueError("per-converter gain lists must share one length")
-        for a, (kd, kdi) in enumerate(zip(k_droop, k_droop_i)):
+        for a, (kd, kdi) in enumerate(zip(self.k_droop, self.k_droop_i)):
             if len(kd) != len(kdi):
                 raise ValueError(f"area {a}: droop gain lists must share one length")
-            if any(v < 0.0 for v in kd):
-                raise ValueError(f"area {a}: droop gains must be >= 0")
-            if any(v <= 0.0 for v in kdi):
-                raise ValueError(f"area {a}: integral droop gains must be > 0")
-        if any(v <= 0.0 for v in k_omega) or any(v <= 0.0 for v in k_v):
-            raise ValueError("k_omega and k_v must be > 0")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
         if self.variant.distributed_gen:
             if self.comm_eta is None or self.comm_eta.n_nodes != n:
                 raise ValueError("distributed generation law needs a comm_eta graph over the areas")
@@ -122,13 +110,8 @@ class CostWeights:
     f_v: tuple
 
     def __post_init__(self):
-        f_p = tuple(float(v) for v in self.f_p)
-        f_v = tuple(float(v) for v in self.f_v)
+        f_p, f_v = _reals(self.f_p, "f_p", 0.0), _reals(self.f_v, "f_v", 0.0)
         if len(f_p) != len(f_v):
             raise ValueError("f_p and f_v must share one length")
-        if not np.isfinite(f_p + f_v).all():
-            raise ValueError("cost weights must be finite")
-        if any(v <= 0.0 for v in f_p) or any(v <= 0.0 for v in f_v):
-            raise ValueError("cost weights must be > 0")
         object.__setattr__(self, "f_p", f_p)
         object.__setattr__(self, "f_v", f_v)

@@ -4,14 +4,65 @@ Everything downstream (conductance networks, consensus couplings, AC line
 stiffness) is expressed through weighted Laplacians and orthonormal
 complements of the all-ones direction.
 Matrices are dense float64 arrays; problem sizes stay in the hundreds.
+
+The module also states the rules for the values every library type takes,
+once: ``_real`` (a finite float, optionally bounded below), ``_index`` (an
+integer that is no bool) and ``_choice`` (an enum member or its value).
+Each refuses with a ``ValueError`` that starts with the field's name, as in
+``cap[2]: must be finite and > 0``. The types of ``plant``, ``control`` and
+``sim``, the analysis entry points and the config parser all call them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
+
+_INTEGERS = (int, np.integer)  # a bool is an int, refused apart
+_NUMBERS = (float, np.floating, *_INTEGERS)
+
+
+def _real(value, name, low=None, strict=True) -> float:
+    """``value``, a Python or numpy number, as a finite float above ``low``
+    (or at it, unless ``strict``).
+
+    A bool, a non-number and an integer beyond the float range are refused
+    as not finite.
+    """
+    number = math.nan
+    if isinstance(value, _NUMBERS) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if math.isfinite(number) and (low is None or number > low or not strict and number == low):
+        return number
+    bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
+    raise ValueError(f"{name}: must be finite{bound}")
+
+
+def _reals(values, name, low=None, strict=True) -> tuple:
+    """``_real`` of each entry of ``values``, the k-th named ``name[k]``."""
+    return tuple(_real(v, f"{name}[{k}]", low, strict) for k, v in enumerate(values))
+
+
+def _index(value, name) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _choice(enum, value, name):
+    """The member of ``enum`` that is ``value`` or whose value it is; anything
+    else is an error that lists the values."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(f"{name}: unknown value {value!r}; expected one of "
+                         + ", ".join(member.value for member in enum)) from None
 
 
 @dataclass(frozen=True)
@@ -28,26 +79,23 @@ class WeightedGraph:
     edges: tuple = field(default=())
 
     def __post_init__(self):
-        if self.n_nodes < 1:
+        n_nodes = _index(self.n_nodes, "n_nodes")
+        if n_nodes < 1:
             raise ValueError("graph needs at least one node")
+        object.__setattr__(self, "n_nodes", n_nodes)
         norm = []
         seen = set()
-        for idx, edge in enumerate(self.edges):
-            i, j, w = edge
-            for end in (i, j):  # numpy integers pass, a bool or an integral float does not
-                if type(end) is not int and (isinstance(end, bool) or not isinstance(end, Integral)):
-                    raise ValueError(f"edge {idx}: endpoint must be an integer, got {end!r}")
-            i, j, w = int(i), int(j), float(w)
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"edge {idx}: endpoint out of range for n={self.n_nodes}")
+        for idx, (i, j, w) in enumerate(self.edges):
+            i, j = _index(i, f"edge {idx} endpoint"), _index(j, f"edge {idx} endpoint")
+            w = _real(w, f"edge {idx} weight", 0.0)
+            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+                raise ValueError(f"edge {idx}: endpoint out of range for n={n_nodes}")
             if i == j:
                 raise ValueError(f"edge {idx}: self-loop at node {i}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"edge {idx}: duplicate pair {key}")
             seen.add(key)
-            if not (np.isfinite(w) and w > 0.0):
-                raise ValueError(f"edge {idx}: weight must be finite and > 0, got {w}")
             norm.append((i, j, w))
         object.__setattr__(self, "edges", tuple(norm))
 

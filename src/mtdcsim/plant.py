@@ -9,11 +9,10 @@ Each area's HVDC converter attaches at its bus 0."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .netgraph import WeightedGraph, connectivity
+from .netgraph import WeightedGraph, _index, _real, _reals, connectivity
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,18 @@ class DcLine:
     segments: int = 1
 
     def __post_init__(self):
-        if self.i == self.j:
+        i, j = _index(self.i, "i"), _index(self.j, "j")
+        if i == j:
             raise ValueError("line endpoints must differ")
-        if not (self.r > 0.0 and np.isfinite(self.r)):
-            raise ValueError(f"line ({self.i},{self.j}): resistance must be > 0")
-        if not (0.0 <= self.l < np.inf and 0.0 <= self.c < np.inf):
-            raise ValueError(f"line ({self.i},{self.j}): l and c must be finite and >= 0")
-        segments = self.segments  # numpy integers pass, a bool does not
-        if isinstance(segments, bool) or not isinstance(segments, Integral):
-            raise ValueError(f"line ({self.i},{self.j}): segments must be an integer, got {segments!r}")
-        if segments < 1:
-            raise ValueError(f"line ({self.i},{self.j}): segments must be >= 1")
+        line = f"line ({i},{j})"
+        values = dict(i=i, j=j, r=_real(self.r, f"{line} r", 0.0),
+                      l=_real(self.l, f"{line} l", 0.0, strict=False),
+                      c=_real(self.c, f"{line} c", 0.0, strict=False),
+                      segments=_index(self.segments, f"{line} segments"))
+        if values["segments"] < 1:
+            raise ValueError(f"{line}: segments must be >= 1")
+        for key, value in values.items():
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,17 @@ class MtdcNetwork:
     v_ref: tuple = None
 
     def __post_init__(self):
-        cap = tuple(float(c) for c in self.cap)
+        cap = _reals(self.cap, "cap", 0.0)
         if not cap:
             raise ValueError("network needs at least one node")
-        for k, c in enumerate(cap):
-            if not (c > 0.0 and np.isfinite(c)):
-                raise ValueError(f"cap[{k}]: must be finite and > 0")
         object.__setattr__(self, "cap", cap)
         lines = tuple(ln if isinstance(ln, DcLine) else DcLine(*ln) for ln in self.lines)
         object.__setattr__(self, "lines", lines)
-        if not (self.v_nom > 0.0 and np.isfinite(self.v_nom)):
-            raise ValueError("v_nom must be finite and > 0")
-        v_ref = self.v_ref
-        if v_ref is None:
-            v_ref = tuple(self.v_nom for _ in cap)
-        else:
-            v_ref = tuple(float(v) for v in v_ref)
-            if len(v_ref) != len(cap):
-                raise ValueError("v_ref length must match node count")
-            for k, v in enumerate(v_ref):
-                if not (v > 0.0 and np.isfinite(v)):
-                    raise ValueError(f"v_ref[{k}]: must be finite and > 0")
+        v_nom = _real(self.v_nom, "v_nom", 0.0)
+        object.__setattr__(self, "v_nom", v_nom)
+        v_ref = (v_nom,) * len(cap) if self.v_ref is None else _reals(self.v_ref, "v_ref", 0.0)
+        if len(v_ref) != len(cap):
+            raise ValueError("v_ref length must match node count")
         object.__setattr__(self, "v_ref", v_ref)
         graph = WeightedGraph(len(cap), tuple((ln.i, ln.j, 1.0 / ln.r) for ln in lines))
         if not connectivity(graph):
@@ -118,28 +108,18 @@ class AcArea:
     p_m: tuple = None
 
     def __post_init__(self):
-        inertia = tuple(float(m) for m in self.inertia)
+        inertia = _reals(self.inertia, "inertia", 0.0)
         if not inertia:
             raise ValueError("area needs at least one bus")
-        for k, m in enumerate(inertia):
-            if not (m > 0.0 and np.isfinite(m)):
-                raise ValueError(f"inertia[{k}]: must be finite and > 0")
         object.__setattr__(self, "inertia", inertia)
         graph = WeightedGraph(len(inertia), tuple(self.ac_lines))
         object.__setattr__(self, "ac_lines", graph.edges)
         if len(inertia) > 1 and not connectivity(graph):
             raise ValueError("AC line graph must be connected")
         object.__setattr__(self, "_graph", graph)  # no field: equality and replace ignore it
-        p_m = self.p_m
-        if p_m is None:
-            p_m = tuple(0.0 for _ in inertia)
-        else:
-            p_m = tuple(float(p) for p in p_m)
-            if len(p_m) != len(inertia):
-                raise ValueError("p_m length must match bus count")
-            for k, p in enumerate(p_m):
-                if not np.isfinite(p):
-                    raise ValueError(f"p_m[{k}]: must be finite")
+        p_m = (0.0,) * len(inertia) if self.p_m is None else _reals(self.p_m, "p_m")
+        if len(p_m) != len(inertia):
+            raise ValueError("p_m length must match bus count")
         object.__setattr__(self, "p_m", p_m)
 
     @property

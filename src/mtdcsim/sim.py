@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, factorial, log2
-from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from . import _kernels
 from ._blas import one_thread
 from .assembly import SERIES_FAMILIES, ClosedLoopModel, baseline_disturbance, disturbance_map
 from .control import CouplingMode
+from .netgraph import _choice, _index, _real
 
 DT_CAP = 0.01
 # Bounds on a run's size: step indices stay exact in a float and far inside
@@ -58,8 +58,8 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DisturbanceEvent:
-    """Step change of the uncontrolled power at one generator bus: integer
-    ``area`` and ``bus`` indices, a finite ``magnitude``."""
+    """Step change of the uncontrolled power at one generator bus: a finite
+    ``time``, integer ``area`` and ``bus`` indices, a finite ``magnitude``."""
 
     time: float
     area: int
@@ -67,17 +67,16 @@ class DisturbanceEvent:
     magnitude: float
 
     def __post_init__(self):
-        for name in ("area", "bus"):
-            index = getattr(self, name)
-            if isinstance(index, bool) or not isinstance(index, Integral):
-                raise ValueError(f"event {name} must be an integer, got {index!r}")
-        if not np.isfinite(self.magnitude):
-            raise ValueError(f"event magnitude must be finite, got {self.magnitude!r}")
+        object.__setattr__(self, "time", _real(self.time, "time"))
+        object.__setattr__(self, "area", _index(self.area, "area"))
+        object.__setattr__(self, "bus", _index(self.bus, "bus"))
+        object.__setattr__(self, "magnitude", _real(self.magnitude, "magnitude"))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Horizon, step size, step disturbances, and coupling mode."""
+    """Horizon, step size, step disturbances, and coupling mode (a
+    ``CouplingMode`` or its value)."""
 
     t_end: float
     dt: float = 1e-3
@@ -86,18 +85,20 @@ class Scenario:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.t_end < np.inf):
-            raise ValueError("t_end must be finite and > 0")
-        if not (0.0 < self.dt <= DT_CAP):
+        object.__setattr__(self, "t_end", _real(self.t_end, "t_end", 0.0))
+        object.__setattr__(self, "dt", _real(self.dt, "dt", 0.0))
+        object.__setattr__(self, "mode", _choice(CouplingMode, self.mode, "mode"))
+        if self.dt > DT_CAP:
             raise ValueError(f"dt must be in (0, {DT_CAP}] s")
         if self.t_end / self.dt > MAX_STEPS:  # also where the quotient overflows
             raise ValueError(f"t_end is {self.t_end / self.dt:.3g} steps of dt = {self.dt:g} s, "
                              f"more than MAX_STEPS = {MAX_STEPS}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9:
             raise ValueError(f"t_end must be an integer number of steps of dt = {self.dt:g} s")
-        every = self.record_every  # numpy integers pass, a bool does not
-        if isinstance(every, bool) or not isinstance(every, Integral) or every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
+        every = _index(self.record_every, "record_every")
+        if every < 1:
+            raise ValueError(f"record_every: must be an integer >= 1, got {every}")
+        object.__setattr__(self, "record_every", every)
         n_samples = -(-self.n_steps // every) + 1
         if n_samples > MAX_SAMPLES:
             raise ValueError(f"t_end records {n_samples:.3g} samples at record_every = {every}, "

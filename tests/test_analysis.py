@@ -94,8 +94,8 @@ class TestAssumption2:
     def test_boundary_is_strict(self):
         assert not m.check_assumption2(3.75, 15.0, 1.0).holds
 
-    @pytest.mark.parametrize("k_phi, v_nom, message", [(-1.0, 1.0, "k_phi must be >= 0"),
-                                                       (15.0, 0.0, "v_nom must be > 0")],
+    @pytest.mark.parametrize("k_phi, v_nom, message", [(-1.0, 1.0, "k_phi: must be finite and >= 0"),
+                                                       (15.0, 0.0, "v_nom: must be finite and > 0")],
                              ids=["k_phi_negative", "v_nom_zero"])
     def test_rejects_negative_factor_or_voltage(self, k_phi, v_nom, message):
         with pytest.raises(ValueError, match=message):
@@ -384,6 +384,15 @@ class TestEquilibrium:
         with pytest.raises(ValueError, match="reduced"):
             m.equilibrium(paper_model_full, np.zeros(84))
 
+    @pytest.mark.parametrize("n_weights", [1, 3], ids=["fewer", "more"])
+    def test_costs_of_another_area_count_refused(self, n_weights):
+        """Refused before the solve, not an ``IndexError`` or a matmul error."""
+        net, areas, cfg = single_gen_system(2)
+        model = m.assemble_resistive(net, areas, cfg, reduced=True)
+        costs = m.CostWeights(f_p=(1.0,) * n_weights, f_v=(1.0,) * n_weights)
+        with pytest.raises(ValueError, match=f"^costs: {n_weights} weights for 2 areas$"):
+            m.equilibrium(model, np.zeros(2), costs=costs)
+
     def test_unstable_rejected(self):
         net, areas, cfg = single_gen_system(1)
         model = m.assemble_resistive(net, areas, replace(cfg, variant=m.Variant.DEC_GEN_DEC_CONV),
@@ -440,7 +449,7 @@ class TestGainLimitSweep:
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_or_non_finite_scale_rejected(self, three_area, scale):
         net, areas, cfg = three_area
-        with pytest.raises(ValueError, match="scales must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"scales\[1\]: must be finite and > 0"):
             m.gain_limit_sweep(net, areas, cfg, np.array([-0.2, 0.0, 0.0]), (1.0, scale))
 
     def test_non_hurwitz_row_flagged_not_fatal(self, three_area, monkeypatch):

@@ -341,16 +341,16 @@ class TestConfigFuzz:
           (("scenario", "record_every"), 1)],
          "scenario: t_end records 1.13e+15 samples at record_every = 1, "
          "more than MAX_SAMPLES = 1000000"),
-        ([(("controller", "gamma"), -1)], "controller: gamma must be >= 0"),
-        ([(("controller", "k_omega", 0), 0)], "controller: k_omega and k_v must be > 0"),
+        ([(("controller", "gamma"), -1)], "controller: gamma: must be finite and >= 0"),
+        ([(("controller", "k_omega", 0), 0)], "controller: k_omega[0]: must be finite and > 0"),
         ([(("areas", 0, "generators", 3, "k_droop"), -1)],
-         "controller: area 0: droop gains must be >= 0"),
+         "controller: k_droop[0][3]: must be finite and >= 0"),
         ([(("areas", 0, "generators", 3, "k_droop_i"), 0)],
-         "controller: area 0: integral droop gains must be > 0"),
+         "controller: k_droop_i[0][3]: must be finite and > 0"),
         ([(("controller", "comm_phi"), [{"i": 0, "j": 1, "w": 1.0}])],
          "controller: comm_phi must be connected"),
-        ([(("scenario", "t_end"), -1)], "scenario: t_end must be finite and > 0"),
-        ([(("costs",), {"f_p": [0.0] * 6, "f_v": [1.0] * 6})], "costs: cost weights must be > 0"),
+        ([(("scenario", "t_end"), -1)], "scenario: t_end: must be finite and > 0"),
+        ([(("costs",), {"f_p": [0.0] * 6, "f_v": [1.0] * 6})], "costs: f_p[0]: must be finite and > 0"),
         ([(("costs",), {"f_p": [1.0] * 5, "f_v": [1.0] * 5})],
          "costs.f_p: one weight per area required"),
         ([(("mtdc", "nodes"), [])], "mtdc.nodes: at least one node required"),
@@ -676,7 +676,7 @@ class TestSimulateCommand:
         (("areas", 0, "p_m"), [0.0, float("nan")] + [0.0] * 12, r"areas\[0\]\.p_m\[1\]"),
         (("costs",), {"f_p": [1.0] * 5 + [float("inf")], "f_v": [1.0] * 6},
          r"costs\.f_p\[5\]"),
-        (("mtdc", "lines", 0, "r"), 0.0, r"mtdc\.lines\[0\]: .*resistance"),
+        (("mtdc", "lines", 0, "r"), 0.0, r"mtdc\.lines\[0\]: .* r: must be finite and > 0"),
         (("mtdc", "lines", 0, "j"), 0, r"mtdc\.lines\[0\]: .*endpoints"),
         (("mtdc", "lines", 0, "j"), 6, r"^configuration error: mtdc\.lines\[0\]\.j: no such node$"),
     ], ids=["t_end_inf", "t_end_off_grid", "t_end_max_steps", "t_end_max_samples", "gamma_nan",

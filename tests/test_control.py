@@ -126,6 +126,17 @@ class TestConvControl:
 
 
 class TestControllerConfig:
+    def test_variant_by_value(self):
+        """A variant's value string builds the config its member builds."""
+        _, _, cfg = single_gen_system(2)
+        by_value = replace(cfg, variant="dec_gen_dec_conv")
+        assert by_value == replace(cfg, variant=m.Variant.DEC_GEN_DEC_CONV)
+        assert by_value.variant is m.Variant.DEC_GEN_DEC_CONV
+        with pytest.raises(ValueError, match=r"^variant: unknown value 'dec'; expected one of "
+                                             "dist_gen_dist_conv, dist_gen_dec_conv, "
+                                             "dec_gen_dist_conv, dec_gen_dec_conv$"):
+            replace(cfg, variant="dec")
+
     def test_droop_lists_of_one_area_must_match(self):
         with pytest.raises(ValueError, match="area 1: droop gain lists must share one length"):
             m.ControllerConfig(k_droop=((1.0,), (1.0, 1.0)), k_droop_i=((1.0,), (1.0,)),
@@ -142,16 +153,22 @@ class TestControllerConfig:
         _, _, cfg = single_gen_system(2)
         values = {"k_droop": ((4.0,), (value,)), "k_droop_i": ((value,), (2.0,)),
                   "k_omega": (10.0, value), "k_v": (value, 4.0)}
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        message = {"k_droop": r"k_droop\[1\]\[0\]: must be finite and >= 0",
+                   "k_droop_i": r"k_droop_i\[0\]\[0\]: must be finite and > 0",
+                   "k_omega": r"k_omega\[1\]: must be finite and > 0",
+                   "k_v": r"k_v\[0\]: must be finite and > 0",
+                   "gamma": "gamma: must be finite and >= 0", "omega_ref": "omega_ref: must be finite"}
+        with pytest.raises(ValueError, match=f"^{message[name]}$"):
             replace(cfg, **{name: values.get(name, value)})
 
 
 class TestCostWeights:
-    @pytest.mark.parametrize("f_p, f_v", [((1.0, np.nan), (1.0, 1.0)), ((1.0, 1.0), (np.inf, 1.0)),
-                                          ((-np.inf, 1.0), (1.0, 1.0))],
+    @pytest.mark.parametrize("f_p, f_v, field", [((1.0, np.nan), (1.0, 1.0), r"f_p\[1\]"),
+                                                 ((1.0, 1.0), (np.inf, 1.0), r"f_v\[0\]"),
+                                                 ((-np.inf, 1.0), (1.0, 1.0), r"f_p\[0\]")],
                              ids=["f_p_nan", "f_v_inf", "f_p_minus_inf"])
-    def test_refuses_non_finite(self, f_p, f_v):
-        with pytest.raises(ValueError, match="^cost weights must be finite$"):
+    def test_refuses_non_finite(self, f_p, f_v, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be finite and > 0$"):
             m.CostWeights(f_p=f_p, f_v=f_v)
 
 

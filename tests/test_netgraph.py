@@ -42,7 +42,7 @@ class TestWeightedGraph:
 
     @pytest.mark.parametrize("end", [0.5, 1.0, True])
     def test_rejects_non_integer_endpoint(self, end):
-        with pytest.raises(ValueError, match=rf"edge 0: endpoint must be an integer, got {end!r}"):
+        with pytest.raises(ValueError, match=rf"edge 0 endpoint: must be an integer, got {end!r}"):
             WeightedGraph(3, ((2, end, 1.0),))
 
     def test_numpy_integer_endpoints_pass(self):

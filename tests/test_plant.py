@@ -34,13 +34,12 @@ class TestMtdcNetwork:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(cap=(), lines=()), "network needs at least one node"),
-        (dict(cap=(1.0,), lines=(), v_nom=float("nan")), "v_nom must be finite and > 0"),
+        (dict(cap=(1.0,), lines=(), v_nom=float("nan")), "v_nom: must be finite and > 0"),
         (dict(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 0.1),), v_ref=(1.0,)),
          "v_ref length must match node count"),
-        (dict(cap=(1.0, 1.0), lines=(m.DcLine(0.5, 1, 0.1),)),
-         r"edge 0: endpoint must be an integer, got 0\.5"),
+        (dict(cap=(1.0, 1.0), lines=((0.5, 1, 0.1),)), r"i: must be an integer, got 0\.5"),
         (dict(cap=(1.0, 1.0), lines=((0, 1, 0.1, 0.0, 0.0, 1.5),)),
-         r"line \(0,1\): segments must be an integer, got 1\.5"),
+         r"line \(0,1\) segments: must be an integer, got 1\.5"),
     ], ids=["no_node", "v_nom_nan", "v_ref_length", "fractional_endpoint", "fractional_segments"])
     def test_rejects_malformed(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -95,7 +94,7 @@ class TestDcLine:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-3])
     @pytest.mark.parametrize("name", ["l", "c"])
     def test_rejects_non_finite_or_negative_l_and_c(self, name, value):
-        with pytest.raises(ValueError, match=r"^line \(0,1\): l and c must be finite and >= 0$"):
+        with pytest.raises(ValueError, match=rf"^line \(0,1\) {name}: must be finite and >= 0$"):
             m.DcLine(0, 1, 0.1, **{name: value})
 
 
@@ -125,7 +124,7 @@ class TestAcArea:
 
     def test_rejects_fractional_endpoint(self):
         """Refused, not truncated to the edge (0, 1)."""
-        with pytest.raises(ValueError, match=r"edge 0: endpoint must be an integer, got 0\.7"):
+        with pytest.raises(ValueError, match=r"edge 0 endpoint: must be an integer, got 0\.7"):
             m.AcArea(inertia=(1.0, 1.0), ac_lines=((0.7, 1, 2.0),))
 
     def test_disconnected_rejected(self):

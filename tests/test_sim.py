@@ -383,6 +383,22 @@ class TestSteppers:
 
 
 class TestIntegrate:
+    def test_mode_by_value(self, two_area):
+        """``mode="linear"``, the value string, runs the linear kernel, as the
+        member does; a value no mode has is refused with the values listed."""
+        model = m.assemble_resistive(*two_area, reduced=True)
+        ran = []
+        spies = {key: (lambda *args, key=key, kernel=kernel: ran.append(key) or kernel(*args))
+                 for key, kernel in _kernels.KERNELS.items()}
+        with mock.patch.dict(_kernels.KERNELS, spies):
+            for mode in ("linear", m.CouplingMode.LINEAR, "nonlinear"):
+                m.integrate(model, m.Scenario(t_end=0.01, mode=mode))
+        assert ran == ["exact_linear", "exact_linear", "etd2_nonlinear"]
+        assert m.Scenario(t_end=0.01, mode="linear") == m.Scenario(t_end=0.01)
+        with pytest.raises(ValueError, match=r"^mode: unknown value 'rk4'; "
+                                             r"expected one of linear, nonlinear$"):
+            m.Scenario(t_end=0.01, mode="rk4")
+
     def test_zero_disturbance_stays_at_origin(self, two_area):
         net, areas, cfg = two_area
         model = m.assemble_resistive(net, areas, cfg, reduced=False)
@@ -470,8 +486,8 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_end is inf steps"):  # t_end / dt overflows
             m.Scenario(t_end=1e308)
         # integrate steps through the record grid with range(), which takes integers only
-        for every in (2.0, True, 0):
-            with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+        for every, got in ((2.0, ", got 2.0"), (True, ", got True"), (0, " >= 1, got 0")):
+            with pytest.raises(ValueError, match=f"record_every: must be an integer{got}"):
                 m.Scenario(t_end=0.05, record_every=every)
         assert m.Scenario(t_end=0.05, record_every=np.int64(2)).record_every == 2
         # the size bounds, at their edges: MAX_STEPS steps, MAX_SAMPLES samples
@@ -484,12 +500,12 @@ class TestIntegrate:
             m.Scenario(t_end=MAX_SAMPLES * dt, dt=dt)
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: m.DisturbanceEvent(0.5, 0, 0, float("nan")), "event magnitude must be finite"),
-        (lambda: m.DisturbanceEvent(0.5, 0, 0, float("-inf")), "event magnitude must be finite"),
-        (lambda: m.DisturbanceEvent(0.5, 0.0, 0, -0.1), "event area must be an integer"),
-        (lambda: m.DisturbanceEvent(0.5, 0, True, -0.1), "event bus must be an integer"),
+        (lambda: m.DisturbanceEvent(0.5, 0, 0, float("nan")), "magnitude: must be finite"),
+        (lambda: m.DisturbanceEvent(0.5, 0, 0, float("-inf")), "magnitude: must be finite"),
+        (lambda: m.DisturbanceEvent(0.5, 0.0, 0, -0.1), "area: must be an integer"),
+        (lambda: m.DisturbanceEvent(0.5, 0, True, -0.1), "bus: must be an integer"),
         (lambda: m.Scenario(t_end=1.0, disturbances=((0.5, 1.0, 0, -0.1),)),
-         "event area must be an integer"),
+         "area: must be an integer"),
         (lambda: m.AcArea(inertia=(1.0, 2.0), ac_lines=((0, 1, 1.0),), p_m=(0.0, float("nan"))),
          r"p_m\[1\]: must be finite"),
     ], ids=["magnitude_nan", "magnitude_inf", "area_float", "bus_bool", "event_tuple",
