@@ -233,18 +233,23 @@ def _cost_weights_per_bus(model: ClosedLoopModel, costs=None):
 def equilibrium(model: ClosedLoopModel, u: np.ndarray, costs=None) -> EquilibriumReport:
     """Solve for the steady state under constant input and report residuals.
 
-    Requires the reduced, asymptotically stable model: the full-coordinate
-    state matrix is singular whenever phase or angle blocks are present.
+    ``u`` holds one power deviation per generator bus, as
+    ``disturbance_map`` gives it. Requires the reduced, asymptotically
+    stable model: the full-coordinate state matrix is singular whenever
+    phase or angle blocks are present.
     """
     if not model.reduced:
         raise ValueError("equilibrium needs the reduced model (full coordinates are singular)")
     if costs is not None and len(costs.f_p) != model.n_areas:
         raise ValueError(f"costs: {len(costs.f_p)} weights for {model.n_areas} areas")
+    u = np.asarray(u, dtype=float)
+    if u.shape != (model.total_buses,):
+        raise ValueError(f"u: {u.size} entries for {model.total_buses} generator buses"
+                         + ("" if u.ndim == 1 else f" (shape {u.shape})"))
     abscissa, stable = hurwitz(model)
     if not stable:
         raise UnstableSystemError(
             f"no unique stable equilibrium: spectral abscissa {abscissa:.3g}")
-    u = np.asarray(u, dtype=float)
     x_star = np.linalg.solve(model.a, -model.b_dist @ u)
     layout = model.layout
     omega_hat, v_hat, p_gen, p_inj, area_gen = (

@@ -16,6 +16,13 @@ series families the command line writes, area-mean frequencies, DC
 voltages, area sums of P_gen and P_inj itself (with ``series_offset``, the
 derived series), then the per-bus frequencies and P_gen.
 
+Pi-link lines form one RLC ladder with the oriented incidence D of
+``PiLinkChain.incidence``. Its nodes are the converter nodes (the DC
+voltage states), then the internal nodes (``line_voltage1``, ...); its
+segments are the ``line_current1``, ... blocks in order. The ladder adds
+two equations: C dv/dt = -D i at every node and L di/dt = -R i + D^T v on
+every segment.
+
 Only the full-coordinate model is assembled. A reduced model is its
 projection T A T^T (see ``reduce_model``): reduced coordinates drop the
 uniform component of each rotor-angle block and of the converter phase
@@ -36,7 +43,7 @@ import numpy as np
 
 from ._blas import one_thread
 from .control import ControllerConfig
-from .netgraph import _index, _real, laplacian, ones_complement
+from .netgraph import _index, _items, _real, laplacian, ones_complement
 from .plant import MtdcNetwork, PiLinkChain, pi_link_matrices
 
 # row blocks of ``outputs``, in this order: the series families, one row per
@@ -255,27 +262,15 @@ def _assemble(net: MtdcNetwork, areas, cfg: ControllerConfig,
     a_mat[vdc] += e_diag[:, None] * p_inj / net.v_nom
     if chain is None:
         a_mat[vdc, vdc] -= e_diag[:, None] * laplacian(net.conductance_graph())
-    else:
+    else:  # the ladder: C dv/dt = -D i at every node, L di/dt = -R i + D^T v on every segment
         ell = chain.n_segments
-        cur = [layout.sl(f"line_current{q}") for q in range(1, ell + 1)]
-        vol = [layout.sl(f"line_voltage{q}") for q in range(1, ell)]
-        a_mat[vdc, cur[0]] -= e_diag[:, None] * chain.d_in
-        a_mat[vdc, cur[-1]] += e_diag[:, None] * chain.d_out
+        seg = layout.sl("line_current1").start + np.arange(chain.incidence.shape[1])
+        nodes = np.r_[vdc, seg[-1] + 1:dim]  # the converter nodes, then the internal ones
+        elastance = np.concatenate([e_diag, np.tile(1.0 / chain.c_seg, ell - 1)])
         l_inv = 1.0 / chain.l_seg
-        for q in range(ell):
-            a_mat[cur[q], cur[q]] -= np.diag(chain.r_seg * l_inv)
-            if q == 0:
-                a_mat[cur[q], vdc] += l_inv[:, None] * chain.d_in.T
-            else:
-                a_mat[cur[q], vol[q - 1]] += np.diag(l_inv)
-            if q == ell - 1:
-                a_mat[cur[q], vdc] -= l_inv[:, None] * chain.d_out.T
-            else:
-                a_mat[cur[q], vol[q]] -= np.diag(l_inv)
-        for q in range(ell - 1):
-            c_inv = 1.0 / chain.c_seg
-            a_mat[vol[q], cur[q]] += np.diag(c_inv)
-            a_mat[vol[q], cur[q + 1]] -= np.diag(c_inv)
+        a_mat[np.ix_(nodes, seg)] -= elastance[:, None] * chain.incidence
+        a_mat[np.ix_(seg, nodes)] += np.tile(l_inv, ell)[:, None] * chain.incidence.T
+        a_mat[seg, seg] -= np.tile(chain.r_seg * l_inv, ell)
 
     if cfg.variant.distributed_gen:
         gi = layout.sl("gen_integral")
@@ -373,7 +368,8 @@ def disturbance_map(model: ClosedLoopModel, disturbances) -> np.ndarray:
     """
     sizes = [area.n_buses for area in model.areas]
     u = np.zeros(sum(sizes))
-    for area, bus, magnitude in disturbances:
+    for k, entry in enumerate(_items(disturbances, "disturbances")):
+        area, bus, magnitude = _items(entry, f"disturbances[{k}]", 3)
         area, bus = _index(area, "area"), _index(bus, "bus")
         if not (0 <= area < len(sizes)):
             raise ValueError(f"unknown area {area}")

@@ -87,20 +87,14 @@ def _check(value, name, kind):
 
 def _value(value, name, kind):
     """``value`` checked as a table kind: a nested object read by its table,
-    a list (a tuple of its checked entries) or a ``_check`` kind."""
+    a list (a tuple of its entries, each checked as the list's one kind) or a
+    ``_check`` kind."""
     if isinstance(kind, type):
         return _check(value, name, kind)
     if isinstance(kind, dict):
         return _fields(_check(value, name, dict), name, kind)
-    (item,), entries = kind, []
-    for idx, entry in enumerate(_check(value, name, list)):
-        if not isinstance(item, dict):
-            entries.append(_check(entry, f"{name}[{idx}]", item))
-        elif isinstance(entry, dict):
-            entries.append(_fields(entry, f"{name}[{idx}]", item))
-        else:
-            raise ConfigError(f"{name}[{idx}]: expected an object")
-    return tuple(entries)
+    return tuple(_value(entry, f"{name}[{idx}]", kind[0])
+                 for idx, entry in enumerate(_check(value, name, list)))
 
 
 def _fields(obj, path, table):

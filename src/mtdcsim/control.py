@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .netgraph import WeightedGraph, _choice, _real, _reals, connectivity
+from .netgraph import WeightedGraph, _choice, _items, _real, _reals, connectivity
 
 
 class Variant(enum.Enum):
@@ -67,15 +67,19 @@ class ControllerConfig:
     def __post_init__(self):
         values = dict(
             k_droop=tuple(_reals(kd, f"k_droop[{a}]", 0.0, strict=False)
-                          for a, kd in enumerate(self.k_droop)),
+                          for a, kd in enumerate(_items(self.k_droop, "k_droop"))),
             k_droop_i=tuple(_reals(kdi, f"k_droop_i[{a}]", 0.0)
-                            for a, kdi in enumerate(self.k_droop_i)),
+                            for a, kdi in enumerate(_items(self.k_droop_i, "k_droop_i"))),
             k_omega=_reals(self.k_omega, "k_omega", 0.0), k_v=_reals(self.k_v, "k_v", 0.0),
             gamma=_real(self.gamma, "gamma", 0.0, strict=False),
             omega_ref=_real(self.omega_ref, "omega_ref"),
             variant=_choice(Variant, self.variant, "variant"))
         for key, value in values.items():
             object.__setattr__(self, key, value)
+        for key in ("comm_eta", "comm_phi"):
+            graph = getattr(self, key)
+            if graph is not None and not isinstance(graph, WeightedGraph):
+                raise ValueError(f"{key}: expected a WeightedGraph, got {type(graph).__name__}")
         n = len(self.k_omega)
         if len(self.k_v) != n or len(self.k_droop) != n or len(self.k_droop_i) != n:
             raise ValueError("per-converter gain lists must share one length")

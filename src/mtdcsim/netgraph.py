@@ -7,7 +7,8 @@ Matrices are dense float64 arrays; problem sizes stay in the hundreds.
 
 The module also states the rules for the values every library type takes,
 once: ``_real`` (a finite float, optionally bounded below), ``_index`` (an
-integer that is no bool) and ``_choice`` (an enum member or its value).
+integer that is no bool), ``_choice`` (an enum member or its value) and
+``_items`` (a tuple, list or array, optionally of a given length).
 Each refuses with a ``ValueError`` that starts with the field's name, as in
 ``cap[2]: must be finite and > 0``. The types of ``plant``, ``control`` and
 ``sim``, the analysis entry points and the config parser all call them.
@@ -43,9 +44,23 @@ def _real(value, name, low=None, strict=True) -> float:
     raise ValueError(f"{name}: must be finite{bound}")
 
 
+def _items(value, name, size=None) -> tuple:
+    """``value``, a tuple, list or numpy array, as a tuple of its entries:
+    any number of them, ``size`` of them, or from ``size[0]`` to ``size[1]``."""
+    if not (isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim):
+        raise ValueError(f"{name}: expected a sequence, got {type(value).__name__}")
+    items = tuple(value)
+    if size is not None:
+        low, high = (size, size) if isinstance(size, int) else size
+        if not low <= len(items) <= high:
+            raise ValueError(f"{name}: expected {low}{'' if low == high else f' to {high}'} "
+                             f"entries, got {len(items)}")
+    return items
+
+
 def _reals(values, name, low=None, strict=True) -> tuple:
-    """``_real`` of each entry of ``values``, the k-th named ``name[k]``."""
-    return tuple(_real(v, f"{name}[{k}]", low, strict) for k, v in enumerate(values))
+    """``_real`` of each entry of the sequence ``values``, the k-th named ``name[k]``."""
+    return tuple(_real(v, f"{name}[{k}]", low, strict) for k, v in enumerate(_items(values, name)))
 
 
 def _index(value, name) -> int:
@@ -85,7 +100,8 @@ class WeightedGraph:
         object.__setattr__(self, "n_nodes", n_nodes)
         norm = []
         seen = set()
-        for idx, (i, j, w) in enumerate(self.edges):
+        for idx, edge in enumerate(_items(self.edges, "edges")):
+            i, j, w = _items(edge, f"edge {idx}", 3)
             i, j = _index(i, f"edge {idx} endpoint"), _index(j, f"edge {idx} endpoint")
             w = _real(w, f"edge {idx} weight", 0.0)
             if not (0 <= i < n_nodes and 0 <= j < n_nodes):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netgraph import WeightedGraph, _index, _real, _reals, connectivity
+from .netgraph import WeightedGraph, _index, _items, _real, _reals, connectivity
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ class MtdcNetwork:
         if not cap:
             raise ValueError("network needs at least one node")
         object.__setattr__(self, "cap", cap)
-        lines = tuple(ln if isinstance(ln, DcLine) else DcLine(*ln) for ln in self.lines)
+        lines = tuple(ln if isinstance(ln, DcLine) else DcLine(*_items(ln, f"lines[{k}]", (3, 6)))
+                      for k, ln in enumerate(_items(self.lines, "lines")))
         object.__setattr__(self, "lines", lines)
         v_nom = _real(self.v_nom, "v_nom", 0.0)
         object.__setattr__(self, "v_nom", v_nom)
@@ -112,7 +113,7 @@ class AcArea:
         if not inertia:
             raise ValueError("area needs at least one bus")
         object.__setattr__(self, "inertia", inertia)
-        graph = WeightedGraph(len(inertia), tuple(self.ac_lines))
+        graph = WeightedGraph(len(inertia), _items(self.ac_lines, "ac_lines"))
         object.__setattr__(self, "ac_lines", graph.edges)
         if len(inertia) > 1 and not connectivity(graph):
             raise ValueError("AC line graph must be connected")
@@ -133,21 +134,26 @@ class AcArea:
 
 @dataclass(frozen=True)
 class PiLinkChain:
-    """Per-segment line quantities for the dynamic pi-link model.
+    """The pi-link lines as one RLC ladder.
 
-    Each line contributes ``n_segments`` series R-L segments with
-    ``n_segments - 1`` internal capacitive nodes. Values are the line
-    totals split evenly across segments; the states are incremental.
-    ``d_in`` and ``d_out`` (nodes x lines) mark each line's origin and end
-    node, so ``d_in - d_out`` is the oriented incidence matrix.
+    Each line splits into ``n_segments`` series R-L segments joined by
+    ``n_segments - 1`` internal capacitive nodes; ``r_seg``, ``l_seg`` and
+    ``c_seg`` are the line totals split evenly across the segments, one
+    entry per line. ``incidence`` is the ladder's oriented incidence D. Its
+    rows are the nodes: the converter nodes, then the internal nodes, one
+    segment boundary at a time and line by line. Its columns are the
+    segments, one segment position at a time and line by line. A column has
+    +1 at the node its current leaves and -1 at the node it enters, so the
+    incremental node voltages v and segment currents i obey
+    C dv/dt = -D i (plus the converter injections) and
+    L di/dt = -R i + D^T v.
     """
 
     n_segments: int
     r_seg: np.ndarray
     l_seg: np.ndarray
     c_seg: np.ndarray
-    d_in: np.ndarray
-    d_out: np.ndarray
+    incidence: np.ndarray
 
     @property
     def n_lines(self) -> int:
@@ -155,7 +161,7 @@ class PiLinkChain:
 
 
 def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:
-    """Per-segment parameters for the pi-link line model.
+    """Per-segment parameters and the ladder incidence of the pi-link model.
 
     Requires every line to carry an inductance and, when split into more
     than one segment, a shunt capacitance. All lines must share the same
@@ -166,27 +172,23 @@ def pi_link_matrices(net: MtdcNetwork) -> PiLinkChain:
     segs = {ln.segments for ln in net.lines}
     if len(segs) != 1:
         raise ValueError("all lines must use the same segment count")
-    ell = segs.pop()
-    r_seg = np.empty(len(net.lines))
-    l_seg = np.empty(len(net.lines))
-    c_seg = np.empty(len(net.lines))
-    d_in = np.zeros((net.n, len(net.lines)))
-    d_out = np.zeros((net.n, len(net.lines)))
-    for k, ln in enumerate(net.lines):
+    ell, n_lines = segs.pop(), len(net.lines)
+    for ln in net.lines:
         if ln.l <= 0.0:
             raise ValueError(f"line ({ln.i},{ln.j}): pi-link model needs l > 0")
         if ell > 1 and ln.c <= 0.0:
             raise ValueError(f"line ({ln.i},{ln.j}): segments > 1 needs c > 0")
-        r_seg[k] = ln.r / ell
-        l_seg[k] = ln.l / ell
-        c_seg[k] = ln.c / ell
-        d_in[ln.i, k] = 1.0
-        d_out[ln.j, k] = 1.0
+    incidence = np.zeros((net.n + (ell - 1) * n_lines, ell * n_lines))
+    for k, ln in enumerate(net.lines):
+        # the line's nodes from end i to end j, and its segments between them
+        nodes = [ln.i, *(net.n + k + n_lines * np.arange(ell - 1)), ln.j]
+        segments = k + n_lines * np.arange(ell)
+        incidence[nodes[:-1], segments] = 1.0
+        incidence[nodes[1:], segments] = -1.0
     return PiLinkChain(
         n_segments=ell,
-        r_seg=r_seg,
-        l_seg=l_seg,
-        c_seg=c_seg,
-        d_in=d_in,
-        d_out=d_out,
+        r_seg=np.array([ln.r for ln in net.lines]) / ell,
+        l_seg=np.array([ln.l for ln in net.lines]) / ell,
+        c_seg=np.array([ln.c for ln in net.lines]) / ell,
+        incidence=incidence,
     )

@@ -42,7 +42,7 @@ from . import _kernels
 from ._blas import one_thread
 from .assembly import SERIES_FAMILIES, ClosedLoopModel, baseline_disturbance, disturbance_map
 from .control import CouplingMode
-from .netgraph import _choice, _index, _real
+from .netgraph import _choice, _index, _items, _real
 
 DT_CAP = 0.01
 # Bounds on a run's size: step indices stay exact in a float and far inside
@@ -103,8 +103,9 @@ class Scenario:
         if n_samples > MAX_SAMPLES:
             raise ValueError(f"t_end records {n_samples:.3g} samples at record_every = {every}, "
                              f"more than MAX_SAMPLES = {MAX_SAMPLES}")
-        events = tuple(ev if isinstance(ev, DisturbanceEvent) else DisturbanceEvent(*ev)
-                       for ev in self.disturbances)
+        events = tuple(ev if isinstance(ev, DisturbanceEvent)
+                       else DisturbanceEvent(*_items(ev, f"disturbances[{k}]", 4))
+                       for k, ev in enumerate(_items(self.disturbances, "disturbances")))
         for ev in events:
             if not (0.0 <= ev.time <= self.t_end):
                 raise ValueError(f"event time {ev.time} outside [0, {self.t_end}]")

@@ -12,7 +12,8 @@ import mtdcsim as m
 from mtdcsim.assembly import BUS_BLOCKS, SERIES_FAMILIES
 
 from conftest import (dense_projection, lyapunov_matrix, lyapunov_trace, mixed_relative_error,
-                      outputs, row_block, random_stable_config, single_gen_system)
+                      outputs, random_stable_config, reference_pi_lines, row_block,
+                      single_gen_system)
 from direct_rhs import direct_rhs, flatten, unflatten
 
 
@@ -161,6 +162,14 @@ class TestAssemblePiLink:
         assert rep.spectral_abscissa == pytest.approx(-0.4499, abs=5e-5)
         assert m.stability_report(dec).certificate is m.CertificateClass.LYAPUNOV_PROVEN
 
+    def test_readme_four_segments(self, paper_sc):
+        """README, "Pi-link lines": the reference with its lines as
+        four-segment pi-links."""
+        net = replace(paper_sc.net, lines=reference_pi_lines(paper_sc.net.lines, segments=4))
+        model = m.assemble_pi_link(net, paper_sc.areas, paper_sc.cfg, reduced=True)
+        assert model.dim == 249
+        assert m.stability_report(model).spectral_abscissa == pytest.approx(-0.4464, abs=5e-5)
+
     def test_zero_inductance_rejected(self):
         net, areas, cfg = trivial_system()
         net2 = m.MtdcNetwork(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 0.1),))
@@ -210,13 +219,15 @@ class TestBlockConsistency:
         _oracle_check(net, areas, cfg, model, np.random.default_rng(3))
 
     @pytest.mark.parametrize("variant", list(m.Variant))
-    def test_pi_link_chain(self, variant):
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("segments", [1, 2, 3, 4])
+    def test_pi_link_chain(self, variant, reduced, segments):
         net, areas, cfg = single_gen_system(3, gamma=1.0, variant=variant)
         net = m.MtdcNetwork(
             cap=net.cap,
-            lines=tuple(m.DcLine(ln.i, ln.j, ln.r, l=ln.l, c=ln.c, segments=3)
+            lines=tuple(m.DcLine(ln.i, ln.j, ln.r, l=ln.l, c=ln.c, segments=segments)
                         for ln in net.lines))
-        model = m.assemble_pi_link(net, areas, cfg, reduced=False)
+        model = m.assemble_pi_link(net, areas, cfg, reduced=reduced)
         _oracle_check(net, areas, cfg, model, np.random.default_rng(4))
 
 

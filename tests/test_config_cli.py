@@ -383,6 +383,9 @@ class TestConfigFuzz:
          "costs: f_p and f_v must share one length"),
         ([(("areas", 1, "generators", 0, "inertia"), 0)],
          "areas[1]: inertia[0]: must be finite and > 0"),
+        # a list entry of the wrong kind reads like any other kind error
+        ([(("areas", 0), 3)], "areas[0]: expected dict, got int"),
+        ([(("mtdc", "lines", 1), [0, 1, 0.1])], "mtdc.lines[1]: expected dict, got list"),
     ], ids=["omega_ref_null", "magnitude_null", "cap_null", "cap_bool", "variant_int",
             "areas_null", "t_end_1e308", "event_in_missing_area", "v_ref_negative",
             "certificate_overflow", "equilibrium_overflow",
@@ -393,7 +396,7 @@ class TestConfigFuzz:
             "unknown_top_level_key", "unknown_line_key", "line_l_key", "line_c_key",
             "line_segments_key", "converter_bus_key", "event_in_no_area", "p_m_wrong_length",
             "k_v_wrong_length", "comm_eta_disconnected", "comm_phi_missing",
-            "cost_lengths_differ", "inertia_zero"])
+            "cost_lengths_differ", "inertia_zero", "area_not_object", "line_not_object"])
     def test_named_regressions(self, paper_doc, tmp_path, edits, message):
         doc = json.loads(json.dumps(paper_doc))
         for place, value in edits:

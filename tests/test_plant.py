@@ -142,35 +142,43 @@ class TestPiLink:
         assert chain.n_segments == 1
         assert chain.r_seg[0] == pytest.approx(0.0586)
         assert chain.l_seg[0] == pytest.approx(0.2560e-3)
-        np.testing.assert_array_equal(chain.d_in.sum(axis=0), np.ones(10))
+        assert chain.incidence.shape == (6, 10)  # no internal node at one segment
         expected_r = [r for _, _, r in DC_GRID_EDGES]
         np.testing.assert_allclose(chain.r_seg, expected_r)
 
     def test_incidence_of_one_line(self):
-        """Line k runs from ``d_in``'s node to ``d_out``'s."""
-        net = m.MtdcNetwork(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 2.0, l=1e-3),))
-        chain = pi_link_matrices(net)
-        np.testing.assert_array_equal(chain.d_in, [[1.0], [0.0]])
-        np.testing.assert_array_equal(chain.d_out, [[0.0], [1.0]])
+        """A segment's current leaves its +1 node and enters its -1 node:
+        one segment runs from node i to node j, and two meet at the
+        internal node that follows the converter nodes."""
+        line = m.DcLine(0, 1, 2.0, l=1e-3, c=1e-2)
+        chain = pi_link_matrices(m.MtdcNetwork(cap=(1.0, 1.0), lines=(line,)))
+        np.testing.assert_array_equal(chain.incidence, [[1.0], [-1.0]])
+        chain = pi_link_matrices(m.MtdcNetwork(cap=(1.0, 1.0), lines=(replace(line, segments=2),)))
+        np.testing.assert_array_equal(chain.incidence, [[1.0, 0.0], [0.0, -1.0], [-1.0, 1.0]])
 
     def test_incidence_laplacian_of_one_line(self):
-        """d_in - d_out is the oriented incidence: with weights 1/r its
-        Laplacian is the conductance Laplacian."""
+        """With weights 1/r the incidence's Laplacian is the conductance
+        Laplacian."""
         net = m.MtdcNetwork(cap=(1.0, 1.0), lines=(m.DcLine(0, 1, 2.0, l=1e-3),))
         chain = pi_link_matrices(net)
-        inc = chain.d_in - chain.d_out
+        inc = chain.incidence
         np.testing.assert_array_equal(inc @ np.diag(1.0 / chain.r_seg) @ inc.T,
                                       [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_incidence_columns_sum_to_one(self):
-        chain = pi_link_matrices(reference_network())
-        np.testing.assert_array_equal(chain.d_in.sum(axis=0), np.ones(10))
-        np.testing.assert_array_equal(chain.d_out.sum(axis=0), np.ones(10))
+        """Each column holds one +1 and one -1, on two different nodes, and
+        zeros elsewhere."""
+        for segments in (1, 2, 3):
+            inc = pi_link_matrices(reference_network(segments=segments)).incidence
+            assert inc.shape == (6 + 10 * (segments - 1), 10 * segments)
+            np.testing.assert_array_equal((inc == 1.0).sum(axis=0), np.ones(10 * segments))
+            np.testing.assert_array_equal((inc == -1.0).sum(axis=0), np.ones(10 * segments))
+            assert np.count_nonzero(inc) == 2 * inc.shape[1]
 
     def test_incidence_laplacian_of_reference_grid(self):
         net = reference_network()
         chain = pi_link_matrices(net)
-        inc = chain.d_in - chain.d_out
+        inc = chain.incidence
         np.testing.assert_allclose(inc @ np.diag(1.0 / chain.r_seg) @ inc.T,
                                    laplacian(net.conductance_graph()), atol=1e-12)
 
@@ -204,16 +212,18 @@ class TestPiLink:
 
     @pytest.mark.parametrize("segments", [1, 3])
     def test_dc_terminal_behavior_matches_resistive(self, segments):
-        """At zero frequency the chain reduces to the total line resistance."""
+        """At zero frequency the ladder reduces to the total line resistance:
+        its steady state under converter injections, with no current into
+        the internal nodes, matches the resistive one at the converter
+        nodes."""
         net = reference_network(segments=segments)
         chain = pi_link_matrices(net)
         l_r = laplacian(net.conductance_graph())
         inj = np.array([0.4, -0.1, -0.1, -0.1, -0.05, -0.05])
         v_res = np.linalg.lstsq(l_r, inj, rcond=None)[0]
-        # chain steady state: uniform segment current (v_i - v_j) / r_total
-        inc = chain.d_in - chain.d_out
-        r_tot = chain.r_seg * segments
-        lap_chain = inc @ np.diag(1.0 / r_tot) @ inc.T
-        v_chain = np.linalg.lstsq(lap_chain, inj, rcond=None)[0]
+        inc = chain.incidence
+        lap_chain = inc @ np.diag(np.tile(1.0 / chain.r_seg, segments)) @ inc.T
+        inj_chain = np.concatenate([inj, np.zeros(inc.shape[0] - 6)])
+        v_chain = np.linalg.lstsq(lap_chain, inj_chain, rcond=None)[0][:6]
         delta = (v_res - v_res.mean()) - (v_chain - v_chain.mean())
         assert np.abs(delta).max() < 1e-8

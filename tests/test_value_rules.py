@@ -1,5 +1,5 @@
-"""The value rules of the library types: every number, index and choice
-field refuses a bad value with a ``ValueError`` that starts with the field's
+"""The value rules of the library types: every number, index, choice and
+container field refuses a bad value with a ``ValueError`` that starts with the field's
 name, never a ``TypeError``, an ``OverflowError`` or silent acceptance."""
 
 from dataclasses import replace
@@ -60,6 +60,29 @@ INDEX_FIELDS = [
     ("disturbance_map", "area", lambda v: m.disturbance_map(ONE_BUS, [(v, 0, -0.1)])),
     ("disturbance_map", "bus", lambda v: m.disturbance_map(ONE_BUS, [(0, v, -0.1)])),
 ]
+SWEEP_MODEL = m.assemble_resistive(SWEEP_NET, SWEEP_AREAS, SWEEP_CFG)
+# (owner, the field as its message names it, what is wrong, a call that puts it there)
+CONTAINER_CASES = [
+    ("ControllerConfig", "comm_eta", "edge_tuple", lambda: replace(CFG, comm_eta=((0, 1, 1.0),))),
+    ("ControllerConfig", "k_omega", "None", lambda: replace(CFG, k_omega=None)),
+    ("ControllerConfig", "k_droop", "None", lambda: replace(CFG, k_droop=None)),
+    ("ControllerConfig", r"k_droop\[1\]", "float", lambda: replace(CFG, k_droop=((4.0,), 4.0))),
+    ("AcArea", "inertia", "None", lambda: m.AcArea(inertia=None)),
+    ("AcArea", "ac_lines", "None", lambda: m.AcArea(inertia=(1.0,), ac_lines=None)),
+    ("CostWeights", "f_p", "None", lambda: m.CostWeights(f_p=None, f_v=(1.0, 1.0))),
+    ("MtdcNetwork", "lines", "None", lambda: replace(NET, lines=None)),
+    ("MtdcNetwork", r"lines\[0\]", "pair", lambda: replace(NET, lines=((0, 1),))),
+    ("Scenario", "disturbances", "None", lambda: m.Scenario(t_end=1.0, disturbances=None)),
+    ("Scenario", r"disturbances\[0\]", "triple",
+     lambda: m.Scenario(t_end=1.0, disturbances=((0.5, 0, 0),))),
+    ("WeightedGraph", "edge 0", "pair", lambda: m.WeightedGraph(2, ((0, 1),))),
+    ("disturbance_map", r"disturbances\[0\]", "pair", lambda: m.disturbance_map(ONE_BUS, [(0, 0)])),
+    ("equilibrium", "u", "short", lambda: m.equilibrium(SWEEP_MODEL, np.zeros(2))),
+    ("equilibrium", "u", "long", lambda: m.equilibrium(SWEEP_MODEL, np.zeros(4))),
+    ("equilibrium", "u", "2d", lambda: m.equilibrium(SWEEP_MODEL, np.zeros((3, 2)))),
+    ("gain_limit_sweep", "u", "short",
+     lambda: m.gain_limit_sweep(SWEEP_NET, SWEEP_AREAS, SWEEP_CFG, [0.0] * 2, [1.0])),
+]
 CHOICE_FIELDS = [
     ("ControllerConfig", "variant", lambda v: replace(CFG, variant=v)),
     ("Scenario", "mode", lambda v: m.Scenario(t_end=1.0, mode=v)),
@@ -80,6 +103,16 @@ CASES = [pytest.param(field, build, value, id=f"{_id(owner, field)}-{label}")
 def test_bad_value_names_its_field(field, build, value):
     with pytest.raises(ValueError, match=f"^{field}: "):
         build(value)
+
+
+@pytest.mark.parametrize("field, call", [
+    pytest.param(field, call, id=f"{_id(owner, field)}-{label}")
+    for owner, field, label, call in CONTAINER_CASES])
+def test_bad_container_names_its_field(field, call):
+    """A container of the wrong kind or length, never a ``TypeError``, an
+    ``AttributeError`` or an unpacking error that names no field."""
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        call()
 
 
 @pytest.mark.parametrize("owner, field, build", REAL_FIELDS,
